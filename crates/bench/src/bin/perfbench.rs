@@ -21,12 +21,7 @@
 //!   shrinks. It also records a `dir_scale` grid — Water on the
 //!   hierarchical mesh, one cell per directory organization × node count —
 //!   tracking the cost of the machinery a 64-node full-map run never
-//!   touches (wide fan-outs, multi-word ack masks, two-level routing), and
-//!   a `parallel_engine` grid — Water/P+CW at 256 and 1024 nodes under
-//!   `sim_threads` 1 vs 4 — recording the windowed-parallel engine's
-//!   throughput and speedup on this host (informational, not gated: the
-//!   speedup is a property of the host's core count; single-core hosts
-//!   record an honest slowdown from barrier thrash).
+//!   touches (wide fan-outs, multi-word ack masks, two-level routing).
 //!
 //! Usage: `perfbench [--quick] [--jobs N] [--out-dir DIR] [--baseline FILE]
 //! [--min-wall-secs S]`
@@ -178,17 +173,13 @@ fn baseline_dirscale_rates(text: &str, path: &str) -> Vec<(String, f64)> {
             .find('"')
             .unwrap_or_else(|| panic!("--baseline {path}: unterminated cell key"));
         let key = text[key_start..key_start + key_len].to_string();
-        let Some((rate, next)) = number_after(
+        let (rate, next) = number_after(
             text,
             "\"dirscale_cycles_per_sec\":",
             key_start + key_len,
             path,
-        ) else {
-            // parallel_engine cells reuse the "cell" key but carry no
-            // dirscale rate; they are informational and never gated.
-            from = key_start + key_len;
-            continue;
-        };
+        )
+        .unwrap_or_else(|| panic!("--baseline {path}: cell {key} has no dirscale_cycles_per_sec"));
         rates.push((key, rate));
         from = next;
     }
@@ -531,80 +522,6 @@ fn main() {
         }
     }
 
-    // Windowed-parallel engine grid: Water x P+CW on hmesh64/ptr4b at 256
-    // and 1024 nodes, serial vs 4 simulation threads. Results are
-    // bit-identical by construction (the windowed_engine test suite pins
-    // that); this grid records the *throughput* consequence on this host.
-    // The speedup is a host property — >=2x needs >=4 real cores; a
-    // single-core host honestly records a slowdown (the window barrier
-    // becomes pure scheduler thrash) — so the cells are written to the
-    // baseline file but never gated.
-    struct ParCell {
-        key: String,
-        procs: usize,
-        sim_threads: usize,
-        reps: usize,
-        exec_cycles: u64,
-        wall_secs: f64,
-    }
-    let pe_procs = [256usize, 1024];
-    let pe_threads = [1usize, 4];
-    // The threaded cells are wall-clock heavy on small hosts; keep the
-    // quick base rep count at 1 and let --min-wall-secs scale it up.
-    let pe_reps = if quick { 1 } else { reps };
-    let pe_cell_count = (pe_procs.len() * pe_threads.len()) as f64;
-    let mut par_cells: Vec<ParCell> = Vec::new();
-    for &pprocs in &pe_procs {
-        let pe_w = App::Water.workload(pprocs, Scale::Small);
-        for &threads in &pe_threads {
-            eprintln!(
-                "perfbench: parallel-engine Water x P+CW (small, {pprocs} procs, ptr4b, \
-                 hmesh64, {threads} sim-threads)..."
-            );
-            let run_cell = || {
-                let t0 = Instant::now();
-                let m = experiments::run_protocol_engine(
-                    &pe_w,
-                    dirext_core::ProtocolKind::PCw,
-                    dirext_core::Consistency::Rc,
-                    dirext_sim::NetworkKind::HierMesh { link_bits: 64 },
-                    dirext_core::sharer::DirOrg::LimitedPtr {
-                        ptrs: 4,
-                        broadcast: true,
-                    },
-                    None,
-                    None,
-                    threads,
-                )
-                .expect("parallel-engine run");
-                (t0.elapsed().as_secs_f64(), m.exec_cycles)
-            };
-            let (warm_secs, exec_cycles) = run_cell();
-            let cell_reps = reps_for(pe_reps, warm_secs, min_wall_secs / pe_cell_count);
-            let wall_secs = median_of(cell_reps, || run_cell().0);
-            par_cells.push(ParCell {
-                key: format!("{pprocs}/t{threads}"),
-                procs: pprocs,
-                sim_threads: threads,
-                reps: cell_reps,
-                exec_cycles,
-                wall_secs,
-            });
-        }
-    }
-
-    // Bit-identity spot check riding along with the measurement: serial
-    // and threaded runs of the same machine must agree exactly.
-    for pair in par_cells.chunks(2) {
-        if let [a, b] = pair {
-            assert_eq!(
-                a.exec_cycles, b.exec_cycles,
-                "windowed engine diverged from serial at {} procs",
-                a.procs
-            );
-        }
-    }
-
     let agg_cycles_per_sec = e2e_cycles as f64 / e2e_secs;
     let dir_cells_json: Vec<String> = dir_cells
         .iter()
@@ -621,29 +538,6 @@ fn main() {
                 c.exec_cycles,
                 c.wall_secs,
                 c.exec_cycles as f64 / c.wall_secs
-            )
-        })
-        .collect();
-    let par_cells_json: Vec<String> = par_cells
-        .iter()
-        .map(|c| {
-            // Speedup of this cell over the serial cell at the same procs.
-            let serial = par_cells
-                .iter()
-                .find(|s| s.procs == c.procs && s.sim_threads == 1)
-                .expect("serial cell exists");
-            format!(
-                "      {{ \"cell\": \"{}\", \"procs\": {}, \"sim_threads\": {}, \"reps\": {}, \
-                 \"exec_cycles\": {}, \"wall_secs\": {:.4}, \"sim_cycles_per_sec\": {:.0}, \
-                 \"speedup_vs_serial\": {:.3} }}",
-                json_escape_free(&c.key),
-                c.procs,
-                c.sim_threads,
-                c.reps,
-                c.exec_cycles,
-                c.wall_secs,
-                c.exec_cycles as f64 / c.wall_secs,
-                serial.wall_secs / c.wall_secs
             )
         })
         .collect();
@@ -691,10 +585,6 @@ fn main() {
          \"dir_scale\": {{\n    \"app\": \"Water\",\n    \"scale\": \"small\",\n    \
          \"protocol\": \"P+CW\",\n    \"network\": \"hmesh64\",\n    \
          \"cells\": [\n{}\n    ]\n  }},\n  \
-         \"parallel_engine\": {{\n    \"app\": \"Water\",\n    \"scale\": \"small\",\n    \
-         \"protocol\": \"P+CW\",\n    \"dir\": \"ptr4b\",\n    \"network\": \"hmesh64\",\n    \
-         \"host_cpus\": {host_cpus},\n    \
-         \"cells\": [\n{}\n    ]\n  }},\n  \
          \"per_workload\": [\n{}\n  ],\n  \
          \"aggregate\": {{\n    \"total_trace_events\": {e2e_events},\n    \
          \"total_exec_cycles\": {e2e_cycles},\n    \
@@ -704,7 +594,6 @@ fn main() {
         mp3d_events as f64 / mp3d_secs,
         mp3d_cycles as f64 / mp3d_secs,
         dir_cells_json.join(",\n"),
-        par_cells_json.join(",\n"),
         per_workload_json.join(",\n"),
         e2e_events as f64 / e2e_secs,
     );
@@ -722,21 +611,6 @@ fn main() {
             c.reps
         );
     }
-    for c in &par_cells {
-        let serial = par_cells
-            .iter()
-            .find(|s| s.procs == c.procs && s.sim_threads == 1)
-            .expect("serial cell exists");
-        eprintln!(
-            "  parallel-engine {}: {:.0} sim-cycles/sec ({:.3}x vs serial, {} reps, \
-             host has {host_cpus} CPUs)",
-            c.key,
-            c.exec_cycles as f64 / c.wall_secs,
-            serial.wall_secs / c.wall_secs,
-            c.reps
-        );
-    }
-
     if let Some(path) = &baseline {
         let text =
             std::fs::read_to_string(path).unwrap_or_else(|e| panic!("--baseline {path}: {e}"));

@@ -107,14 +107,8 @@ OPTIONS:
                 table3/fig4/sens-*/miss-latency/topology/scaling/
                 dirscale/stress/run-all/report). Default 1 (serial);
                 0 = all CPU cores.
-                Results are byte-identical for any value.
-    --sim-threads  Worker threads *inside* each simulated machine (the
-                windowed-parallel engine; applies to run/trace and, per
-                cell, to the sweep commands). Default 1 (serial); must be
-                >= 1; requests past the host's CPU count are clamped
-                (DIREXT_SIM_THREADS_UNCLAMPED=1 disables the clamp).
-                Results are bit-identical for any value; pays off on
-                big --procs machines (256/1024 nodes).
+                Results are byte-identical for any value. Each cell
+                runs on one thread; the sweep runs cells in parallel.
 
 CRASH-SAFE SWEEPS (fig2/table2/fig3/table3/fig4/sens-*/miss-latency/
 topology/scaling/dirscale/run-all/report):
@@ -183,7 +177,7 @@ and the `degrade` sweep):
                                seed-derived outage
     --node-fault-seed S        Crash-schedule seed (default 1); the same
                                seed reproduces the same schedule bit for
-                               bit across --jobs and --sim-threads
+                               bit across --jobs
     --node-fault-detect D      Cycles between a crash and the directories'
                                reconstruction sweep (default 500)
     --node-fault-schedule SPEC Explicit windows instead of a seed:
@@ -215,7 +209,6 @@ struct Args {
     watchdog: Option<u64>,
     audit_every: u64,
     jobs: usize,
-    sim_threads: usize,
     last: usize,
     ring: usize,
     journal: Option<String>,
@@ -254,7 +247,7 @@ impl Args {
         if self.audit_every > 0 {
             cfg = cfg.with_audit_every(self.audit_every);
         }
-        cfg.with_sim_threads(self.sim_threads())
+        cfg
     }
 
     /// The whole-node crash/recovery plan implied by the `--node-fault-*`
@@ -297,31 +290,6 @@ impl Args {
         effective
     }
 
-    /// Resolved windowed-engine thread count: explicit requests past the
-    /// host's available parallelism are clamped like `--jobs` (results are
-    /// bit-identical either way; oversubscription only adds barrier
-    /// thrash). Setting `DIREXT_SIM_THREADS_UNCLAMPED=1` disables the
-    /// clamp — for measuring oversubscription or pinning a thread count on
-    /// a CI host whose reported core count is unreliable.
-    fn sim_threads(&self) -> usize {
-        if std::env::var_os("DIREXT_SIM_THREADS_UNCLAMPED").is_some_and(|v| v != "0") {
-            return self.sim_threads;
-        }
-        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let effective = self.sim_threads.min(host);
-        if effective < self.sim_threads {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!(
-                    "note: --sim-threads {} exceeds the {host} available CPU(s); \
-                     using --sim-threads {effective}",
-                    self.sim_threads
-                );
-            });
-        }
-        effective
-    }
-
     /// Effective lease duration: `--lease-ms` or the 5-second default.
     fn lease_ms(&self) -> u64 {
         self.lease_ms.unwrap_or(5000)
@@ -357,7 +325,7 @@ impl Args {
     /// the fleet when `--fleet` does, arms the SIGINT drain handler, and
     /// picks up the `DIREXT_CHAOS_PANIC` test hook from the environment.
     fn sweep_opts(&self) -> Result<SweepOpts, Box<dyn std::error::Error>> {
-        let mut opts = SweepOpts::jobs(self.jobs()).with_sim_threads(self.sim_threads());
+        let mut opts = SweepOpts::jobs(self.jobs());
         if self.fault.is_active() {
             opts = opts.with_fault(self.fault);
         }
@@ -593,7 +561,6 @@ fn parse_args() -> Result<Args, String> {
         watchdog: None,
         audit_every: 0,
         jobs: 1,
-        sim_threads: 1,
         last: 32,
         ring: 65536,
         journal: None,
@@ -740,18 +707,6 @@ fn parse_args() -> Result<Args, String> {
                 parsed.jobs = value("--jobs")?
                     .parse()
                     .map_err(|e| format!("bad --jobs: {e}"))?;
-            }
-            "--sim-threads" => {
-                parsed.sim_threads = value("--sim-threads")?
-                    .parse()
-                    .map_err(|e| format!("bad --sim-threads: {e}"))?;
-                if parsed.sim_threads == 0 {
-                    return Err(
-                        "--sim-threads must be at least 1 (1 = serial; unlike --jobs, \
-                         0 does not mean \"all cores\")"
-                            .to_owned(),
-                    );
-                }
             }
             "--last" => {
                 parsed.last = value("--last")?

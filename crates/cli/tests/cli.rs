@@ -401,93 +401,27 @@ fn cw_under_sc_is_a_clean_error() {
 }
 
 #[test]
-fn sim_threads_zero_is_a_clean_error() {
-    let out = dirext(&["run", "--app", "water", "--scale", "tiny", "--sim-threads", "0"]);
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--sim-threads must be at least 1"), "{err}");
-    assert!(!err.contains("panicked"), "must not panic: {err}");
-}
-
-#[test]
-fn sim_threads_past_host_clamps_with_a_note_and_identical_output() {
-    let serial = stdout(&[
-        "run",
-        "--app",
-        "mp3d",
-        "--scale",
-        "tiny",
-        "--network",
-        "hmesh64",
-        "--json",
-    ]);
+fn jobs_past_host_clamps_with_a_note_and_identical_output() {
+    let serial = stdout(&["fig2", "--scale", "tiny", "--app", "lu", "--csv"]);
     let out = dirext(&[
-        "run",
-        "--app",
-        "mp3d",
-        "--scale",
-        "tiny",
-        "--network",
-        "hmesh64",
-        "--json",
-        "--sim-threads",
-        "9999",
+        "fig2", "--scale", "tiny", "--app", "lu", "--csv", "--jobs", "9999",
     ]);
     assert!(out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(
-        err.contains("--sim-threads 9999 exceeds") && err.contains("available CPU"),
+        err.contains("--jobs 9999 exceeds") && err.contains("available CPU"),
         "clamp note missing: {err}"
     );
-    // The windowed engine's contract: thread count changes wall-clock only.
     assert_eq!(serial, String::from_utf8_lossy(&out.stdout));
 }
 
 #[test]
-fn sim_threads_unclamped_env_hook_suppresses_the_note() {
-    // procs caps the shard count, so "64 threads" on a 16-node machine
-    // spawns at most 16 workers even with the clamp disabled.
-    let out = Command::new(env!("CARGO_BIN_EXE_dirext"))
-        .args([
-            "run",
-            "--app",
-            "water",
-            "--scale",
-            "tiny",
-            "--network",
-            "hmesh64",
-            "--sim-threads",
-            "64",
-        ])
-        .env("DIREXT_SIM_THREADS_UNCLAMPED", "1")
-        .output()
-        .expect("failed to launch dirext");
-    assert!(out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(!err.contains("exceeds"), "clamp note must be suppressed: {err}");
-}
-
-#[test]
-fn help_documents_sim_threads() {
-    let help = stdout(&["help"]);
-    assert!(help.contains("--sim-threads"), "help must mention --sim-threads");
-    assert!(help.contains("windowed-parallel"), "{help}");
-}
-
-#[test]
-fn sweep_with_sim_threads_matches_serial_csv() {
+fn sweep_with_jobs_matches_serial_csv() {
     let serial = stdout(&["fig2", "--scale", "tiny", "--app", "lu", "--csv"]);
-    let windowed = stdout(&[
-        "fig2",
-        "--scale",
-        "tiny",
-        "--app",
-        "lu",
-        "--csv",
-        "--sim-threads",
-        "2",
+    let pooled = stdout(&[
+        "fig2", "--scale", "tiny", "--app", "lu", "--csv", "--jobs", "2",
     ]);
-    assert_eq!(serial, windowed);
+    assert_eq!(serial, pooled);
 }
 
 #[test]
@@ -537,30 +471,16 @@ fn node_fault_explicit_schedule_runs_and_is_seed_independent() {
 }
 
 #[test]
-fn node_fault_run_is_identical_across_sim_threads() {
-    // Acceptance criterion: a seeded crash schedule is bit-identical
-    // between the serial and windowed-parallel engines.
+fn node_fault_sweep_is_identical_across_jobs() {
+    // A seeded crash schedule is a property of the cell, not of the
+    // worker that runs it.
     let base = &[
-        "run",
-        "--app",
-        "mp3d",
-        "--scale",
-        "tiny",
-        "--procs",
-        "8",
-        "--network",
-        "hmesh64",
-        "--protocol",
-        "P+CW+M",
-        "--node-fault-crashes",
-        "3",
-        "--json",
+        "degrade", "--app", "mp3d", "--scale", "tiny", "--procs", "8",
     ][..];
-    let serial = stdout(base);
-    let windowed = stdout(&[base, &["--sim-threads", "4"]].concat());
-    assert_eq!(serial, windowed);
-    let v: serde_json::Value = serde_json::from_str(&serial).expect("valid JSON");
-    assert!(v["node_crashes"].as_u64().unwrap() >= 1, "{serial}");
+    let serial = stdout(&[base, &["--jobs", "1"]].concat());
+    let pooled = stdout(&[base, &["--jobs", "2"]].concat());
+    assert_eq!(serial, pooled);
+    assert!(serial.contains("recovered"), "{serial}");
 }
 
 #[test]

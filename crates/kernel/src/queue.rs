@@ -72,14 +72,13 @@ pub struct EventQueue<E> {
     /// Far-future (and past-time) tier.
     heap: BinaryHeap<Reverse<Entry<E>>>,
     seq: u64,
-    /// Memoized [`EventQueue::peek_key`] result: `None` means stale
-    /// (recompute on next peek), `Some((t, seq))` is the known current
-    /// minimum entry key (`Some(None)` = known empty). A push can only
-    /// *lower* the minimum, so it refreshes the memo with one compare; a
-    /// pop invalidates it. This makes the simulator's inline-retirement
-    /// checks — one peek per retired instruction — O(1) instead of a
-    /// bitmap scan.
-    peeked: Option<Option<(Time, u64)>>,
+    /// Memoized [`EventQueue::peek_time`] result: `None` means stale
+    /// (recompute on next peek), `Some(t)` is the known current minimum
+    /// (`Some(None)` = known empty). A push can only *lower* the minimum,
+    /// so it refreshes the memo with one compare; a pop invalidates it.
+    /// This makes the simulator's inline-retirement checks — one peek per
+    /// retired instruction — O(1) instead of a bitmap scan.
+    peeked: Option<Option<Time>>,
 }
 
 #[derive(Debug)]
@@ -133,28 +132,13 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` to fire at absolute time `at`.
     pub fn push(&mut self, at: Time, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.push_seq(at, seq, event);
-    }
-
-    /// Schedules `event` with an explicit, caller-allocated sequence
-    /// number. This is the [`ShardedEventQueue`] entry point: the sharded
-    /// wrapper allocates sequence numbers from one *global* counter so the
-    /// FIFO tie-break stays machine-wide even though entries are spread
-    /// across per-shard sub-queues. Callers must keep per-queue pushes in
-    /// increasing seq order (the wheel buckets rely on it).
-    pub fn push_with_seq(&mut self, at: Time, seq: u64, event: E) {
-        self.seq = self.seq.max(seq + 1);
-        self.push_seq(at, seq, event);
-    }
-
-    fn push_seq(&mut self, at: Time, seq: u64, event: E) {
         if let Some(p) = self.peeked {
-            if p.is_none_or(|min| (at, seq) < min) {
-                self.peeked = Some(Some((at, seq)));
+            if p.is_none_or(|min| at < min) {
+                self.peeked = Some(Some(at));
             }
         }
+        let seq = self.seq;
+        self.seq += 1;
         let c = at.cycles();
         if c >= self.cursor && c - self.cursor < WHEEL_SPAN {
             let idx = (c & WHEEL_MASK) as usize;
@@ -230,13 +214,6 @@ impl<E> EventQueue<E> {
     /// window has since caught up with it), the global sequence number
     /// decides, preserving cross-tier FIFO.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        self.pop_entry().map(|(t, _, e)| (t, e))
-    }
-
-    /// Like [`EventQueue::pop`], but also returns the entry's sequence
-    /// number. The sharded queue's global pop uses the seq to tie-break
-    /// same-cycle entries *across* sub-queues.
-    pub fn pop_entry(&mut self) -> Option<(Time, u64, E)> {
         self.peeked = None;
         let heap_top = self.heap.peek().map(|Reverse(e)| (e.time, e.seq));
         // Never scan the wheel further than the heap's earliest event: past
@@ -260,16 +237,16 @@ impl<E> EventQueue<E> {
             // Advancing the cursor to the popped (global-minimum) time keeps
             // the wheel invariant: every remaining wheel entry is >= it.
             self.cursor = self.cursor.max(e.time.cycles());
-            Some((e.time, e.seq, e.event))
+            Some((e.time, e.event))
         } else {
             let (wc, idx) = wheel_best.expect("checked nonempty");
-            let (seq, event) = self.wheel[idx].pop_front().expect("nonempty");
+            let (_, event) = self.wheel[idx].pop_front().expect("nonempty");
             if self.wheel[idx].is_empty() {
                 self.occ[idx / 64] &= !(1 << (idx % 64));
             }
             self.wheel_len -= 1;
             self.cursor = wc;
-            Some((Time::from_cycles(wc), seq, event))
+            Some((Time::from_cycles(wc), event))
         }
     }
 
@@ -278,54 +255,21 @@ impl<E> EventQueue<E> {
     /// Memoized: the scan runs at most once between pops (pushes keep the
     /// memo fresh with a single compare), so repeated peeks are O(1).
     pub fn peek_time(&mut self) -> Option<Time> {
-        self.peek_key().map(|(t, _)| t)
-    }
-
-    /// Returns the `(time, seq)` key of the earliest pending entry without
-    /// removing it. Same memoization as [`EventQueue::peek_time`].
-    pub fn peek_key(&mut self) -> Option<(Time, u64)> {
         if let Some(p) = self.peeked {
             return p;
         }
-        let heap_top = self.heap.peek().map(|Reverse(e)| (e.time, e.seq));
-        let limit = match heap_top {
-            Some((t, _)) => t.cycles().saturating_sub(self.cursor) + 1,
+        let heap_t = self.heap.peek().map(|Reverse(e)| e.time);
+        let limit = match heap_t {
+            Some(t) => t.cycles().saturating_sub(self.cursor) + 1,
             None => WHEEL_SPAN,
         };
-        let wheel_top = self.wheel_min(limit).map(|(c, idx)| {
-            let seq = self.wheel[idx].front().expect("nonempty").0;
-            (Time::from_cycles(c), seq)
-        });
-        let min = match (wheel_top, heap_top) {
+        let wheel_t = self.wheel_min(limit).map(|(c, _)| Time::from_cycles(c));
+        let min = match (wheel_t, heap_t) {
             (Some(w), Some(h)) => Some(w.min(h)),
             (w, h) => w.or(h),
         };
         self.peeked = Some(min);
         min
-    }
-
-    /// Visits every pending entry with `time < limit` as `(time, seq,
-    /// &event)`, in no particular order. The windowed-parallel engine's
-    /// conflict preflight uses this to enumerate the events a safe window
-    /// would retire without disturbing the queue.
-    pub fn for_each_before(&self, limit: Time, mut f: impl FnMut(Time, u64, &E)) {
-        let horizon = limit.cycles().saturating_sub(self.cursor).min(WHEEL_SPAN);
-        for dist in 0..horizon {
-            let c = self.cursor + dist;
-            let idx = (c & WHEEL_MASK) as usize;
-            if self.occ[idx / 64] & (1 << (idx % 64)) == 0 {
-                continue;
-            }
-            let t = Time::from_cycles(c);
-            for &(seq, ref ev) in &self.wheel[idx] {
-                f(t, seq, ev);
-            }
-        }
-        for Reverse(e) in &self.heap {
-            if e.time < limit {
-                f(e.time, e.seq, &e.event);
-            }
-        }
     }
 
     /// Number of pending events.
@@ -342,115 +286,6 @@ impl<E> EventQueue<E> {
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// A set of per-shard [`EventQueue`]s sharing one global push-sequence
-/// counter.
-///
-/// Routing every event to the sub-queue of the node that will handle it
-/// lets the windowed-parallel engine hand each worker thread exclusive
-/// `&mut` access to its shard's sub-queue, while the *global* sequence
-/// counter preserves the machine-wide same-cycle FIFO contract: popping
-/// globally (argmin of the per-shard `(time, seq)` heads) yields exactly
-/// the sequence a single [`EventQueue`] would have, entry for entry.
-///
-/// With one shard this degenerates to a thin wrapper around a single
-/// `EventQueue` — the serial engine's configuration.
-#[derive(Debug)]
-pub struct ShardedEventQueue<E> {
-    shards: Vec<EventQueue<E>>,
-    seq: u64,
-}
-
-impl<E> ShardedEventQueue<E> {
-    /// Creates a queue with `shards` empty sub-queues (at least 1).
-    pub fn new(shards: usize) -> Self {
-        ShardedEventQueue {
-            shards: (0..shards.max(1)).map(|_| EventQueue::new()).collect(),
-            seq: 0,
-        }
-    }
-
-    /// Number of sub-queues.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Allocates the next global sequence number. Exposed so the parallel
-    /// engine's replay phase can assign canonical seqs to events that were
-    /// staged inside a window before pushing them.
-    pub fn alloc_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
-    }
-
-    /// Schedules `event` on sub-queue `shard` with a freshly allocated
-    /// global sequence number.
-    pub fn push(&mut self, shard: usize, at: Time, event: E) {
-        let seq = self.alloc_seq();
-        self.shards[shard].push_with_seq(at, seq, event);
-    }
-
-    /// Schedules `event` on sub-queue `shard` under a caller-allocated
-    /// sequence number (from [`ShardedEventQueue::alloc_seq`]).
-    pub fn push_with_seq(&mut self, shard: usize, at: Time, seq: u64, event: E) {
-        self.shards[shard].push_with_seq(at, seq, event);
-    }
-
-    /// Removes and returns the globally earliest event: the argmin over
-    /// the memoized per-shard `(time, seq)` heads.
-    pub fn pop(&mut self) -> Option<(Time, E)> {
-        let mut best: Option<((Time, u64), usize)> = None;
-        for i in 0..self.shards.len() {
-            if let Some(key) = self.shards[i].peek_key() {
-                if best.is_none_or(|(bk, _)| key < bk) {
-                    best = Some((key, i));
-                }
-            }
-        }
-        let (_, i) = best?;
-        self.shards[i].pop_entry().map(|(t, _, e)| (t, e))
-    }
-
-    /// Time of the globally earliest pending event (min over shard heads).
-    pub fn peek_time(&mut self) -> Option<Time> {
-        self.peek_key().map(|(t, _)| t)
-    }
-
-    /// `(time, seq)` key of the globally earliest pending entry.
-    pub fn peek_key(&mut self) -> Option<(Time, u64)> {
-        let mut min: Option<(Time, u64)> = None;
-        for q in &mut self.shards {
-            if let Some(key) = q.peek_key() {
-                if min.is_none_or(|m| key < m) {
-                    min = Some(key);
-                }
-            }
-        }
-        min
-    }
-
-    /// Exclusive access to one sub-queue (coordinator-side use).
-    pub fn shard_mut(&mut self, shard: usize) -> &mut EventQueue<E> {
-        &mut self.shards[shard]
-    }
-
-    /// The sub-queues as a slice, so the parallel engine can split them
-    /// into disjoint `&mut` borrows for its worker threads.
-    pub fn shards_mut(&mut self) -> &mut [EventQueue<E>] {
-        &mut self.shards
-    }
-
-    /// Total pending events across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|q| q.len()).sum()
-    }
-
-    /// Whether no events are pending on any shard.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|q| q.is_empty())
     }
 }
 
@@ -654,78 +489,15 @@ mod tests {
     }
 
     #[test]
-    fn pop_entry_returns_push_seqs() {
-        let mut q = EventQueue::new();
-        q.push(Time::from_cycles(5), "b");
-        q.push(Time::from_cycles(2), "a");
-        q.push(Time::from_cycles(1000), "far");
-        assert_eq!(q.pop_entry(), Some((Time::from_cycles(2), 1, "a")));
-        assert_eq!(q.pop_entry(), Some((Time::from_cycles(5), 0, "b")));
-        assert_eq!(q.pop_entry(), Some((Time::from_cycles(1000), 2, "far")));
-        assert_eq!(q.pop_entry(), None);
-    }
-
-    #[test]
-    fn push_with_seq_orders_by_explicit_seq() {
-        // Two entries at the same cycle, in different tiers, with
-        // caller-chosen seqs: the smaller seq pops first.
-        let mut q = EventQueue::new();
-        q.push_with_seq(Time::from_cycles(1000), 7, "heap");
-        q.push_with_seq(Time::from_cycles(3), 3, "near");
-        assert_eq!(q.pop().unwrap().1, "near");
-        q.push_with_seq(Time::from_cycles(1000), 9, "wheel");
-        assert_eq!(q.pop_entry(), Some((Time::from_cycles(1000), 7, "heap")));
-        assert_eq!(q.pop_entry(), Some((Time::from_cycles(1000), 9, "wheel")));
-        // The internal counter advanced past the explicit seqs.
-        q.push(Time::from_cycles(2000), "next");
-        assert_eq!(q.pop_entry().unwrap().1, 10);
-    }
-
-    #[test]
-    fn for_each_before_covers_both_tiers() {
-        let mut q = EventQueue::new();
-        q.push(Time::from_cycles(2), "w1");
-        q.push(Time::from_cycles(7), "w2");
-        q.push(Time::from_cycles(5000), "h-far");
-        // Land a heap entry inside the scan range: push far, then advance.
-        q.push(Time::from_cycles(300), "h-near");
-        let mut seen = Vec::new();
-        q.for_each_before(Time::from_cycles(301), |t, seq, e| seen.push((t.cycles(), seq, *e)));
-        seen.sort();
-        assert_eq!(seen, vec![(2, 0, "w1"), (7, 1, "w2"), (300, 3, "h-near")]);
-        let mut none = 0;
-        q.for_each_before(Time::from_cycles(2), |_, _, _| none += 1);
-        assert_eq!(none, 0);
-    }
-
-    #[test]
-    fn peek_key_matches_pop_entry() {
+    fn peek_time_matches_pop() {
         let mut q = EventQueue::new();
         q.push(Time::from_cycles(9), ());
         q.push(Time::from_cycles(9), ());
         q.push(Time::from_cycles(400), ());
-        while let Some(key) = q.peek_key() {
-            let (t, seq, ()) = q.pop_entry().unwrap();
-            assert_eq!(key, (t, seq));
+        while let Some(t) = q.peek_time() {
+            assert_eq!(q.pop(), Some((t, ())));
         }
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn sharded_single_shard_matches_plain_queue() {
-        let mut s = ShardedEventQueue::new(1);
-        let mut q = EventQueue::new();
-        for (t, i) in [(5u64, 0), (1, 1), (5, 2), (900, 3)] {
-            s.push(0, Time::from_cycles(t), i);
-            q.push(Time::from_cycles(t), i);
-        }
-        loop {
-            let got = s.pop();
-            assert_eq!(got, q.pop());
-            if got.is_none() {
-                break;
-            }
-        }
     }
 
     proptest! {
@@ -766,39 +538,6 @@ mod tests {
             loop {
                 let got = q.pop();
                 prop_assert_eq!(got, oracle.pop());
-                if got.is_none() { break; }
-            }
-        }
-
-        /// A sharded queue with any shard routing pops the identical global
-        /// sequence a single queue would: the global seq counter makes the
-        /// sub-queue placement invisible.
-        #[test]
-        fn sharded_pop_order_matches_single_queue(
-            nshards in 1usize..5,
-            ops in proptest::collection::vec((0u64..3 * WHEEL_SPAN, 0usize..5, any::<bool>()), 0..300)
-        ) {
-            let mut s = ShardedEventQueue::new(nshards);
-            let mut q = EventQueue::new();
-            let mut now = 0u64;
-            for (i, &(delta, shard, do_pop)) in ops.iter().enumerate() {
-                if do_pop {
-                    let got = s.pop();
-                    prop_assert_eq!(got, q.pop());
-                    prop_assert_eq!(s.peek_time(), q.peek_time());
-                    if let Some((t, _)) = got {
-                        now = t.cycles();
-                    }
-                } else {
-                    let t = Time::from_cycles(now + delta);
-                    s.push(shard % nshards, t, i);
-                    q.push(t, i);
-                }
-                prop_assert_eq!(s.len(), q.len());
-            }
-            loop {
-                let got = s.pop();
-                prop_assert_eq!(got, q.pop());
                 if got.is_none() { break; }
             }
         }

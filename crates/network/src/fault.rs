@@ -239,13 +239,6 @@ impl Network for FaultyNetwork {
     fn fault_stats(&self) -> Option<&FaultStats> {
         Some(&self.stats)
     }
-
-    /// Faults only ever *add* delay: jitter and retransmission backoff are
-    /// nonnegative, and the pair-FIFO clamp is a `max`. The wrapped
-    /// topology's bound therefore survives the decoration unchanged.
-    fn min_remote_latency(&self) -> Option<Time> {
-        self.inner.min_remote_latency()
-    }
 }
 
 #[cfg(test)]

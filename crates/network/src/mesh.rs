@@ -229,13 +229,6 @@ impl Network for MeshNetwork {
     fn name(&self) -> &str {
         &self.name
     }
-
-    /// Any remote message crosses at least one link: one router delay for
-    /// the head plus at least one flit of payload, with contention only
-    /// adding time.
-    fn min_remote_latency(&self) -> Option<Time> {
-        Some(Time::from_cycles(self.router_delay + 1))
-    }
 }
 
 /// A hierarchical two-level wormhole mesh for machines past the flat
@@ -402,12 +395,6 @@ impl Network for HierMeshNetwork {
 
     fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Every remote path has at least one intra-cluster hop (and express
-    /// hops are strictly slower per hop), so the flat-mesh bound holds.
-    fn min_remote_latency(&self) -> Option<Time> {
-        Some(Time::from_cycles(self.router_delay + 1))
     }
 }
 

@@ -114,11 +114,6 @@ impl Network for RingNetwork {
     fn name(&self) -> &str {
         &self.name
     }
-
-    /// At least one hop: one router delay plus one flit, before contention.
-    fn min_remote_latency(&self) -> Option<Time> {
-        Some(Time::from_cycles(self.router_delay + 1))
-    }
 }
 
 #[cfg(test)]

@@ -64,11 +64,6 @@ impl Network for UniformNetwork {
     fn name(&self) -> &str {
         &self.name
     }
-
-    /// Contention-free: every remote message takes exactly `hop_latency`.
-    fn min_remote_latency(&self) -> Option<Time> {
-        Some(self.hop_latency)
-    }
 }
 
 #[cfg(test)]

@@ -6,9 +6,16 @@
 //! perf gate relies on: mesh routes live in a precomputed hop arena, the
 //! fault layer's pair clocks are a dense table, and traffic accounting is
 //! plain counters.
+//!
+//! The count is per thread: libtest runs tests on several threads at once,
+//! and a process-wide counter would charge a sibling test's allocations to
+//! whichever measurement happened to be open.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::hint::black_box;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use dirext_kernel::Time;
 use dirext_network::{
@@ -19,20 +26,42 @@ use dirext_trace::NodeId;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap allocations made by the current thread. The `const`
+    /// initializer and the destructor-free `Cell` mean the counter itself
+    /// never allocates, so the allocator can bump it without recursing.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_alloc() {
+    // `try_with`: the slot is gone while a thread is being torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// the caller's `GlobalAlloc` obligations carry over; counting touches only
+// a thread-local integer and never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
+        // SAFETY: `layout` comes from our caller, who upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was allocated by `System` with `layout` (every
+        // allocation is forwarded there).
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
+        // SAFETY: as for `dealloc`; `new_size` is checked by our caller.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -49,7 +78,7 @@ fn allocs_during_sends(net: &mut dyn Network, rounds: u64) -> u64 {
         (20, TrafficClass::Update),
         (8, TrafficClass::Sync),
     ];
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for r in 0..rounds {
         for src in 0..16u16 {
             for dst in 0..16u16 {
@@ -59,7 +88,7 @@ fn allocs_during_sends(net: &mut dyn Network, rounds: u64) -> u64 {
             }
         }
     }
-    ALLOCS.load(Ordering::Relaxed) - before
+    allocs() - before
 }
 
 #[test]
@@ -94,7 +123,7 @@ fn allocs_during_spread_sends(net: &mut dyn Network, nodes: u16, rounds: u64) ->
         (8, TrafficClass::Sync),
     ];
     let stride = (nodes / 16).max(1);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for r in 0..rounds {
         for si in 0..16u16 {
             for di in 0..16u16 {
@@ -107,7 +136,7 @@ fn allocs_during_spread_sends(net: &mut dyn Network, nodes: u16, rounds: u64) ->
             }
         }
     }
-    ALLOCS.load(Ordering::Relaxed) - before
+    allocs() - before
 }
 
 #[test]
@@ -147,4 +176,43 @@ fn fault_layer_sends_never_allocate() {
     };
     let mut net = FaultyNetwork::new(Box::new(MeshNetwork::paper_mesh(32)), plan);
     assert_eq!(allocs_during_sends(&mut net, 20), 0);
+}
+
+/// Negative control for the per-thread count: a second thread allocates in
+/// a loop while the sends are measured, and the measurement must still
+/// read zero. The loop repeats until a full allocation of the other thread
+/// provably fell inside one measurement window.
+#[test]
+fn sends_read_zero_while_another_thread_allocates() {
+    let stop = Arc::new(AtomicBool::new(false));
+    let spins = Arc::new(AtomicU64::new(0));
+    let churn = {
+        let (stop, spins) = (Arc::clone(&stop), Arc::clone(&spins));
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                drop(black_box(Vec::<u64>::with_capacity(16)));
+                spins.fetch_add(1, Ordering::SeqCst);
+            }
+        })
+    };
+    let mut net = MeshNetwork::paper_mesh(32);
+    let mut overlapped = false;
+    for _ in 0..10_000 {
+        let before = spins.load(Ordering::SeqCst);
+        let measured = allocs_during_sends(&mut net, 20);
+        let after = spins.load(Ordering::SeqCst);
+        assert_eq!(measured, 0, "another thread's allocations were counted");
+        // Two completed iterations mean at least one allocation started
+        // and finished inside the window.
+        if after >= before + 2 {
+            overlapped = true;
+            break;
+        }
+    }
+    stop.store(true, Ordering::Relaxed);
+    churn.join().expect("allocating thread panicked");
+    assert!(
+        overlapped,
+        "the allocating thread never ran during a measurement"
+    );
 }

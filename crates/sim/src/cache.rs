@@ -12,26 +12,26 @@ use dirext_stats::{InvalReason, StallKind};
 use dirext_trace::{Addr, BlockAddr, MemEvent, NodeId};
 
 use crate::machine::SimError;
-use crate::machine::{Ev, Shard};
+use crate::machine::{Ev, Machine};
 use crate::node::{FlwbEntry, ProcState, SlwbEntry, SlwbOp, SyncOut, SyncWait};
 use dirext_core::ProtocolError;
 
-impl Shard {
+impl Machine {
     fn sc(&self) -> bool {
         self.cfg.protocol.consistency == Consistency::Sc
     }
 
     /// Schedules the node's next processor step, stamped with its current
     /// incarnation epoch (so the chain dies with the incarnation).
-    pub(crate) fn push_step(&mut self, nid: NodeId, at: Time) {
-        let ev = Ev::ProcStep(nid, self.epoch[nid.idx()]);
-        self.emit_push(at, ev);
+    fn push_step(&mut self, nid: NodeId, at: Time) {
+        self.queue
+            .push(at, Ev::ProcStep(nid, self.epoch[nid.idx()]));
     }
 
     /// Schedules an epoch-stamped FLWB drain step.
     fn push_flwb(&mut self, nid: NodeId, at: Time) {
-        let ev = Ev::FlwbHead(nid, self.epoch[nid.idx()]);
-        self.emit_push(at, ev);
+        self.queue
+            .push(at, Ev::FlwbHead(nid, self.epoch[nid.idx()]));
     }
 
     /// Resumes a stalled processor at time `at`, charging the stall.
@@ -91,7 +91,7 @@ impl Shard {
                     self.nodes.stalls[i].add_busy(u64::from(c));
                     self.nodes.pc[i] += 1;
                     let t = now + Time::from_cycles(u64::from(c));
-                    if self.inline_ok(t) {
+                    if self.queue.peek_time().is_none_or(|pt| pt > t) {
                         now = t;
                         continue;
                     }
@@ -113,7 +113,7 @@ impl Shard {
                     };
                     if hit {
                         self.nodes.pc[i] += 1;
-                        if self.inline_ok(t) {
+                        if self.queue.peek_time().is_none_or(|pt| pt > t) {
                             now = t;
                             continue;
                         }
@@ -1557,7 +1557,7 @@ impl Shard {
         // retry scheduled by a since-crashed incarnation must not fire a
         // phantom request after recovery (`send_msg` re-stamps on the
         // actual send, but the fence checks this stored stamp first).
-        self.emit_push(
+        self.queue.push(
             now + Time::from_cycles(backoff),
             Ev::Retry(Msg {
                 src: nid,

@@ -113,14 +113,6 @@ pub struct MachineConfig {
     /// When on, every directory and cache state transition is recorded and
     /// replayed through the conformance checker at quiescence.
     pub trace_capacity: usize,
-    /// Worker threads for the windowed-parallel simulation engine (1 =
-    /// serial, the default). When >1 and the machine qualifies (a network
-    /// with a known minimum remote latency, tracing and auditing off), node
-    /// state is sharded across this many workers and events execute in
-    /// conservative safe windows; results are bit-identical to serial.
-    /// Clamping to the host's parallelism is the *caller's* policy (the CLI
-    /// clamps like `--jobs`); the engine honors the value as given.
-    pub sim_threads: usize,
 }
 
 impl MachineConfig {
@@ -166,7 +158,6 @@ impl MachineConfig {
             nack_retry_budget: 16,
             nack_retry_base: 64,
             trace_capacity: 0,
-            sim_threads: 1,
         }
     }
 
@@ -225,12 +216,6 @@ impl MachineConfig {
     /// quiescence.
     pub fn with_trace(mut self, capacity: usize) -> Self {
         self.trace_capacity = capacity;
-        self
-    }
-
-    /// Sets the number of simulation worker threads (1 = serial).
-    pub fn with_sim_threads(mut self, threads: usize) -> Self {
-        self.sim_threads = threads.max(1);
         self
     }
 

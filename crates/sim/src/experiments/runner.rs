@@ -90,12 +90,6 @@ pub struct SweepOpts {
     /// Fleet coordinator: when set, the sweep claims cells through the
     /// shared lease file instead of a process-private pool.
     pub fleet: Option<Arc<Fleet>>,
-    /// Worker threads *inside* each simulated machine (the windowed
-    /// engine; 1 = serial). Orthogonal to `jobs`, which parallelizes
-    /// *across* cells. Results are bit-identical for any value, so journal
-    /// cell keys deliberately do not include it — a journal written at one
-    /// thread count resumes correctly at another.
-    pub sim_threads: usize,
 }
 
 impl Default for SweepOpts {
@@ -112,7 +106,6 @@ impl Default for SweepOpts {
             chaos_panic: None,
             replay_only: false,
             fleet: None,
-            sim_threads: 1,
         }
     }
 }
@@ -183,13 +176,6 @@ impl SweepOpts {
     pub fn with_fleet(mut self, fleet: Arc<Fleet>) -> Self {
         self.journal = Some(fleet.journal());
         self.fleet = Some(fleet);
-        self
-    }
-
-    /// Returns these options running every machine on `threads` windowed
-    /// simulation workers (see [`SweepOpts::sim_threads`]).
-    pub fn with_sim_threads(mut self, threads: usize) -> Self {
-        self.sim_threads = threads.max(1);
         self
     }
 }
@@ -683,7 +669,6 @@ pub(super) fn run_one(key: &str, cell: &Cell<'_>, opts: &SweepOpts, fence: u64) 
                 cell.timing.clone(),
                 fault,
                 cell.node_fault.clone(),
-                opts.sim_threads,
             )
         }));
         match result {
@@ -817,26 +802,6 @@ pub fn run_protocol_dir(
     timing: Option<Timing>,
     fault: Option<FaultPlan>,
 ) -> Result<Metrics, SimError> {
-    run_protocol_engine(workload, kind, consistency, network, dir, timing, fault, 1)
-}
-
-/// [`run_protocol_dir`] with an explicit windowed-engine thread count
-/// (`sim_threads`; 1 = serial). Results are bit-identical for any value.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_protocol_engine(
-    workload: &Workload,
-    kind: ProtocolKind,
-    consistency: Consistency,
-    network: NetworkKind,
-    dir: DirOrg,
-    timing: Option<Timing>,
-    fault: Option<FaultPlan>,
-    sim_threads: usize,
-) -> Result<Metrics, SimError> {
     run_protocol_full(
         workload,
         kind,
@@ -846,11 +811,10 @@ pub fn run_protocol_engine(
         timing,
         fault,
         None,
-        sim_threads,
     )
 }
 
-/// [`run_protocol_engine`] with a whole-node crash/recovery schedule on
+/// [`run_protocol_dir`] with a whole-node crash/recovery schedule on
 /// top of the optional link-fault plan — the fully-loaded entry point the
 /// `degrade` sweep bottoms out in.
 ///
@@ -867,13 +831,10 @@ pub fn run_protocol_full(
     timing: Option<Timing>,
     fault: Option<FaultPlan>,
     node_fault: Option<NodeFaultPlan>,
-    sim_threads: usize,
 ) -> Result<Metrics, SimError> {
-    let mut cfg = MachineConfig::new(workload.procs(), kind.config(consistency));
-    cfg = cfg
+    let mut cfg = MachineConfig::new(workload.procs(), kind.config(consistency))
         .with_network(network)
-        .with_dir_org(dir)
-        .with_sim_threads(sim_threads);
+        .with_dir_org(dir);
     if let Some(t) = timing {
         cfg = cfg.with_timing(t);
     }

@@ -48,7 +48,7 @@ pub(crate) fn check_conformance(m: &Machine) -> Vec<Violation> {
 ///   release).
 pub(crate) fn check_midrun(m: &Machine) -> Result<(), String> {
     for hi in 0..m.cfg.procs {
-        let h = m.home(hi);
+        let h = &m.homes[hi];
         for block in h.dir.blocks() {
             if h.dir.pending_op(block) {
                 continue;
@@ -68,8 +68,8 @@ pub(crate) fn check_midrun(m: &Machine) -> Result<(), String> {
             }
         }
     }
+    let nodes = &m.nodes;
     for i in 0..m.cfg.procs {
-        let nodes = m.nodes_of(i);
         let id = NodeId(i as u16);
         let mut reads = std::collections::HashMap::new();
         let mut owns = std::collections::HashMap::new();
@@ -111,8 +111,8 @@ pub(crate) fn check_midrun(m: &Machine) -> Result<(), String> {
 /// Checks all invariants, returning a diagnostic for the first violation.
 pub(crate) fn check(m: &Machine) -> Result<(), String> {
     // 1. Drained state.
+    let nodes = &m.nodes;
     for i in 0..m.cfg.procs {
-        let nodes = m.nodes_of(i);
         let id = NodeId(i as u16);
         if !nodes.slwb[i].is_empty() {
             return Err(format!("{id}: SLWB not drained: {:?}", nodes.slwb[i]));
@@ -149,7 +149,7 @@ pub(crate) fn check(m: &Machine) -> Result<(), String> {
         }
     }
     for hi in 0..m.cfg.procs {
-        let h = m.home(hi);
+        let h = &m.homes[hi];
         if h.dir.has_pending() {
             return Err(format!("home {hi}: directory has pending operations"));
         }
@@ -163,7 +163,7 @@ pub(crate) fn check(m: &Machine) -> Result<(), String> {
 
     // 2-4. Per-block coherence.
     for hi in 0..m.cfg.procs {
-        let h = m.home(hi);
+        let h = &m.homes[hi];
         for block in h.dir.blocks() {
             let Some((owner, _, _migratory)) = h.dir.snapshot(block) else {
                 return Err(format!(
@@ -188,7 +188,7 @@ pub(crate) fn check(m: &Machine) -> Result<(), String> {
                             "{block}: MODIFIED at {o} but the exact sharer set is not {{{o}}}"
                         ));
                     }
-                    let Some(line) = m.nodes_of(o.idx()).slc[o.idx()].get(block) else {
+                    let Some(line) = m.nodes.slc[o.idx()].get(block) else {
                         return Err(format!("{block}: owner {o} holds no copy"));
                     };
                     if !line.state.exclusive() {
@@ -201,7 +201,7 @@ pub(crate) fn check(m: &Machine) -> Result<(), String> {
                         ));
                     }
                     for i in 0..m.cfg.procs {
-                        if i != o.idx() && m.nodes_of(i).slc[i].contains(block) {
+                        if i != o.idx() && m.nodes.slc[i].contains(block) {
                             return Err(format!(
                                 "{block}: {} holds a copy alongside owner {o}",
                                 NodeId(i as u16)
@@ -219,7 +219,7 @@ pub(crate) fn check(m: &Machine) -> Result<(), String> {
                     for i in 0..m.cfg.procs {
                         let id = NodeId(i as u16);
                         let covered = h.dir.covers(block, id);
-                        match m.nodes_of(i).slc[i].get(block) {
+                        match m.nodes.slc[i].get(block) {
                             Some(line) => {
                                 if line.state != CacheState::Shared {
                                     return Err(format!(

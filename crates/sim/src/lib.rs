@@ -42,7 +42,6 @@
 
 mod cache;
 mod config;
-mod engine;
 pub mod experiments;
 mod home;
 mod invariants;

@@ -10,7 +10,7 @@ use dirext_core::msg::{Msg, MsgKind};
 use dirext_core::proto::trace::{CacheTag, TraceInput};
 use dirext_core::proto::{ExtSet, ExtStack, TraceRing, TransitionRecord};
 use dirext_core::ProtocolError;
-use dirext_kernel::{ShardedEventQueue, Time};
+use dirext_kernel::{EventQueue, Time};
 use dirext_network::{FaultyNetwork, Network, TrafficClass};
 use dirext_stats::{Metrics, MissClassifier, StallKind};
 use dirext_trace::{BlockAddr, NodeId, Workload, WorkloadError};
@@ -18,7 +18,7 @@ use dirext_trace::{BlockAddr, NodeId, Workload, WorkloadError};
 use crate::home::Home;
 use crate::invariants;
 use crate::node::{Nodes, ProcState, SlwbOp, SyncWait};
-use crate::MachineConfig;
+use crate::{MachineConfig, NodeFaultPlan};
 
 /// Simulation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -162,49 +162,64 @@ pub(crate) fn is_home_bound(kind: MsgKind) -> bool {
     )
 }
 
-/// A buffered effect emitted by an event handler.
-///
-/// Handlers never touch the global event queue, network, or write-count
-/// map directly: they append actions to their shard's buffer, and the
-/// engine applies them — immediately on the serial path, or through the
-/// window log + deterministic replay on the parallel path. The relative
-/// order of a handler's actions is preserved exactly, so the applied
-/// effect (and every sequence number it allocates) matches the historical
-/// inline behavior.
-#[derive(Debug, Clone)]
-pub(crate) enum Action {
-    /// Schedule an event.
-    Push(Time, Ev),
-    /// A message entering the network at `enter` (local bus already
-    /// charged by the shard).
-    Send(Time, Msg),
-    /// A barrier episode completed at this time.
-    Barrier(Time),
+/// One scheduled node-fault operation on the machine's fault timeline.
+#[derive(Debug, Clone, Copy)]
+struct FaultTick {
+    at: Time,
+    op: FaultOp,
+    node: NodeId,
 }
 
-/// One partition of the machine's node state, owning nodes `[lo, hi)`.
+/// The three phases of a node-fault window, in application order for
+/// same-cycle ties.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum FaultOp {
+    /// The node dies: caches wiped, traffic fenced.
+    Crash,
+    /// The homes detect the silence and purge the node.
+    Reconstruct,
+    /// The node rejoins cold with a bumped epoch.
+    Recover,
+}
+
+/// What a node's processor was doing at the instant it crashed — the
+/// re-admission logic decides from this whether the recovered processor
+/// re-executes the interrupted instruction, keeps waiting, or proceeds.
+#[derive(Debug, Clone, Copy)]
+struct CrashCtx {
+    pstate: ProcState,
+    wait: Option<SyncWait>,
+}
+
+/// One simulated machine, ready to run a workload.
 ///
-/// Every column is full-length and globally indexed — a shard simply never
-/// touches entries outside its range — so the event handlers in `cache.rs`
-/// run unchanged against a shard. Serial execution is the 1-shard special
-/// case. Cross-shard interaction happens only through [`Action`]s drained
-/// by the engine.
+/// See the crate-level example. A `Machine` is consumed by [`Machine::run`]
+/// (its caches and statistics are meaningful for a single workload).
 #[derive(Debug)]
-pub(crate) struct Shard {
+pub struct Machine {
     pub(crate) cfg: MachineConfig,
-    /// First owned node.
-    pub(crate) lo: usize,
-    /// One past the last owned node.
-    pub(crate) hi: usize,
-    pub(crate) now: Time,
+    now: Time,
+    pub(crate) queue: EventQueue<Ev>,
     pub(crate) nodes: Nodes,
     pub(crate) homes: Vec<Home>,
+    net: Box<dyn Network>,
+    /// Global per-block write counters (the debug "truth" the coherence
+    /// check compares cache versions against).
+    pub(crate) wcount: BlockMap<u64>,
     pub(crate) classifier: MissClassifier,
     pub(crate) mig_silent_writes: u64,
-    /// A fatal error raised inside an event handler; collected by the
-    /// engine after every event (handlers cannot return `Result` because
+    /// Completion time of each barrier episode, in completion order.
+    barrier_log: Vec<Time>,
+    events: u64,
+    /// `DIREXT_TRACE` event logging, read once at construction.
+    trace_events: bool,
+    /// A fatal error raised inside an event handler; checked by the run
+    /// loop after every event (handlers cannot return `Result` because
     /// they are re-entered through the event queue).
     pub(crate) fatal: Option<SimError>,
+    /// An infeasible configuration detected at construction (the homes were
+    /// not built); surfaced as the run's result instead of a panic.
+    config_error: Option<SimError>,
     /// Stale duplicated messages recognized and dropped on the cache side.
     pub(crate) stale_drops: u64,
     /// NACKed requests re-sent after backoff.
@@ -216,19 +231,8 @@ pub(crate) struct Shard {
     /// duplicated NACK that lands in this window must not fork a second
     /// retry chain.
     pub(crate) retry_inflight: Vec<BlockMap<()>>,
-    /// Node liveness under the node-fault plan (all true without one).
-    /// Every shard holds a full-length copy: fault operations apply
-    /// serially between windows on the coordinator, so copies never
-    /// diverge.
-    pub(crate) alive: Vec<bool>,
-    /// Per-node incarnation epochs, bumped when a crashed node rejoins.
-    /// Full-length copies, kept in sync like `alive`.
-    pub(crate) epoch: Vec<u16>,
-    /// Events and messages dropped because an endpoint was crashed.
-    pub(crate) crash_drops: u64,
-    /// Events and messages dropped because they were stamped by a previous
-    /// incarnation of a since-recovered node.
-    pub(crate) stale_epoch_drops: u64,
+    /// When a processor last retired a program event (watchdog).
+    last_progress: Time,
     /// Recycled buffer for directory transaction records: taken before each
     /// `Directory::handle_into` call and returned after its actions are
     /// dispatched, so steady-state home processing never allocates.
@@ -236,38 +240,57 @@ pub(crate) struct Shard {
     /// Cache-side transition-trace ring (the directory side records into
     /// each home's own ring); disabled unless `cfg.trace_capacity > 0`.
     pub(crate) ctrace: TraceRing,
-
-    // ----- emit state, set by the engine around each dispatch -----
-    /// Minimum time of any event pending *outside* this dispatch (the
-    /// global queue floor on the serial path; `Time::ZERO` inside a
-    /// parallel window, which disables inline retirement entirely so
-    /// same-cycle cross-shard ordering matches serial).
-    pub(crate) gate_floor: Option<Time>,
-    /// Lower bound a remotely sent message adds to the inline gate
-    /// (minimum remote network latency; ZERO when unknown, which is
-    /// merely more conservative).
-    pub(crate) remote_floor: Time,
-    /// Buffered effects of the current dispatch, applied in order.
-    pub(crate) out: Vec<Action>,
-    /// Minimum delivery-time lower bound across `out` (inline gate).
-    pub(crate) out_min: Option<Time>,
-    /// Write-count overlay: `(block, count)` snapshots seeded by the
-    /// engine before dispatch for every block this shard may bump, merged
-    /// back afterwards. `bump_wcount` resolves against this overlay, so
-    /// handlers never race on the global map.
-    pub(crate) wc_overlay: Vec<(BlockAddr, u64)>,
+    /// Node liveness under the node-fault plan (all true without one).
+    alive: Vec<bool>,
+    /// Per-node incarnation epochs, bumped when a crashed node rejoins.
+    pub(crate) epoch: Vec<u16>,
+    /// Events and messages dropped because an endpoint was crashed.
+    crash_drops: u64,
+    /// Events and messages dropped because they were stamped by a previous
+    /// incarnation of a since-recovered node.
+    stale_epoch_drops: u64,
+    /// Scheduled node-fault operations, sorted by (time, node, phase);
+    /// built from the config's plan at run start.
+    fault_timeline: Vec<FaultTick>,
+    /// Next unapplied entry of `fault_timeline`.
+    fault_cursor: usize,
+    /// What each crashed node was doing, for re-admission.
+    crash_ctx: Vec<Option<CrashCtx>>,
+    /// Blocks whose most recent written value died with a crashed node:
+    /// memory legitimately rewound to the last writeback, so the
+    /// end-of-run value check treats them as explicitly degraded.
+    pub(crate) data_lost: BlockMap<()>,
+    /// Count of distinct blocks in `data_lost`.
+    data_loss: u64,
+    node_crashes: u64,
+    node_recoveries: u64,
 }
 
-impl Shard {
-    /// Builds a shard. `with_homes: false` skips home construction — the
-    /// infeasible-configuration path, where building a directory would
-    /// panic (the error surfaces from [`Machine::run`] instead).
-    fn new(cfg: &MachineConfig, lo: usize, hi: usize, remote_floor: Time, with_homes: bool) -> Self {
+impl Machine {
+    /// Builds a machine from a configuration.
+    ///
+    /// An infeasible `dir_org` × `procs` pair (e.g. the 64-node full map on
+    /// a 256-node machine) does not panic here: the machine is built empty
+    /// and [`Machine::run`] returns the structured [`SimError::Config`].
+    pub fn new(cfg: MachineConfig) -> Self {
+        let mut net = cfg.network.build(cfg.procs);
+        if let Some(plan) = cfg.fault_plan.filter(|p| p.is_active()) {
+            net = Box::new(FaultyNetwork::with_nodes(net, plan, cfg.procs));
+        }
+        let config_error = cfg
+            .dir_org
+            .validate(cfg.procs)
+            .err()
+            .map(|e| SimError::Config {
+                detail: e.to_string(),
+            });
         let recovery = cfg
             .node_fault_plan
             .as_ref()
-            .is_some_and(crate::NodeFaultPlan::is_active);
-        let homes: Vec<Home> = if with_homes {
+            .is_some_and(NodeFaultPlan::is_active);
+        let homes: Vec<Home> = if config_error.is_some() {
+            Vec::new()
+        } else {
             (0..cfg.procs)
                 .map(|_| {
                     let mut h = Home::new(cfg.procs, cfg.dir_org, &cfg.protocol);
@@ -280,38 +303,44 @@ impl Shard {
                     h
                 })
                 .collect()
-        } else {
-            Vec::new()
         };
-        Shard {
+        Machine {
+            config_error,
             classifier: MissClassifier::new(cfg.procs),
             now: Time::ZERO,
+            queue: EventQueue::with_capacity(256),
             nodes: Nodes::placeholder(),
             homes,
+            net,
+            wcount: BlockMap::new(),
             mig_silent_writes: 0,
+            barrier_log: Vec::new(),
+            events: 0,
+            trace_events: std::env::var_os("DIREXT_TRACE").is_some(),
             fatal: None,
             stale_drops: 0,
             nack_retries: 0,
             retry_attempts: (0..cfg.procs).map(|_| BlockMap::new()).collect(),
             retry_inflight: (0..cfg.procs).map(|_| BlockMap::new()).collect(),
-            alive: vec![true; cfg.procs],
-            epoch: vec![0; cfg.procs],
-            crash_drops: 0,
-            stale_epoch_drops: 0,
+            last_progress: Time::ZERO,
             action_pool: Vec::with_capacity(2 * cfg.procs),
             ctrace: if cfg.trace_capacity > 0 {
                 TraceRing::with_capacity(cfg.trace_capacity)
             } else {
                 TraceRing::disabled()
             },
-            cfg: cfg.clone(),
-            lo,
-            hi,
-            gate_floor: None,
-            remote_floor,
-            out: Vec::with_capacity(16),
-            out_min: None,
-            wc_overlay: Vec::with_capacity(8),
+            alive: vec![true; cfg.procs],
+            epoch: vec![0; cfg.procs],
+            crash_drops: 0,
+            stale_epoch_drops: 0,
+            fault_timeline: Vec::new(),
+            fault_cursor: 0,
+            crash_ctx: Vec::new(),
+            data_lost: BlockMap::new(),
+            data_loss: 0,
+            node_crashes: 0,
+            node_recoveries: 0,
+            cfg,
         }
     }
 
@@ -325,112 +354,258 @@ impl Shard {
         NodeId((id as usize % self.cfg.procs) as u16)
     }
 
-    /// Bumps and returns the write counter for `block` against the seeded
-    /// overlay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` was not seeded — that would mean the engine's
-    /// write-prediction (per-event on the serial path, preflight scan on
-    /// the parallel path) missed a bump site, which breaks determinism.
+    /// Bumps and returns the global write counter for `block`.
     pub(crate) fn bump_wcount(&mut self, block: BlockAddr) -> u64 {
-        match self.wc_overlay.iter_mut().find(|(b, _)| *b == block) {
-            Some((_, v)) => {
-                *v += 1;
-                *v
-            }
-            None => panic!("wcount bump for {block} outside the seeded write set"),
-        }
-    }
-
-    /// Schedules an event (buffered; applied by the engine in order).
-    pub(crate) fn emit_push(&mut self, at: Time, ev: Ev) {
-        self.out_min = Some(self.out_min.map_or(at, |m| m.min(at)));
-        self.out.push(Action::Push(at, ev));
-    }
-
-    /// Whether the processor may keep retiring inline past time `t`: true
-    /// only when no pending event anywhere could execute at or before `t`.
-    /// On the serial path this is exactly the historical global-queue gate
-    /// (`gate_floor` is the queue minimum, `out_min` covers this very
-    /// dispatch's not-yet-applied pushes and sends); inside a parallel
-    /// window `gate_floor` is `Time::ZERO`, so inlining is off and
-    /// same-cycle cross-shard send ordering is preserved.
-    pub(crate) fn inline_ok(&self, t: Time) -> bool {
-        self.gate_floor.is_none_or(|f| f > t) && self.out_min.is_none_or(|m| m > t)
+        let c = self.wcount.get_or_insert_with(block, || 0);
+        *c += 1;
+        *c
     }
 
     /// Sends `msg` from its source node at time `t` (plus local bus
-    /// occupancy). The bus is charged immediately (it is this shard's own
-    /// resource); the network entry is buffered as an [`Action::Send`] and
-    /// performed by the engine in deterministic order. Under fault
-    /// injection a message may be delivered late (jitter, retransmission),
-    /// twice (duplication) or never (loss after the retransmission
-    /// budget) — the watchdog catches the latter.
+    /// occupancy), scheduling the delivery event(s). Under fault injection
+    /// a message may be delivered late (jitter, retransmission), twice
+    /// (duplication) or never (loss after the retransmission budget) — the
+    /// watchdog catches the latter.
+    ///
+    /// Duplicates are delivered to the protocol only for synchronization
+    /// messages, which are sequence-tagged and replay-tolerant by design.
+    /// Coherence transactions assume exactly-once transport (as in DASH-
+    /// style machines, whose directory protocols ride reliable sequenced
+    /// virtual channels): their duplicates occupy the wire but are absorbed
+    /// by the receiving interface's link-layer sequence check.
     pub(crate) fn send_msg(&mut self, t: Time, mut msg: Msg) {
         // Stamp both endpoints' incarnation epochs (sender high half,
         // receiver low half). The delivery fence compares these against the
         // then-current epochs to recognize mail from a previous life.
-        msg.epoch = (u32::from(self.epoch[msg.src.idx()]) << 16)
-            | u32::from(self.epoch[msg.dst.idx()]);
+        msg.epoch =
+            (u32::from(self.epoch[msg.src.idx()]) << 16) | u32::from(self.epoch[msg.dst.idx()]);
         let bus = self.cfg.bus_time();
         let start = self.nodes.bus_res[msg.src.idx()].acquire(t, bus);
-        let enter = start + bus;
-        // The inline gate must see this message's earliest possible
-        // delivery: exact for local messages (the network passes them
-        // through untouched), a conservative lower bound for remote ones.
-        let earliest = if msg.src == msg.dst {
-            enter
-        } else {
-            enter + self.remote_floor
-        };
-        self.out_min = Some(self.out_min.map_or(earliest, |m| m.min(earliest)));
-        self.out.push(Action::Send(enter, msg));
+        let deliveries = self.net.send_all(start + bus, msg.envelope());
+        if let Some(arrival) = deliveries.primary {
+            self.queue.push(arrival, Ev::Deliver(msg));
+        }
+        if let Some(arrival) = deliveries.duplicate {
+            if msg.kind.class() == TrafficClass::Sync {
+                self.queue.push(arrival, Ev::Deliver(msg));
+            }
+        }
     }
 
-    /// Executes one event against this shard's state, returning whether a
-    /// processor retired a program event (watchdog progress).
-    pub(crate) fn dispatch(&mut self, t: Time, ev: Ev) -> bool {
-        debug_assert!(t >= self.now, "shard time went backwards");
-        self.now = t;
-        match ev {
-            Ev::ProcStep(n, e) => {
-                let i = n.idx();
-                if self.fence_node_ev(i, e) {
-                    return false;
-                }
-                let before = (self.nodes.pc[i], self.nodes.finish[i].is_some());
-                self.proc_step(n, t);
-                (self.nodes.pc[i], self.nodes.finish[i].is_some()) != before
+    /// Runs `workload` to completion and returns the metrics.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError`] for invalid workloads, deadlocks (which would
+    /// indicate a protocol bug), event-budget exhaustion, or coherence
+    /// violations detected at quiescence.
+    pub fn run(mut self, workload: &Workload) -> Result<Metrics, SimError> {
+        self.run_inner(workload)
+    }
+
+    /// Like [`Machine::run`], but also returns the recorded transition
+    /// trace (time-ordered, cache and directory records merged) and the
+    /// enabled table layers, for offline replay. Only meaningful with
+    /// `trace_capacity > 0` — otherwise the trace is empty.
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::run`].
+    pub fn run_traced(
+        mut self,
+        workload: &Workload,
+    ) -> Result<(Metrics, Vec<TransitionRecord>, ExtSet), SimError> {
+        let m = self.run_inner(workload)?;
+        let trace = self.transition_trace();
+        let enabled = self.rule_set();
+        Ok((m, trace, enabled))
+    }
+
+    /// All recorded state transitions — the cache-side ring merged with
+    /// every home directory's ring — ordered by time.
+    pub fn transition_trace(&self) -> Vec<TransitionRecord> {
+        let mut v: Vec<TransitionRecord> = self.ctrace.iter().copied().collect();
+        for h in &self.homes {
+            v.extend(h.dir.trace().iter().copied());
+        }
+        v.sort_by_key(|r| r.time);
+        v
+    }
+
+    /// Transition records dropped because a ring overflowed (0 with ample
+    /// capacity; conformance still holds for everything retained).
+    pub fn trace_overwritten(&self) -> u64 {
+        self.ctrace.overwritten()
+            + self
+                .homes
+                .iter()
+                .map(|h| h.dir.trace().overwritten())
+                .sum::<u64>()
+    }
+
+    /// The transition-table layers enabled by this machine's protocol
+    /// configuration and directory organization (an inexact organization
+    /// adds the DIR layer, whose rows legalize broadcast invalidations,
+    /// region multicasts and pointer recalls).
+    pub fn rule_set(&self) -> ExtSet {
+        self.homes[0].dir.rule_set()
+    }
+
+    fn run_inner(&mut self, workload: &Workload) -> Result<Metrics, SimError> {
+        if let Some(e) = self.config_error.take() {
+            return Err(e);
+        }
+        workload.validate()?;
+        if workload.procs() != self.cfg.procs {
+            return Err(SimError::ProcMismatch {
+                machine: self.cfg.procs,
+                workload: workload.procs(),
+            });
+        }
+        self.fault_timeline.clear();
+        self.fault_cursor = 0;
+        self.crash_ctx = vec![None; self.cfg.procs];
+        if let Some(plan) = self.cfg.node_fault_plan.clone().filter(|p| p.is_active()) {
+            if let Err(e) = plan.validate(self.cfg.procs) {
+                return Err(SimError::Config {
+                    detail: format!("node-fault plan: {e}"),
+                });
             }
-            Ev::FlwbHead(n, e) => {
-                if self.fence_node_ev(n.idx(), e) {
-                    return false;
-                }
-                self.flwb_head(n, t);
-                false
+            for ev in &plan.events {
+                self.fault_timeline.push(FaultTick {
+                    at: Time::from_cycles(ev.crash_at),
+                    op: FaultOp::Crash,
+                    node: ev.node,
+                });
+                self.fault_timeline.push(FaultTick {
+                    at: Time::from_cycles(ev.crash_at + plan.detect_delay),
+                    op: FaultOp::Reconstruct,
+                    node: ev.node,
+                });
+                self.fault_timeline.push(FaultTick {
+                    at: Time::from_cycles(ev.recover_at),
+                    op: FaultOp::Recover,
+                    node: ev.node,
+                });
             }
-            Ev::Deliver(msg) => {
-                if self.fence_msg(&msg) {
-                    return false;
-                }
-                if is_home_bound(msg.kind) {
-                    self.home_deliver(msg, t);
-                } else {
-                    self.cache_deliver(msg, t);
-                }
-                false
+            self.fault_timeline.sort_by_key(|f| (f.at, f.node.0, f.op));
+        }
+        self.nodes = Nodes::new(
+            (0..self.cfg.procs)
+                .map(|i| workload.program_shared(i))
+                .collect(),
+            &self.cfg.protocol,
+            &self.cfg.timing,
+        );
+        for i in 0..self.cfg.procs {
+            self.queue
+                .push(Time::ZERO, Ev::ProcStep(NodeId(i as u16), 0));
+        }
+        if self.cfg.watchdog_pclocks > 0 {
+            self.queue
+                .push(Time::from_cycles(self.cfg.watchdog_pclocks), Ev::Watchdog);
+        }
+
+        self.run_events()?;
+
+        // Quiescence: every processor must have finished.
+        if self.nodes.finish.iter().any(|f| f.is_none()) {
+            return Err(SimError::Deadlock {
+                detail: self.snapshot(self.now),
+            });
+        }
+        if self.cfg.check_invariants {
+            invariants::check(self).map_err(SimError::CoherenceViolation)?;
+        }
+        if self.cfg.trace_capacity > 0 {
+            let violations = invariants::check_conformance(self);
+            if !violations.is_empty() {
+                let detail = violations
+                    .iter()
+                    .take(8)
+                    .map(dirext_core::proto::Violation::render)
+                    .collect::<Vec<_>>()
+                    .join("; ");
+                return Err(SimError::TransitionConformance {
+                    detail: format!("{} violation(s): {detail}", violations.len()),
+                });
             }
-            Ev::Retry(msg) => {
-                let i = msg.src.idx();
-                if self.fence_node_ev(i, (msg.epoch >> 16) as u16) {
-                    return false;
+        }
+        Ok(self.collect_metrics(workload))
+    }
+
+    /// Pops and executes events in time order until the queue drains.
+    fn run_events(&mut self) -> Result<(), SimError> {
+        loop {
+            // The fault timeline interleaves with the event queue: a fault
+            // tick at time T applies between events, before any event at T
+            // (the crash kills the node before its same-cycle activity),
+            // and fires even when the queue is momentarily empty (a
+            // recovery can be the only thing left that un-wedges the
+            // machine).
+            if let Some(ft) = self.fault_timeline.get(self.fault_cursor).map(|f| f.at) {
+                if self.queue.peek_time().is_none_or(|q| ft <= q) {
+                    self.apply_next_fault()?;
+                    continue;
                 }
-                self.retry_inflight[i].remove(msg.block);
-                self.send_msg(t, msg);
-                false
             }
-            Ev::Watchdog => unreachable!("watchdog events are handled by the coordinator"),
+            let Some((t, ev)) = self.queue.pop() else {
+                return Ok(());
+            };
+            debug_assert!(t >= self.now, "time went backwards");
+            self.now = t;
+            self.events += 1;
+            if self.events > self.cfg.max_events {
+                return Err(SimError::EventBudgetExceeded);
+            }
+            if self.trace_events {
+                eprintln!("[{t}] {ev:?}");
+            }
+            match ev {
+                Ev::ProcStep(n, e) => {
+                    let i = n.idx();
+                    if !self.fence_node_ev(i, e) {
+                        let before = (self.nodes.pc[i], self.nodes.finish[i].is_some());
+                        self.proc_step(n, t);
+                        if (self.nodes.pc[i], self.nodes.finish[i].is_some()) != before {
+                            self.last_progress = t;
+                        }
+                    }
+                }
+                Ev::FlwbHead(n, e) => {
+                    if !self.fence_node_ev(n.idx(), e) {
+                        self.flwb_head(n, t);
+                    }
+                }
+                Ev::Deliver(msg) => {
+                    if !self.fence_msg(&msg) {
+                        if is_home_bound(msg.kind) {
+                            self.home_deliver(msg, t);
+                        } else {
+                            self.cache_deliver(msg, t);
+                        }
+                    }
+                }
+                Ev::Retry(msg) => {
+                    let i = msg.src.idx();
+                    if !self.fence_node_ev(i, (msg.epoch >> 16) as u16) {
+                        self.retry_inflight[i].remove(msg.block);
+                        self.send_msg(t, msg);
+                    }
+                }
+                Ev::Watchdog => {
+                    self.watchdog_tick(t)?;
+                    continue;
+                }
+            }
+            if let Some(e) = self.fatal.take() {
+                return Err(e);
+            }
+            if self.cfg.audit_every > 0 && self.events.is_multiple_of(self.cfg.audit_every) {
+                invariants::check_midrun(self).map_err(|d| {
+                    SimError::CoherenceViolation(format!("mid-run audit at {t}: {d}"))
+                })?;
+            }
         }
     }
 
@@ -488,10 +663,6 @@ impl Shard {
 
     fn home_deliver(&mut self, msg: Msg, now: Time) {
         let h = msg.dst.idx();
-        debug_assert!(
-            (self.lo..self.hi).contains(&h),
-            "home event delivered to a foreign shard"
-        );
         let mem = self.cfg.timing.mem_access + self.cfg.timing.dir_access;
         let t = now + mem;
         match msg.kind {
@@ -525,7 +696,7 @@ impl Shard {
             }
             MsgKind::BarArrive { id } => {
                 if self.homes[h].barriers.arrive(msg.src, id) {
-                    self.out.push(Action::Barrier(now));
+                    self.barrier_log.push(now);
                     for i in 0..self.cfg.procs {
                         self.reply_from_home(
                             t,
@@ -610,7 +781,7 @@ impl Shard {
     /// may have existed only on the dead node (dirty lines, buffered
     /// writes) — the machine marks these as degraded so the end-of-run
     /// value check knows memory legitimately rewound.
-    pub(crate) fn crash_node(&mut self, n: NodeId, t: Time) -> Vec<BlockAddr> {
+    fn crash_node(&mut self, n: NodeId, t: Time) -> Vec<BlockAddr> {
         let i = n.idx();
         // Close out the stall the crash interrupts, so the stall account
         // stays consistent even though the operation never completes.
@@ -699,7 +870,7 @@ impl Shard {
     /// set (emitting the synthesized completions and recovery fan-outs),
     /// and the lock controller hands the node's locks to their next
     /// waiters.
-    pub(crate) fn purge_home(&mut self, h: usize, n: NodeId, now: Time) {
+    fn purge_home(&mut self, h: usize, n: NodeId, now: Time) {
         let t = now + self.cfg.timing.mem_access + self.cfg.timing.dir_access;
         let home = NodeId(h as u16);
         self.homes[h].dir.set_trace_now(now.cycles());
@@ -733,407 +904,10 @@ impl Shard {
             self.reply_from_home(t, home, next, lock, MsgKind::AcqGrant, seq);
         }
     }
-}
 
-/// The shard an event belongs to is its target node's shard: these are the
-/// only node columns (and, for home-bound delivers, the only home) the
-/// handler touches.
-pub(crate) fn ev_owner(ev: &Ev) -> usize {
-    match ev {
-        Ev::ProcStep(n, _) | Ev::FlwbHead(n, _) => n.idx(),
-        Ev::Deliver(m) => m.dst.idx(),
-        Ev::Retry(m) => m.src.idx(),
-        Ev::Watchdog => 0,
-    }
-}
-
-/// One scheduled node-fault operation on the machine's fault timeline.
-#[derive(Debug, Clone, Copy)]
-struct FaultTick {
-    at: Time,
-    op: FaultOp,
-    node: NodeId,
-}
-
-/// The three phases of a node-fault window, in application order for
-/// same-cycle ties.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum FaultOp {
-    /// The node dies: caches wiped, traffic fenced.
-    Crash,
-    /// The homes detect the silence and purge the node.
-    Reconstruct,
-    /// The node rejoins cold with a bumped epoch.
-    Recover,
-}
-
-/// What a node's processor was doing at the instant it crashed — the
-/// re-admission logic decides from this whether the recovered processor
-/// re-executes the interrupted instruction, keeps waiting, or proceeds.
-#[derive(Debug, Clone, Copy)]
-struct CrashCtx {
-    pstate: ProcState,
-    wait: Option<SyncWait>,
-}
-
-/// One simulated machine, ready to run a workload.
-///
-/// See the crate-level example. A `Machine` is consumed by [`Machine::run`]
-/// (its caches and statistics are meaningful for a single workload).
-#[derive(Debug)]
-pub struct Machine {
-    pub(crate) cfg: MachineConfig,
-    pub(crate) now: Time,
-    pub(crate) queue: ShardedEventQueue<Ev>,
-    /// Node-state partitions; one on the serial path.
-    pub(crate) shards: Vec<Shard>,
-    /// Nodes per shard (`shard_of(i) == i / chunk`).
-    chunk: usize,
-    pub(crate) net: Box<dyn Network>,
-    /// Global per-block write counters (the debug "truth" the coherence
-    /// check compares cache versions against).
-    pub(crate) wcount: BlockMap<u64>,
-    /// Completion time of each barrier episode, in completion order.
-    pub(crate) barrier_log: Vec<Time>,
-    pub(crate) events: u64,
-    /// `DIREXT_TRACE` event logging, read once at construction.
-    trace_events: bool,
-    /// An infeasible configuration detected at construction (the homes were
-    /// not built); surfaced as the run's result instead of a panic.
-    config_error: Option<SimError>,
-    /// When a processor last retired a program event (watchdog).
-    pub(crate) last_progress: Time,
-    /// Scheduled time of the pending watchdog event, so the windowed
-    /// engine can keep safe windows clear of it.
-    pub(crate) watchdog_at: Option<Time>,
-    /// Conservative lookahead of the windowed engine: local bus time plus
-    /// the network's minimum remote latency (ZERO when unavailable).
-    pub(crate) lookahead: Time,
-    /// Whether the windowed-parallel engine is engaged (more than one
-    /// shard).
-    windowed: bool,
-    /// Diagnostic: parallel windows dispatched to the worker pool. Kept
-    /// out of [`Metrics`] on purpose — results must not depend on the
-    /// engine (reported on stderr under `DIREXT_ENGINE_STATS`).
-    pub(crate) par_windows: u64,
-    /// Diagnostic: windows that fell back to a serial stretch.
-    pub(crate) serial_stretches: u64,
-    /// Scheduled node-fault operations, sorted by (time, node, phase);
-    /// built from the config's plan at run start.
-    fault_timeline: Vec<FaultTick>,
-    /// Next unapplied entry of `fault_timeline`.
-    fault_cursor: usize,
-    /// What each crashed node was doing, for re-admission.
-    crash_ctx: Vec<Option<CrashCtx>>,
-    /// Blocks whose most recent written value died with a crashed node:
-    /// memory legitimately rewound to the last writeback, so the
-    /// end-of-run value check treats them as explicitly degraded.
-    pub(crate) data_lost: BlockMap<()>,
-    /// Count of distinct blocks in `data_lost`.
-    data_loss: u64,
-    node_crashes: u64,
-    node_recoveries: u64,
-}
-
-impl Machine {
-    /// Builds a machine from a configuration.
-    ///
-    /// An infeasible `dir_org` × `procs` pair (e.g. the 64-node full map on
-    /// a 256-node machine) does not panic here: the machine is built empty
-    /// and [`Machine::run`] returns the structured [`SimError::Config`].
-    pub fn new(cfg: MachineConfig) -> Self {
-        let mut net = cfg.network.build(cfg.procs);
-        if let Some(plan) = cfg.fault_plan.filter(|p| p.is_active()) {
-            net = Box::new(FaultyNetwork::with_nodes(net, plan, cfg.procs));
-        }
-        let config_error = cfg
-            .dir_org
-            .validate(cfg.procs)
-            .err()
-            .map(|e| SimError::Config {
-                detail: e.to_string(),
-            });
-        let trace_events = std::env::var_os("DIREXT_TRACE").is_some();
-        let min_remote = net.min_remote_latency();
-        let lookahead = min_remote.map_or(Time::ZERO, |mr| cfg.bus_time() + mr);
-        // The parallel engine needs: a lookahead guarantee, at least one
-        // cycle of it, no tracing/auditing (those observe global event
-        // order), and occupancy-based bounds for the write-set preflight
-        // (an SLC or FLC access of zero cycles would unbound the scan).
-        let windowed = cfg.sim_threads > 1
-            && cfg.procs >= 2
-            && cfg.trace_capacity == 0
-            && cfg.audit_every == 0
-            && !trace_events
-            && min_remote.is_some()
-            && lookahead.cycles() >= 1
-            && cfg.timing.slc_access.cycles() >= 1
-            && cfg.timing.flc_hit.cycles() >= 1;
-        let nshards = if windowed {
-            cfg.sim_threads.min(cfg.procs)
-        } else {
-            1
-        };
-        let chunk = cfg.procs.div_ceil(nshards);
-        let remote_floor = min_remote.unwrap_or(Time::ZERO);
-        let shards: Vec<Shard> = if config_error.is_some() {
-            vec![Shard::new(&cfg, 0, 0, remote_floor, false)]
-        } else {
-            (0..nshards)
-                .map(|s| {
-                    let lo = s * chunk;
-                    let hi = ((s + 1) * chunk).min(cfg.procs);
-                    Shard::new(&cfg, lo, hi, remote_floor, true)
-                })
-                .collect()
-        };
-        Machine {
-            config_error,
-            now: Time::ZERO,
-            queue: ShardedEventQueue::new(shards.len()),
-            shards,
-            chunk,
-            net,
-            wcount: BlockMap::new(),
-            barrier_log: Vec::new(),
-            events: 0,
-            trace_events,
-            last_progress: Time::ZERO,
-            watchdog_at: None,
-            lookahead,
-            windowed,
-            par_windows: 0,
-            serial_stretches: 0,
-            fault_timeline: Vec::new(),
-            fault_cursor: 0,
-            crash_ctx: Vec::new(),
-            data_lost: BlockMap::new(),
-            data_loss: 0,
-            node_crashes: 0,
-            node_recoveries: 0,
-            cfg,
-        }
-    }
-
-    /// The shard owning node `i`.
-    pub(crate) fn shard_of(&self, i: usize) -> usize {
-        i / self.chunk
-    }
-
-    /// The node columns holding node `i` (its owning shard's).
-    pub(crate) fn nodes_of(&self, i: usize) -> &Nodes {
-        &self.shards[i / self.chunk].nodes
-    }
-
-    /// Home `h` (owned by node `h`'s shard).
-    pub(crate) fn home(&self, h: usize) -> &Home {
-        &self.shards[h / self.chunk].homes[h]
-    }
-
-    /// All processors (across all shards) have retired their programs.
-    pub(crate) fn all_finished(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|s| s.nodes.finish[s.lo..s.hi].iter().all(|f| f.is_some()))
-    }
-
-    /// Runs `workload` to completion and returns the metrics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] for invalid workloads, deadlocks (which would
-    /// indicate a protocol bug), event-budget exhaustion, or coherence
-    /// violations detected at quiescence.
-    pub fn run(mut self, workload: &Workload) -> Result<Metrics, SimError> {
-        self.run_inner(workload)
-    }
-
-    /// Like [`Machine::run`], but also returns the recorded transition
-    /// trace (time-ordered, cache and directory records merged) and the
-    /// enabled table layers, for offline replay. Only meaningful with
-    /// `trace_capacity > 0` — otherwise the trace is empty.
-    ///
-    /// # Errors
-    ///
-    /// As [`Machine::run`].
-    pub fn run_traced(
-        mut self,
-        workload: &Workload,
-    ) -> Result<(Metrics, Vec<TransitionRecord>, ExtSet), SimError> {
-        let m = self.run_inner(workload)?;
-        let trace = self.transition_trace();
-        let enabled = self.rule_set();
-        Ok((m, trace, enabled))
-    }
-
-    /// All recorded state transitions — the cache-side ring merged with
-    /// every home directory's ring — ordered by time.
-    pub fn transition_trace(&self) -> Vec<TransitionRecord> {
-        let mut v: Vec<TransitionRecord> = Vec::new();
-        for sh in &self.shards {
-            v.extend(sh.ctrace.iter().copied());
-            for h in &sh.homes[sh.lo..sh.hi] {
-                v.extend(h.dir.trace().iter().copied());
-            }
-        }
-        v.sort_by_key(|r| r.time);
-        v
-    }
-
-    /// Transition records dropped because a ring overflowed (0 with ample
-    /// capacity; conformance still holds for everything retained).
-    pub fn trace_overwritten(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|sh| {
-                sh.ctrace.overwritten()
-                    + sh.homes[sh.lo..sh.hi]
-                        .iter()
-                        .map(|h| h.dir.trace().overwritten())
-                        .sum::<u64>()
-            })
-            .sum()
-    }
-
-    /// The transition-table layers enabled by this machine's protocol
-    /// configuration and directory organization (an inexact organization
-    /// adds the DIR layer, whose rows legalize broadcast invalidations,
-    /// region multicasts and pointer recalls).
-    pub fn rule_set(&self) -> ExtSet {
-        self.shards[0].homes[0].dir.rule_set()
-    }
-
-    fn run_inner(&mut self, workload: &Workload) -> Result<Metrics, SimError> {
-        if let Some(e) = self.config_error.take() {
-            return Err(e);
-        }
-        workload.validate()?;
-        if workload.procs() != self.cfg.procs {
-            return Err(SimError::ProcMismatch {
-                machine: self.cfg.procs,
-                workload: workload.procs(),
-            });
-        }
-        self.fault_timeline.clear();
-        self.fault_cursor = 0;
-        self.crash_ctx = vec![None; self.cfg.procs];
-        if let Some(plan) = self.cfg.node_fault_plan.clone().filter(|p| p.is_active()) {
-            if let Err(e) = plan.validate(self.cfg.procs) {
-                return Err(SimError::Config {
-                    detail: format!("node-fault plan: {e}"),
-                });
-            }
-            for ev in &plan.events {
-                self.fault_timeline.push(FaultTick {
-                    at: Time::from_cycles(ev.crash_at),
-                    op: FaultOp::Crash,
-                    node: ev.node,
-                });
-                self.fault_timeline.push(FaultTick {
-                    at: Time::from_cycles(ev.crash_at + plan.detect_delay),
-                    op: FaultOp::Reconstruct,
-                    node: ev.node,
-                });
-                self.fault_timeline.push(FaultTick {
-                    at: Time::from_cycles(ev.recover_at),
-                    op: FaultOp::Recover,
-                    node: ev.node,
-                });
-            }
-            self.fault_timeline.sort_by_key(|f| (f.at, f.node.0, f.op));
-        }
-        let programs: Vec<_> = (0..self.cfg.procs)
-            .map(|i| workload.program_shared(i))
-            .collect();
-        for sh in &mut self.shards {
-            sh.nodes = Nodes::new(programs.clone(), &self.cfg.protocol, &self.cfg.timing);
-        }
-        for i in 0..self.cfg.procs {
-            self.queue.push(
-                self.shard_of(i),
-                Time::ZERO,
-                Ev::ProcStep(NodeId(i as u16), 0),
-            );
-        }
-        if self.cfg.watchdog_pclocks > 0 {
-            self.push_watchdog(Time::from_cycles(self.cfg.watchdog_pclocks));
-        }
-
-        if self.windowed {
-            self.run_windowed()?;
-        } else {
-            self.run_direct_until(None)?;
-        }
-
-        // Quiescence: every processor must have finished.
-        if !self.all_finished() {
-            return Err(SimError::Deadlock {
-                detail: self.snapshot(self.now),
-            });
-        }
-        if self.cfg.check_invariants {
-            invariants::check(self).map_err(SimError::CoherenceViolation)?;
-        }
-        if self.cfg.trace_capacity > 0 {
-            let violations = invariants::check_conformance(self);
-            if !violations.is_empty() {
-                let detail = violations
-                    .iter()
-                    .take(8)
-                    .map(dirext_core::proto::Violation::render)
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                return Err(SimError::TransitionConformance {
-                    detail: format!("{} violation(s): {detail}", violations.len()),
-                });
-            }
-        }
-        Ok(self.collect_metrics(workload))
-    }
-
-    // -------------------------------------------------------- serial path
-
-    /// Pops and executes events in global order until the queue drains or
-    /// its head reaches `limit` (exclusive). With `None` this *is* the
-    /// historical serial engine; the windowed engine uses a bounded call to
-    /// execute a stretch it cannot parallelize.
-    pub(crate) fn run_direct_until(&mut self, limit: Option<Time>) -> Result<(), SimError> {
-        loop {
-            // The fault timeline interleaves with the event queue: a fault
-            // operation at time T applies before any event at T (the crash
-            // kills the node before its same-cycle activity), and fires
-            // even when the queue is momentarily empty (a recovery can be
-            // the only thing left that un-wedges the machine).
-            let qt = self.queue.peek_time();
-            if let Some(ft) = self.next_fault_at() {
-                if qt.is_none_or(|q| ft <= q) {
-                    if limit.is_some_and(|l| ft >= l) {
-                        return Ok(());
-                    }
-                    self.apply_next_fault()?;
-                    continue;
-                }
-            }
-            match qt {
-                None => return Ok(()),
-                Some(t) if limit.is_some_and(|l| t >= l) => return Ok(()),
-                Some(_) => {}
-            }
-            self.step_direct_one()?;
-        }
-    }
-
-    // --------------------------------------------------------- node faults
-
-    /// When the next scheduled node-fault operation applies, if any.
-    pub(crate) fn next_fault_at(&self) -> Option<Time> {
-        self.fault_timeline.get(self.fault_cursor).map(|f| f.at)
-    }
-
-    /// Applies the next fault-timeline entry. Fault operations execute on
-    /// the coordinator between events (and, on the windowed engine, between
-    /// windows), so every shard's liveness/epoch copy updates atomically
-    /// with respect to event dispatch.
+    /// Applies the next fault-timeline entry. Fault operations execute
+    /// between events, so liveness and epochs change atomically with
+    /// respect to event dispatch.
     fn apply_next_fault(&mut self) -> Result<(), SimError> {
         let f = self.fault_timeline[self.fault_cursor];
         self.fault_cursor += 1;
@@ -1152,16 +926,12 @@ impl Machine {
 
     fn apply_crash(&mut self, t: Time, n: NodeId) {
         let i = n.idx();
-        let s = self.shard_of(i);
-        let sh = &mut self.shards[s];
         self.crash_ctx[i] = Some(CrashCtx {
-            pstate: sh.nodes.pstate[i],
-            wait: sh.nodes.waiting_grant[i],
+            pstate: self.nodes.pstate[i],
+            wait: self.nodes.waiting_grant[i],
         });
-        let lost = sh.crash_node(n, t);
-        for sh in &mut self.shards {
-            sh.alive[i] = false;
-        }
+        let lost = self.crash_node(n, t);
+        self.alive[i] = false;
         for b in lost {
             if self.data_lost.get(b).is_none() {
                 self.data_lost.get_or_insert_with(b, || ());
@@ -1175,38 +945,30 @@ impl Machine {
     }
 
     /// The bounded-timeout detection fires: every home purges the dead
-    /// node, in home order, draining each home's synthesized completions
-    /// and lock hand-offs through the normal action path.
+    /// node, in home order, sending each home's synthesized completions
+    /// and lock hand-offs through the normal send path.
     fn apply_reconstruct(&mut self, t: Time, n: NodeId) -> Result<(), SimError> {
         if self.trace_events {
             eprintln!("[{t}] NodeReconstruct({n})");
         }
         for h in 0..self.cfg.procs {
-            let s = self.shard_of(h);
-            {
-                let sh = &mut self.shards[s];
-                sh.gate_floor = None;
-                sh.out_min = None;
-                debug_assert!(sh.out.is_empty(), "unapplied actions at a fault barrier");
-                sh.purge_home(h, n, t);
+            self.purge_home(h, n, t);
+            if let Some(e) = self.fatal.take() {
+                return Err(e);
             }
-            self.drain_shard(s)?;
         }
         Ok(())
     }
 
-    /// Re-admits node `n` cold: epoch bumped on every shard, directories
-    /// un-mark it, and the processor resumes according to what its previous
-    /// incarnation was doing when it died.
+    /// Re-admits node `n` cold: epoch bumped, directories un-mark it, and
+    /// the processor resumes according to what its previous incarnation
+    /// was doing when it died.
     fn apply_recover(&mut self, t: Time, n: NodeId) {
         let i = n.idx();
-        for sh in &mut self.shards {
-            sh.alive[i] = true;
-            sh.epoch[i] = sh.epoch[i].wrapping_add(1);
-            let (lo, hi) = (sh.lo, sh.hi);
-            for h in lo..hi {
-                sh.homes[h].dir.set_node_dead(n, false);
-            }
+        self.alive[i] = true;
+        self.epoch[i] = self.epoch[i].wrapping_add(1);
+        for h in &mut self.homes {
+            h.dir.set_node_dead(n, false);
         }
         enum Restart {
             /// Proceed with the next instruction.
@@ -1234,8 +996,7 @@ impl Machine {
                 } => Restart::Step,
                 ProcState::Stalled { .. } => match c.wait {
                     Some(SyncWait::Barrier(id)) => {
-                        let bh = (id as usize) % self.cfg.procs;
-                        let home = &self.shards[self.shard_of(bh)].homes[bh];
+                        let home = &self.homes[(id as usize) % self.cfg.procs];
                         if home.barriers.is_done(id) {
                             // The episode released during the outage.
                             Restart::Step
@@ -1260,24 +1021,21 @@ impl Machine {
                 },
             },
         };
-        let s = self.shard_of(i);
-        let sh = &mut self.shards[s];
         match restart {
-            Restart::Done => sh.nodes.pstate[i] = ProcState::Done,
+            Restart::Done => self.nodes.pstate[i] = ProcState::Done,
             Restart::Rewait(id) => {
-                sh.nodes.pstate[i] = ProcState::Stalled {
+                self.nodes.pstate[i] = ProcState::Stalled {
                     kind: StallKind::Acquire,
                     since: t,
                 };
-                sh.nodes.waiting_grant[i] = Some(SyncWait::Barrier(id));
+                self.nodes.waiting_grant[i] = Some(SyncWait::Barrier(id));
             }
             Restart::Step | Restart::Redo => {
                 if matches!(restart, Restart::Redo) {
-                    sh.nodes.pc[i] = sh.nodes.pc[i].saturating_sub(1);
+                    self.nodes.pc[i] = self.nodes.pc[i].saturating_sub(1);
                 }
-                sh.nodes.pstate[i] = ProcState::Ready;
-                let e = sh.epoch[i];
-                self.queue.push(s, t, Ev::ProcStep(n, e));
+                self.nodes.pstate[i] = ProcState::Ready;
+                self.queue.push(t, Ev::ProcStep(n, self.epoch[i]));
             }
         }
         self.node_recoveries += 1;
@@ -1286,128 +1044,13 @@ impl Machine {
         }
     }
 
-    /// Executes exactly one event on the serial path.
-    fn step_direct_one(&mut self) -> Result<(), SimError> {
-        let Some((t, ev)) = self.queue.pop() else {
-            return Ok(());
-        };
-        debug_assert!(t >= self.now, "time went backwards");
-        self.now = t;
-        self.events += 1;
-        if self.events > self.cfg.max_events {
-            return Err(SimError::EventBudgetExceeded);
-        }
-        if self.trace_events {
-            eprintln!("[{t}] {ev:?}");
-        }
-        if matches!(ev, Ev::Watchdog) {
-            self.watchdog_at = None;
-            return self.watchdog_tick(t);
-        }
-        let s = self.shard_of(ev_owner(&ev));
-        let gate = self.queue.peek_time();
-        self.seed_dispatch(s, gate, &ev);
-        if self.shards[s].dispatch(t, ev) {
-            self.last_progress = t;
-        }
-        self.drain_shard(s)?;
-        if self.cfg.audit_every > 0 && self.events.is_multiple_of(self.cfg.audit_every) {
-            invariants::check_midrun(self)
-                .map_err(|d| SimError::CoherenceViolation(format!("mid-run audit at {t}: {d}")))?;
-        }
-        Ok(())
-    }
-
-    /// Prepares shard `s` to dispatch `ev`: sets the inline gate floor and
-    /// seeds the write-count overlay with every counter the handler may
-    /// bump (only an `FlwbHead` whose buffer head is a write bumps, and at
-    /// most once).
-    pub(crate) fn seed_dispatch(&mut self, s: usize, gate: Option<Time>, ev: &Ev) {
-        let sh = &mut self.shards[s];
-        sh.gate_floor = gate;
-        sh.out_min = None;
-        debug_assert!(sh.out.is_empty(), "unapplied actions from a prior dispatch");
-        sh.wc_overlay.clear();
-        if let Ev::FlwbHead(n, _) = ev {
-            if let Some(&crate::node::FlwbEntry::Write(a)) = sh.nodes.flwb[n.idx()].front() {
-                let block = a.block();
-                let base = self.wcount.get(block).copied().unwrap_or(0);
-                self.shards[s].wc_overlay.push((block, base));
-            }
-        }
-    }
-
-    /// Applies shard `s`'s buffered actions in emission order (the global
-    /// effect order of the historical inline engine), writes its
-    /// write-count overlay back, and surfaces any fatal the handler raised.
-    pub(crate) fn drain_shard(&mut self, s: usize) -> Result<(), SimError> {
-        let sh = &mut self.shards[s];
-        sh.gate_floor = None;
-        sh.out_min = None;
-        let mut acts = std::mem::take(&mut sh.out);
-        for (b, v) in sh.wc_overlay.drain(..) {
-            // A seeded-but-untouched counter for an unseen block must not
-            // materialize an entry (the coherence check distinguishes
-            // "never written" from a zero count).
-            if v == 0 && self.wcount.get(b).is_none() {
-                continue;
-            }
-            *self.wcount.get_or_insert_with(b, || 0) = v;
-        }
-        for a in acts.drain(..) {
-            match a {
-                Action::Push(at, ev) => {
-                    let owner = self.shard_of(ev_owner(&ev));
-                    self.queue.push(owner, at, ev);
-                }
-                Action::Send(enter, msg) => self.deliver_send(enter, msg),
-                Action::Barrier(at) => self.barrier_log.push(at),
-            }
-        }
-        let sh = &mut self.shards[s];
-        sh.out = acts; // Recycle the buffer's capacity.
-        if let Some(e) = sh.fatal.take() {
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    /// Performs a buffered network entry: the message enters the network at
-    /// `enter` and its delivery event(s) are scheduled on the destination's
-    /// shard. Duplicates are delivered to the protocol only for
-    /// synchronization messages, which are sequence-tagged and
-    /// replay-tolerant by design. Coherence transactions assume
-    /// exactly-once transport (as in DASH-style machines, whose directory
-    /// protocols ride reliable sequenced virtual channels): their
-    /// duplicates occupy the wire but are absorbed by the receiving
-    /// interface's link-layer sequence check.
-    pub(crate) fn deliver_send(&mut self, enter: Time, msg: Msg) {
-        let dst_shard = self.shard_of(msg.dst.idx());
-        let deliveries = self.net.send_all(enter, msg.envelope());
-        if let Some(arrival) = deliveries.primary {
-            self.queue.push(dst_shard, arrival, Ev::Deliver(msg));
-        }
-        if let Some(arrival) = deliveries.duplicate {
-            if msg.kind.class() == TrafficClass::Sync {
-                self.queue.push(dst_shard, arrival, Ev::Deliver(msg));
-            }
-        }
-    }
-
     // ------------------------------------------------------------ watchdog
-
-    /// Schedules the next watchdog check and remembers when, so the
-    /// windowed engine can keep safe windows clear of it.
-    pub(crate) fn push_watchdog(&mut self, at: Time) {
-        self.watchdog_at = Some(at);
-        self.queue.push(0, at, Ev::Watchdog);
-    }
 
     /// Periodic progress check: if no processor retired a program event for
     /// the configured window while some are still running, the run aborts
     /// with a diagnostic snapshot instead of spinning to the event budget.
-    pub(crate) fn watchdog_tick(&mut self, now: Time) -> Result<(), SimError> {
-        if self.all_finished() {
+    fn watchdog_tick(&mut self, now: Time) -> Result<(), SimError> {
+        if self.nodes.finish.iter().all(|f| f.is_some()) {
             return Ok(()); // Quiescing normally; let the queue drain.
         }
         let window = Time::from_cycles(self.cfg.watchdog_pclocks);
@@ -1416,7 +1059,7 @@ impl Machine {
                 detail: self.snapshot(now),
             })
         } else {
-            self.push_watchdog(self.last_progress + window);
+            self.queue.push(self.last_progress + window, Ev::Watchdog);
             Ok(())
         }
     }
@@ -1432,41 +1075,36 @@ impl Machine {
             self.last_progress,
             self.queue.len()
         );
-        for sh in &self.shards {
-            for i in (sh.lo..sh.hi).filter(|&i| sh.nodes.finish[i].is_none()) {
-                let _ = write!(
-                    out,
-                    "; {}@pc{} {:?} slwb={:?} pw={} sync={:?} grant={:?} ev={:?}",
-                    NodeId(i as u16),
-                    sh.nodes.pc[i],
-                    sh.nodes.pstate[i],
-                    sh.nodes.slwb[i],
-                    sh.nodes.pending_writes[i],
-                    sh.nodes.sync_waiting[i],
-                    sh.nodes.waiting_grant[i],
-                    sh.nodes.program[i].get(sh.nodes.pc[i].saturating_sub(1)),
-                );
-            }
+        for i in (0..self.cfg.procs).filter(|&i| self.nodes.finish[i].is_none()) {
+            let _ = write!(
+                out,
+                "; {}@pc{} {:?} slwb={:?} pw={} sync={:?} grant={:?} ev={:?}",
+                NodeId(i as u16),
+                self.nodes.pc[i],
+                self.nodes.pstate[i],
+                self.nodes.slwb[i],
+                self.nodes.pending_writes[i],
+                self.nodes.sync_waiting[i],
+                self.nodes.waiting_grant[i],
+                self.nodes.program[i].get(self.nodes.pc[i].saturating_sub(1)),
+            );
         }
-        for sh in &self.shards {
-            for i in sh.lo..sh.hi {
-                let h = &sh.homes[i];
-                let held = h.locks.held();
-                let waiting = h.barriers.waiting();
-                let pending = h.dir.pending_ops();
-                if held.is_empty() && waiting.is_empty() && pending.is_empty() {
-                    continue;
-                }
-                let _ = write!(out, "; home{i}:");
-                for (lock, holder, queued) in held {
-                    let _ = write!(out, " lock {lock} held by {holder} (+{queued} queued)");
-                }
-                for (id, mask) in waiting {
-                    let _ = write!(out, " barrier {id} arrivals {mask:#b}");
-                }
-                for (block, op) in pending {
-                    let _ = write!(out, " dir {block} {op}");
-                }
+        for (i, h) in self.homes.iter().enumerate() {
+            let held = h.locks.held();
+            let waiting = h.barriers.waiting();
+            let pending = h.dir.pending_ops();
+            if held.is_empty() && waiting.is_empty() && pending.is_empty() {
+                continue;
+            }
+            let _ = write!(out, "; home{i}:");
+            for (lock, holder, queued) in held {
+                let _ = write!(out, " lock {lock} held by {holder} (+{queued} queued)");
+            }
+            for (id, mask) in waiting {
+                let _ = write!(out, " barrier {id} arrivals {mask:#b}");
+            }
+            for (block, op) in pending {
+                let _ = write!(out, " dir {block} {op}");
             }
         }
         if let Some(fs) = self.net.fault_stats() {
@@ -1490,61 +1128,59 @@ impl Machine {
             procs: self.cfg.procs,
             ..Metrics::default()
         };
-        for sh in &self.shards {
-            for i in sh.lo..sh.hi {
-                let c = &sh.nodes.counters[i];
-                m.exec_cycles = m
-                    .exec_cycles
-                    .max(sh.nodes.finish[i].map_or(0, Time::cycles));
-                m.stalls.merge(&sh.nodes.stalls[i]);
-                m.shared_reads += c.shared_reads;
-                m.shared_writes += c.shared_writes;
-                m.flc_hits += sh.nodes.flc.hits(i);
-                m.slc_misses += c.slc_misses;
-                m.wc_read_hits += c.wc_read_hits;
-                m.read_miss_cycles += c.read_miss_cycles;
-                m.read_miss_count += c.read_miss_count;
-                m.read_miss_hist.merge(&sh.nodes.read_miss_hist[i]);
-                if let Some(ps) = sh.nodes.exts[i].prefetch_stats() {
-                    m.prefetches_issued += ps.issued;
-                    m.prefetches_useful += ps.useful;
-                }
+        for i in 0..self.cfg.procs {
+            let c = &self.nodes.counters[i];
+            m.exec_cycles = m
+                .exec_cycles
+                .max(self.nodes.finish[i].map_or(0, Time::cycles));
+            m.stalls.merge(&self.nodes.stalls[i]);
+            m.shared_reads += c.shared_reads;
+            m.shared_writes += c.shared_writes;
+            m.flc_hits += self.nodes.flc.hits(i);
+            m.slc_misses += c.slc_misses;
+            m.wc_read_hits += c.wc_read_hits;
+            m.read_miss_cycles += c.read_miss_cycles;
+            m.read_miss_count += c.read_miss_count;
+            m.read_miss_hist.merge(&self.nodes.read_miss_hist[i]);
+            if let Some(ps) = self.nodes.exts[i].prefetch_stats() {
+                m.prefetches_issued += ps.issued;
+                m.prefetches_useful += ps.useful;
             }
-            m.cold_misses += sh.classifier.cold();
-            m.coh_misses += sh.classifier.coherence();
-            m.repl_misses += sh.classifier.replacement();
-            for h in &sh.homes[sh.lo..sh.hi] {
-                let d = h.dir.stats();
-                m.ownership_reqs += d.own_reqs;
-                m.update_reqs += d.update_reqs;
-                m.updates_fanned_out += d.updates_sent;
-                m.invals_sent += d.invals_sent;
-                m.writebacks += d.writebacks;
-                m.exclusive_grants += d.exclusive_grants;
-                m.migratory_detections += d.migratory_detections;
-                m.migratory_reverts += d.migratory_reverts;
-                m.interrogations += d.interrogations;
-                m.update_recalls += d.update_recalls;
-                m.reads_clean += d.reads_clean;
-                m.reads_dirty += d.reads_dirty;
-                m.dir_overflows += d.dir_overflows;
-                m.dir_broadcasts += d.dir_broadcasts;
-                m.dir_recalls += d.dir_recalls;
-                m.nacks_sent += d.nacks_sent;
-                m.stale_drops += d.stale_drops;
-                m.stale_drops += h.locks.stale_ops() + h.barriers.stale_ops();
-                m.lock_acquires += h.locks.acquires();
-                m.barrier_episodes += h.barriers.episodes();
-                m.dir_purged_sharers += d.purged_sharers;
-                m.dir_orphan_reclaims += d.orphan_reclaims;
-                m.dir_purge_sweeps += d.purge_sweeps;
-                m.crash_aborted_grants += d.aborted_grants;
-            }
-            m.stale_drops += sh.stale_drops;
-            m.nack_retries += sh.nack_retries;
-            m.crash_drops += sh.crash_drops;
-            m.stale_epoch_drops += sh.stale_epoch_drops;
         }
+        m.cold_misses = self.classifier.cold();
+        m.coh_misses = self.classifier.coherence();
+        m.repl_misses = self.classifier.replacement();
+        for h in &self.homes {
+            let d = h.dir.stats();
+            m.ownership_reqs += d.own_reqs;
+            m.update_reqs += d.update_reqs;
+            m.updates_fanned_out += d.updates_sent;
+            m.invals_sent += d.invals_sent;
+            m.writebacks += d.writebacks;
+            m.exclusive_grants += d.exclusive_grants;
+            m.migratory_detections += d.migratory_detections;
+            m.migratory_reverts += d.migratory_reverts;
+            m.interrogations += d.interrogations;
+            m.update_recalls += d.update_recalls;
+            m.reads_clean += d.reads_clean;
+            m.reads_dirty += d.reads_dirty;
+            m.dir_overflows += d.dir_overflows;
+            m.dir_broadcasts += d.dir_broadcasts;
+            m.dir_recalls += d.dir_recalls;
+            m.nacks_sent += d.nacks_sent;
+            m.stale_drops += d.stale_drops;
+            m.stale_drops += h.locks.stale_ops() + h.barriers.stale_ops();
+            m.lock_acquires += h.locks.acquires();
+            m.barrier_episodes += h.barriers.episodes();
+            m.dir_purged_sharers += d.purged_sharers;
+            m.dir_orphan_reclaims += d.orphan_reclaims;
+            m.dir_purge_sweeps += d.purge_sweeps;
+            m.crash_aborted_grants += d.aborted_grants;
+        }
+        m.stale_drops += self.stale_drops;
+        m.nack_retries = self.nack_retries;
+        m.crash_drops = self.crash_drops;
+        m.stale_epoch_drops = self.stale_epoch_drops;
         m.node_crashes = self.node_crashes;
         m.node_recoveries = self.node_recoveries;
         m.data_loss_blocks = self.data_loss;
@@ -1555,9 +1191,7 @@ impl Machine {
             m.fault_lost = fs.lost;
         }
         m.barrier_completion_cycles = self.barrier_log.iter().map(|t| t.cycles()).collect();
-        m.per_proc_stalls = (0..self.cfg.procs)
-            .map(|i| self.nodes_of(i).stalls[i])
-            .collect();
+        m.per_proc_stalls = self.nodes.stalls.clone();
         let t = self.net.traffic();
         m.net_bytes = t.bytes();
         m.net_msgs = t.msgs();

@@ -13,7 +13,8 @@
 //!
 //! Like the link-fault plan, everything is derived from explicit schedule
 //! entries (or a seed) — two runs with the same plan observe bit-identical
-//! crash timelines regardless of `--jobs` or `--sim-threads`.
+//! crash timelines regardless of `--jobs`. A fault tick applies between
+//! events, before any event scheduled for the same cycle.
 
 use dirext_trace::NodeId;
 

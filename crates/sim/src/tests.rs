@@ -784,31 +784,6 @@ fn node_faults_are_deterministic_across_runs() {
     assert_eq!(a.node_recoveries, 3);
 }
 
-/// The windowed-parallel engine treats crash/reconstruct/recover cycles as
-/// window barriers; a faulted run must stay bit-identical to serial.
-#[test]
-fn windowed_engine_matches_serial_under_node_faults() {
-    for kind in [ProtocolKind::Basic, ProtocolKind::PCwM] {
-        let w = producer_consumer(8, 200);
-        let plan = NodeFaultPlan::seeded(5, 8, 3);
-        let serial = run(
-            uni(kind, Consistency::Rc, 8).with_node_faults(plan.clone()),
-            &w,
-        );
-        let par = run(
-            uni(kind, Consistency::Rc, 8)
-                .with_node_faults(plan)
-                .with_sim_threads(4),
-            &w,
-        );
-        assert_eq!(
-            serial, par,
-            "{kind}: sim-threads must not change faulted results"
-        );
-        assert_eq!(serial.node_crashes, 3);
-    }
-}
-
 /// Node faults compose with the message-level fault layer: drops and
 /// duplicates on top of crashes must still converge.
 #[test]

@@ -24,7 +24,7 @@ use dirext_core::sharer::DirOrg;
 use dirext_core::{DirCtrl, MsgKind};
 use dirext_sim::core::config::Consistency;
 use dirext_sim::core::ProtocolKind;
-use dirext_sim::experiments::{fig2_with, run_protocol_dir, run_protocol_engine, SweepOpts};
+use dirext_sim::experiments::{fig2_with, run_protocol_dir, SweepOpts};
 use dirext_sim::{FaultPlan, NetworkKind};
 use dirext_trace::{BlockAddr, NodeId, Workload};
 use dirext_workloads::{App, Scale};
@@ -138,15 +138,12 @@ fn dirscale_artifact() -> String {
     format!("{m}")
 }
 
-/// A 1024-node run on the windowed-parallel engine at 4 simulation
-/// threads: worker scheduling, the window barrier, and replay-time
-/// sequence allocation are machinery no serial fingerprint touches, and
-/// thread interleavings differ per process — so identical rendered
-/// metrics across processes prove the engine's determinism does not
-/// depend on scheduling luck.
-fn parallel_engine_artifact() -> String {
+/// The same directory-scaling cell at 1024 nodes, the largest machine the
+/// simulator builds: 1024-wide sharer sets and the full express grid of
+/// the two-level mesh. This is the fingerprint's only 1024-node surface.
+fn dirscale1024_artifact() -> String {
     let w = App::Water.workload(1024, Scale::Tiny);
-    let m = run_protocol_engine(
+    let m = run_protocol_dir(
         &w,
         ProtocolKind::PCw,
         Consistency::Rc,
@@ -157,9 +154,8 @@ fn parallel_engine_artifact() -> String {
         },
         None,
         None,
-        4,
     )
-    .expect("1024-node windowed run");
+    .expect("1024-node ptr4b run");
     format!("{m}")
 }
 
@@ -177,17 +173,17 @@ fn fingerprint() -> String {
     let audit = directory_audit_dump();
     let csv = sweep_artifact();
     let dirscale = dirscale_artifact();
-    let par = parallel_engine_artifact();
+    let dir1024 = dirscale1024_artifact();
     format!(
-        "audit={:016x}/{} sweep={:016x}/{} dir256={:016x}/{} par1024={:016x}/{}",
+        "audit={:016x}/{} sweep={:016x}/{} dir256={:016x}/{} dir1024={:016x}/{}",
         fnv64(audit.as_bytes()),
         audit.len(),
         fnv64(csv.as_bytes()),
         csv.len(),
         fnv64(dirscale.as_bytes()),
         dirscale.len(),
-        fnv64(par.as_bytes()),
-        par.len()
+        fnv64(dir1024.as_bytes()),
+        dir1024.len()
     )
 }
 
