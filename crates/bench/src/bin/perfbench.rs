@@ -316,28 +316,6 @@ fn main() {
     );
     std::fs::remove_file(&journal_path).ok();
 
-    // Same sweep as a single-worker fleet: measures the full coordination
-    // tax (lease claims, heartbeat thread, confirm re-reads of the lease
-    // log) relative to the plain journaled run. One worker claims every
-    // cell, so this is the per-cell overhead ceiling a real N-worker fleet
-    // amortises across processes.
-    eprintln!("perfbench: fig2 sweep --jobs {jobs} as single-worker fleet...");
-    let fleet_dir =
-        std::env::temp_dir().join(format!("dirext-perfbench-fleet-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&fleet_dir);
-    let fleet = experiments::Fleet::new(experiments::FleetConfig::new(&fleet_dir, "bench"))
-        .expect("join bench fleet");
-    let t0 = Instant::now();
-    let fleeted = experiments::fig2_with(
-        &suite,
-        &SweepOpts::jobs(jobs).with_fleet(std::sync::Arc::new(fleet)),
-    )
-    .expect("fig2 fleet");
-    let fleet_secs = t0.elapsed().as_secs_f64();
-    let fleet_identical = serial.csv() == fleeted.csv();
-    assert!(fleet_identical, "fleet sweep output diverged from serial");
-    std::fs::remove_dir_all(&fleet_dir).ok();
-
     let sweep = format!(
         "{{\n  \"benchmark\": \"sweep_and_end_to_end\",\n  \
          \"scale\": \"{}\",\n  \"procs\": {procs},\n  \
@@ -351,29 +329,24 @@ fn main() {
          \"parallel_secs\": {parallel_secs:.3},\n    \
          \"journaled_secs\": {journaled_secs:.3},\n    \
          \"journal_overhead\": {:.3},\n    \
-         \"fleet_secs\": {fleet_secs:.3},\n    \
-         \"fleet_overhead\": {:.3},\n    \
          \"jobs_requested\": {jobs_requested},\n    \"jobs\": {jobs},\n    \
          \"host_cpus\": {host_cpus},\n    \
          \"speedup\": {:.3},\n    \"outputs_identical\": {identical},\n    \
-         \"journal_outputs_identical\": {journal_identical},\n    \
-         \"fleet_outputs_identical\": {fleet_identical}\n  }}\n}}\n",
+         \"journal_outputs_identical\": {journal_identical}\n  }}\n}}\n",
         json_escape_free(scale_name),
         trace_events as f64 / app_secs,
         exec_cycles as f64 / app_secs,
         suite.len() * experiments::fig2::FIG2_PROTOCOLS.len(),
         journaled_secs / parallel_secs,
-        fleet_secs / journaled_secs,
         serial_secs / parallel_secs
     );
     std::fs::write(format!("{out_dir}/BENCH_sweep.json"), &sweep).expect("write BENCH_sweep.json");
     eprintln!(
         "  single app {app_secs:.3}s; sweep serial {serial_secs:.2}s vs --jobs {jobs} \
          {parallel_secs:.2}s ({:.2}x), journaled {journaled_secs:.2}s ({:.3}x overhead), \
-         fleet {fleet_secs:.2}s ({:.3}x vs journaled), outputs identical",
+         outputs identical",
         serial_secs / parallel_secs,
-        journaled_secs / parallel_secs,
-        fleet_secs / journaled_secs
+        journaled_secs / parallel_secs
     );
 
     // --- End-to-end tier: every app, every extension config, fixed scale ---

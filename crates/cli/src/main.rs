@@ -4,7 +4,6 @@
 //! Simple Cache Protocol Extensions"* (ISCA 1994) from the `dirext`
 //! simulator. Run `dirext help` for usage.
 
-mod serve;
 mod svg;
 
 use std::process::ExitCode;
@@ -23,6 +22,36 @@ use dirext_workloads::{App, Scale};
 
 /// Default journal path when `--resume` is given without `--journal`.
 const DEFAULT_JOURNAL: &str = "dirext-journal.jsonl";
+
+/// Every command `dispatch` accepts. `parse_args` checks the command
+/// against this list before it reads any flag, so `dirext assemble fig2`
+/// reports the unknown command, not its argument.
+const COMMANDS: &[&str] = &[
+    "fig2",
+    "table2",
+    "fig3",
+    "table3",
+    "fig4",
+    "table1",
+    "sens-buffers",
+    "sens-cache",
+    "miss-latency",
+    "topology",
+    "stress",
+    "run-all",
+    "scaling",
+    "dirscale",
+    "degrade",
+    "run",
+    "trace",
+    "validate",
+    "dump-trace",
+    "report",
+    "suite",
+    "help",
+    "--help",
+    "-h",
+];
 
 const USAGE: &str = "\
 dirext — reproduce 'Combined Performance Gains of Simple Cache Protocol Extensions' (ISCA 1994)
@@ -48,7 +77,7 @@ COMMANDS:
                    crash/recovery counts (0/1/2/4) crossed with every
                    feasible directory organization and protocol stack
                    (--app, --procs; --node-fault-seed/--node-fault-detect
-                   shape the schedules). Journaled/fleet-shardable like
+                   shape the schedules). Journaled and resumable like
                    the paper sweeps
     topology       Extension: uniform vs mesh vs ring interconnects
     stress         Protocol fuzzer: random workloads through all protocols
@@ -63,21 +92,6 @@ COMMANDS:
     dump-trace     Write a workload as a text trace to stdout (--app, --scale)
     validate       Check a trace file without running it (--trace FILE)
     report         Run every experiment and write a markdown report (--out)
-    assemble       Fold a fleet's worker journals (--fleet DIR) and replay
-                   them through a sweep command: `dirext assemble fig2
-                   --fleet DIR` prints the same bytes as a serial run, or
-                   errors on incomplete/quarantined cells (--keep-going
-                   recomputes the gaps locally instead)
-    serve          Result-serving daemon on a Unix socket (--socket PATH):
-                   answers JSON experiment queries from a journal cache
-                   (--journal PATH or an assembled --fleet DIR), computing
-                   and journaling misses. Bounded by --max-inflight and
-                   --request-timeout-ms; sheds load with a busy response
-                   when saturated instead of queueing
-    query          One request to a running serve daemon (--socket PATH,
-                   plus --app/--procs/--scale/--protocol/--consistency/
-                   --network, or --stats for counters). Exit 0 answered,
-                   3 shed (busy/timeout — retry later), 1 error
     suite          Print the workload suite's sizes
     help           This message
 
@@ -128,34 +142,6 @@ topology/scaling/dirscale/run-all/report):
     130; a second Ctrl-C kills immediately. Exit codes: 0 success,
     1 error, 2 completed-with-quarantined-cells, 130 interrupted.
 
-FLEET MODE (the sweep commands):
-    --fleet DIR     Join a worker fleet sharing DIR: workers claim disjoint
-                    cells through a fencing-token lease log (DIR/
-                    leases.jsonl), journal results to DIR/worker-<id>.jsonl,
-                    and reclaim cells whose lease expired when a worker
-                    dies (kill -9 included). Run the same command in N
-                    processes to shard one sweep; finish with `dirext
-                    assemble <command> --fleet DIR`.
-    --worker-id     Stable worker name (default: w<pid>). A restarted
-                    worker with the same id resumes its own journal.
-    --lease-ms      Lease duration in wall-ms (default 5000, bounds
-                    200-600000): how long after a worker's last heartbeat
-                    its cells become reclaimable.
-    --heartbeat-ms  Lease renewal interval (default lease/5, minimum 20;
-                    must renew at least 3x per lease lifetime).
-
-RESULT SERVER (`serve` and `query`):
-    --socket PATH          Unix domain socket the daemon listens on.
-    --max-inflight N       Compute slots for cache misses (default 4,
-                           1-1024); further misses get a busy response.
-    --request-timeout-ms   Per-request compute deadline (default 30000,
-                           50-600000); a timed-out compute still finishes
-                           and journals, so a retry hits the cache.
-    --idle-timeout-ms      Close a connection that sends nothing for this
-                           long (default 30000, 100-3600000); the client
-                           gets a final status=closed notice line.
-    --stats                For `query`: ask for the daemon's counters.
-
 FAULT INJECTION (for `run`, `stress` and the sweep commands):
     --fault-drop     Probability a message is dropped before link-layer
                      retransmission, in permille (0-1000)
@@ -185,7 +171,7 @@ and the `degrade` sweep):
                                e.g. 3@2000-9000,5@15000-22000
 ";
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Args {
     command: String,
     scale: Scale,
@@ -214,20 +200,6 @@ struct Args {
     journal: Option<String>,
     resume: bool,
     keep_going: bool,
-    fleet: Option<String>,
-    worker_id: Option<String>,
-    lease_ms: Option<u64>,
-    heartbeat_ms: Option<u64>,
-    socket: Option<String>,
-    max_inflight: usize,
-    request_timeout_ms: u64,
-    idle_timeout_ms: u64,
-    stats: bool,
-    /// `assemble`'s positional argument: the sweep command to replay.
-    assemble_target: Option<String>,
-    /// Internal (set by `assemble`): replay the journal without
-    /// computing; missing cells are an error unless `--keep-going`.
-    replay_only: bool,
 }
 
 impl Args {
@@ -290,40 +262,12 @@ impl Args {
         effective
     }
 
-    /// Effective lease duration: `--lease-ms` or the 5-second default.
-    fn lease_ms(&self) -> u64 {
-        self.lease_ms.unwrap_or(5000)
-    }
-
-    /// Effective heartbeat interval: `--heartbeat-ms`, or a fifth of the
-    /// lease (well inside the 3-renewals-per-lifetime requirement).
-    fn heartbeat_ms(&self) -> u64 {
-        self.heartbeat_ms
-            .unwrap_or_else(|| (self.lease_ms() / 5).max(experiments::fleet::MIN_HEARTBEAT_MS))
-    }
-
-    /// This worker's fleet id: `--worker-id`, or a pid-derived default
-    /// (unique per live worker, which is all the lease protocol needs).
-    fn fleet_worker_id(&self) -> String {
-        self.worker_id
-            .clone()
-            .unwrap_or_else(|| format!("w{}", std::process::id()))
-    }
-
-    /// The fleet config implied by the flags (valid whenever
-    /// `parse_args` accepted them).
-    fn fleet_config(&self, dir: &str) -> experiments::FleetConfig {
-        experiments::FleetConfig::new(dir, self.fleet_worker_id())
-            .intervals(self.lease_ms(), self.heartbeat_ms())
-    }
-
-    /// The sweep options (worker threads, fault overlay, journal or
-    /// fleet membership, quarantine, SIGINT cancellation) for the
-    /// experiment drivers.
+    /// The sweep options (worker threads, fault overlay, journal,
+    /// quarantine, SIGINT cancellation) for the experiment drivers.
     ///
-    /// Opens the journal when `--journal`/`--resume` ask for one, joins
-    /// the fleet when `--fleet` does, arms the SIGINT drain handler, and
-    /// picks up the `DIREXT_CHAOS_PANIC` test hook from the environment.
+    /// Opens the journal when `--journal`/`--resume` ask for one, arms the
+    /// SIGINT drain handler, and picks up the `DIREXT_CHAOS_PANIC` test
+    /// hook from the environment.
     fn sweep_opts(&self) -> Result<SweepOpts, Box<dyn std::error::Error>> {
         let mut opts = SweepOpts::jobs(self.jobs());
         if self.fault.is_active() {
@@ -332,58 +276,43 @@ impl Args {
         if self.keep_going {
             opts = opts.keep_going();
         }
-        if self.replay_only {
-            opts = opts.replay_only();
-        }
-        if let Some(dir) = &self.fleet {
-            let fleet = experiments::Fleet::new(self.fleet_config(dir))?;
-            let journal = fleet.journal();
-            register_journal(&journal);
-            eprintln!(
-                "fleet: worker `{}` joined {dir} (lease {} ms, heartbeat {} ms, {} cell(s) \
-                 already in its journal)",
-                fleet.worker_id(),
-                self.lease_ms(),
-                self.heartbeat_ms(),
-                journal.completed_cells(),
-            );
-            opts = opts.with_fleet(Arc::new(fleet));
-        } else {
-            let path = self
-                .journal
-                .clone()
-                .or_else(|| self.resume.then(|| DEFAULT_JOURNAL.to_owned()));
-            if let Some(path) = path {
-                let journal = if self.resume {
-                    Journal::resume(&path)?
-                } else {
-                    Journal::create(&path)?
-                };
-                if journal.completed_cells() > 0
-                    || journal.recovered_lines() > 0
-                    || journal.corrupt_lines() > 0
-                {
-                    let mut dropped = Vec::new();
-                    if journal.recovered_lines() > 0 {
-                        dropped.push(format!("{} torn", journal.recovered_lines()));
-                    }
-                    if journal.corrupt_lines() > 0 {
-                        dropped.push(format!("{} checksum-failed", journal.corrupt_lines()));
-                    }
-                    eprintln!(
-                        "journal: resuming from {path} — {} completed cell(s) will be skipped{}",
-                        journal.completed_cells(),
-                        if dropped.is_empty() {
-                            String::new()
-                        } else {
-                            format!(" ({} line(s) dropped, those cells re-run)", dropped.join(", "))
-                        }
-                    );
+        let path = self
+            .journal
+            .clone()
+            .or_else(|| self.resume.then(|| DEFAULT_JOURNAL.to_owned()));
+        if let Some(path) = path {
+            let journal = if self.resume {
+                Journal::resume(&path)?
+            } else {
+                Journal::create(&path)?
+            };
+            if journal.completed_cells() > 0
+                || journal.recovered_lines() > 0
+                || journal.corrupt_lines() > 0
+            {
+                let mut dropped = Vec::new();
+                if journal.recovered_lines() > 0 {
+                    dropped.push(format!("{} torn", journal.recovered_lines()));
                 }
-                let journal = Arc::new(journal);
-                register_journal(&journal);
-                opts = opts.with_journal(journal);
+                if journal.corrupt_lines() > 0 {
+                    dropped.push(format!("{} checksum-failed", journal.corrupt_lines()));
+                }
+                eprintln!(
+                    "journal: resuming from {path} — {} completed cell(s) will be skipped{}",
+                    journal.completed_cells(),
+                    if dropped.is_empty() {
+                        String::new()
+                    } else {
+                        format!(
+                            " ({} line(s) dropped, those cells re-run)",
+                            dropped.join(", ")
+                        )
+                    }
+                );
             }
+            let journal = Arc::new(journal);
+            register_journal(&journal);
+            opts = opts.with_journal(journal);
         }
         opts = opts.with_cancel(sigint::arm());
         if let Ok(needle) = std::env::var("DIREXT_CHAOS_PANIC") {
@@ -538,6 +467,9 @@ fn parse_node_fault_schedule(s: &str) -> Result<Vec<NodeFaultEvent>, String> {
 fn parse_args() -> Result<Args, String> {
     let mut args = std::env::args().skip(1);
     let command = args.next().unwrap_or_else(|| "help".to_owned());
+    if !COMMANDS.contains(&command.as_str()) {
+        return Err(format!("unknown command '{command}'"));
+    }
     let mut parsed = Args {
         command,
         scale: Scale::Paper,
@@ -566,17 +498,6 @@ fn parse_args() -> Result<Args, String> {
         journal: None,
         resume: false,
         keep_going: false,
-        fleet: None,
-        worker_id: None,
-        lease_ms: None,
-        heartbeat_ms: None,
-        socket: None,
-        max_inflight: 4,
-        request_timeout_ms: 30_000,
-        idle_timeout_ms: 30_000,
-        stats: false,
-        assemble_target: None,
-        replay_only: false,
     };
     while let Some(flag) = args.next() {
         let mut value = |name: &str| {
@@ -733,60 +654,6 @@ fn parse_args() -> Result<Args, String> {
             "--journal" => parsed.journal = Some(value("--journal")?),
             "--resume" => parsed.resume = true,
             "--keep-going" => parsed.keep_going = true,
-            "--fleet" => parsed.fleet = Some(value("--fleet")?),
-            "--worker-id" => parsed.worker_id = Some(value("--worker-id")?),
-            "--lease-ms" => {
-                parsed.lease_ms = Some(
-                    value("--lease-ms")?
-                        .parse()
-                        .map_err(|e| format!("bad --lease-ms: {e}"))?,
-                );
-            }
-            "--heartbeat-ms" => {
-                parsed.heartbeat_ms = Some(
-                    value("--heartbeat-ms")?
-                        .parse()
-                        .map_err(|e| format!("bad --heartbeat-ms: {e}"))?,
-                );
-            }
-            "--socket" => parsed.socket = Some(value("--socket")?),
-            "--max-inflight" => {
-                parsed.max_inflight = value("--max-inflight")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-inflight: {e}"))?;
-                if !(1..=1024).contains(&parsed.max_inflight) {
-                    return Err(format!(
-                        "--max-inflight must be between 1 and 1024, got {} (0 would shed every \
-                         miss; more than 1024 compute threads just thrash)",
-                        parsed.max_inflight
-                    ));
-                }
-            }
-            "--request-timeout-ms" => {
-                parsed.request_timeout_ms = value("--request-timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("bad --request-timeout-ms: {e}"))?;
-                if !(50..=600_000).contains(&parsed.request_timeout_ms) {
-                    return Err(format!(
-                        "--request-timeout-ms must be between 50 and 600000, got {} (shorter \
-                         times out every real compute; longer is a hung client)",
-                        parsed.request_timeout_ms
-                    ));
-                }
-            }
-            "--idle-timeout-ms" => {
-                parsed.idle_timeout_ms = value("--idle-timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("bad --idle-timeout-ms: {e}"))?;
-                if !(100..=3_600_000).contains(&parsed.idle_timeout_ms) {
-                    return Err(format!(
-                        "--idle-timeout-ms must be between 100 and 3600000, got {} (shorter \
-                         closes connections mid-typing; longer pins slots for over an hour)",
-                        parsed.idle_timeout_ms
-                    ));
-                }
-            }
-            "--stats" => parsed.stats = true,
             "--out" => parsed.out = Some(value("--out")?),
             "--svg" => parsed.svg = Some(value("--svg")?),
             "--network" => {
@@ -805,45 +672,7 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("unknown network '{other}'")),
                 };
             }
-            other
-                if parsed.command == "assemble"
-                    && parsed.assemble_target.is_none()
-                    && !other.starts_with('-') =>
-            {
-                parsed.assemble_target = Some(other.to_owned());
-            }
             other => return Err(format!("unknown option '{other}'")),
-        }
-    }
-    // Fleet flags are validated here, at parse time, so a mistyped
-    // interval fails before the worker touches the shared directory.
-    if let Some(dir) = &parsed.fleet {
-        if parsed.journal.is_some() {
-            return Err(
-                "--journal conflicts with --fleet: each fleet worker journals to \
-                 DIR/worker-<id>.jsonl automatically"
-                    .to_owned(),
-            );
-        }
-        if parsed.resume && parsed.command != "assemble" {
-            return Err(
-                "--resume is implicit in fleet mode (a worker always resumes its own journal \
-                 and the shared lease log); drop the flag"
-                    .to_owned(),
-            );
-        }
-        parsed.fleet_config(dir).validate()?;
-    } else {
-        for (flag, given) in [
-            ("--worker-id", parsed.worker_id.is_some()),
-            ("--lease-ms", parsed.lease_ms.is_some()),
-            ("--heartbeat-ms", parsed.heartbeat_ms.is_some()),
-        ] {
-            if given {
-                return Err(format!(
-                    "{flag} only applies to fleet workers; add --fleet DIR"
-                ));
-            }
         }
     }
     // Node-fault flags are validated here, at parse time, so a
@@ -1534,91 +1363,6 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             }
             quarantine_verdict(acc)?;
         }
-        "assemble" => {
-            const TARGETS: &[&str] = &[
-                "fig2",
-                "table2",
-                "fig3",
-                "table3",
-                "fig4",
-                "sens-buffers",
-                "sens-cache",
-                "miss-latency",
-                "topology",
-                "scaling",
-                "dirscale",
-                "run-all",
-                "report",
-            ];
-            let Some(target) = &args.assemble_target else {
-                return Err(format!(
-                    "assemble needs the sweep command to replay, e.g. `dirext assemble fig2 \
-                     --fleet DIR` (one of: {})",
-                    TARGETS.join(", ")
-                )
-                .into());
-            };
-            if !TARGETS.contains(&target.as_str()) {
-                return Err(format!(
-                    "assemble cannot replay '{target}' (one of: {})",
-                    TARGETS.join(", ")
-                )
-                .into());
-            }
-            let Some(dir) = &args.fleet else {
-                return Err(
-                    "assemble needs --fleet DIR (the directory holding worker-*.jsonl journals)"
-                        .into(),
-                );
-            };
-            let dir = std::path::Path::new(dir);
-            let workers = experiments::worker_journals(dir)?;
-            if workers.is_empty() {
-                return Err(format!(
-                    "no worker journals (worker-*.jsonl) in {}; did the fleet run here?",
-                    dir.display()
-                )
-                .into());
-            }
-            let out = experiments::assembled_path(dir);
-            let summary = experiments::journal::assemble(&workers, &out)?;
-            eprintln!(
-                "assemble: folded {} worker journal(s) into {} — {} completed cell(s), {} \
-                 quarantined{}",
-                summary.workers,
-                out.display(),
-                summary.cells,
-                summary.failed,
-                match (summary.recovered, summary.corrupt) {
-                    (0, 0) => String::new(),
-                    (t, 0) => format!(", {t} torn line(s) dropped"),
-                    (0, c) => format!(", {c} checksum-failed line(s) dropped"),
-                    (t, c) => {
-                        format!(", {t} torn + {c} checksum-failed line(s) dropped")
-                    }
-                }
-            );
-            // Replay the merged journal through the target command: same
-            // artifacts, byte for byte, as a serial run — or a clear
-            // incomplete/quarantined error unless --keep-going (which
-            // recomputes the gaps locally and quarantines repeat
-            // offenders).
-            let inner = Args {
-                command: target.clone(),
-                fleet: None,
-                worker_id: None,
-                lease_ms: None,
-                heartbeat_ms: None,
-                journal: Some(out.display().to_string()),
-                resume: true,
-                replay_only: !args.keep_going,
-                assemble_target: None,
-                ..args.clone()
-            };
-            return dispatch(&inner);
-        }
-        "serve" => serve::run_serve(args)?,
-        "query" => serve::run_query(args)?,
         "suite" => {
             for w in suite(args) {
                 println!(
@@ -1631,7 +1375,7 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         "help" | "--help" | "-h" => println!("{USAGE}"),
-        other => return Err(format!("unknown command '{other}'\n\n{USAGE}").into()),
+        other => unreachable!("parse_args admits only COMMANDS, not '{other}'"),
     }
     Ok(())
 }

@@ -1,12 +1,21 @@
 //! End-to-end tests of the `dirext` binary.
 
+use std::path::PathBuf;
 use std::process::{Command, Output};
 
-fn dirext(args: &[&str]) -> Output {
+fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_dirext"))
-        .args(args)
-        .output()
-        .expect("failed to launch dirext")
+}
+
+fn dirext(args: &[&str]) -> Output {
+    bin().args(args).output().expect("failed to launch dirext")
+}
+
+fn tmp(name: &str) -> PathBuf {
+    let p = std::env::temp_dir().join(format!("dirext-cli-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&p);
+    let _ = std::fs::remove_file(&p);
+    p
 }
 
 fn stdout(args: &[&str]) -> String {
@@ -45,15 +54,39 @@ fn help_lists_every_command() {
 
 #[test]
 fn unknown_command_fails_with_usage() {
-    let out = dirext(&["frobnicate"]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+    for args in [
+        &["frobnicate"][..],
+        &["serve"],
+        &["query"],
+        &["assemble", "fig2"],
+    ] {
+        let out = dirext(args);
+        assert!(!out.status.success(), "dirext {args:?} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown command"), "dirext {args:?}: {err}");
+        assert!(err.contains("USAGE"), "dirext {args:?}: {err}");
+    }
 }
 
 #[test]
 fn unknown_flag_fails() {
-    let out = dirext(&["fig2", "--bogus"]);
-    assert!(!out.status.success());
+    let cwd = tmp("unknown-flag");
+    std::fs::create_dir_all(&cwd).unwrap();
+    for args in [
+        &["fig2", "--bogus"][..],
+        &["fig2", "--scale", "tiny", "--fleet", "d"],
+        &["fig2", "--scale", "tiny", "--socket", "s"],
+        &["fig2", "--scale", "tiny", "--worker-id", "w"],
+    ] {
+        let out = bin()
+            .args(args)
+            .current_dir(&cwd)
+            .output()
+            .expect("failed to launch dirext");
+        assert!(!out.status.success(), "dirext {args:?} must fail");
+        assert!(!cwd.join("d").exists(), "dirext {args:?} created d");
+    }
+    std::fs::remove_dir_all(&cwd).ok();
 }
 
 #[test]
@@ -379,6 +412,48 @@ fn chaos_panic_without_keep_going_fails_fast() {
         .expect("failed to launch dirext");
     assert_eq!(out.status.code(), Some(1), "plain failure exit code");
     assert!(String::from_utf8_lossy(&out.stderr).contains("panicked"));
+}
+
+#[test]
+fn pending_journal_write_error_fails_the_exit_code() {
+    // "early": the error is pending when the sweep starts; run_cells
+    // surfaces it as a journal failure.
+    let j1 = tmp("chaos-early.jsonl");
+    let early = bin()
+        .args(["fig2", "--scale", "tiny", "--app", "water"])
+        .arg("--journal")
+        .arg(&j1)
+        .env("DIREXT_CHAOS_JOURNAL_ERROR", "early")
+        .output()
+        .expect("run early");
+    assert_eq!(early.status.code(), Some(1));
+    assert!(
+        String::from_utf8_lossy(&early.stderr).contains("journal"),
+        "early write error surfaces"
+    );
+
+    // "late": the sweep itself succeeds, but a write error is pending at
+    // exit — the run must still fail rather than hand --resume a journal
+    // that silently lost cells.
+    let j2 = tmp("chaos-late.jsonl");
+    let late = bin()
+        .args(["fig2", "--scale", "tiny", "--app", "water"])
+        .arg("--journal")
+        .arg(&j2)
+        .env("DIREXT_CHAOS_JOURNAL_ERROR", "late")
+        .output()
+        .expect("run late");
+    assert_eq!(
+        late.status.code(),
+        Some(1),
+        "clean sweep + pending write error = exit 1"
+    );
+    let err = String::from_utf8_lossy(&late.stderr);
+    assert!(err.contains("journal write failure"), "{err}");
+    assert!(err.contains("do not trust this journal"), "{err}");
+
+    let _ = std::fs::remove_file(&j1);
+    let _ = std::fs::remove_file(&j2);
 }
 
 #[test]

@@ -14,11 +14,11 @@
 //!
 //! Crash schedules come from [`NodeFaultPlan::seeded`], so every cell is
 //! deterministic and the whole sweep is journaled, resumable and
-//! fleet-shardable through [`run_cells`] like every paper artifact; the
-//! crash windows are part of each cell's journal key. Like `dirscale`,
-//! every cell runs on the two-level mesh ([`DIRSCALE_NETWORK`]) — the one
-//! modelled topology that reaches the node counts where the organizations
-//! actually diverge.
+//! parallel across `--jobs` through [`run_cells`] like every paper
+//! artifact; the crash windows are part of each cell's journal key. Like
+//! `dirscale`, every cell runs on the two-level mesh
+//! ([`DIRSCALE_NETWORK`]) — the one modelled topology that reaches the
+//! node counts where the organizations actually diverge.
 
 use std::fmt;
 
@@ -150,7 +150,7 @@ pub fn degrade(app_name: &str, workload: &Workload) -> Result<Degrade, SweepErro
 }
 
 /// [`degrade`] with explicit schedule parameters and sweep options
-/// (worker threads, link-fault overlay, journal/fleet, quarantine,
+/// (worker threads, link-fault overlay, journal, quarantine,
 /// cancellation).
 ///
 /// # Errors

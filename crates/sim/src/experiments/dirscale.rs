@@ -15,8 +15,8 @@
 //! Organizations that cannot serve a machine size (the full map past 64
 //! nodes) are skipped rather than failed — the point of the sweep is the
 //! feasible frontier. Cells run through [`run_cells`], so the sweep is
-//! journaled, resumable, fleet-shardable and fault-injectable like every
-//! paper artifact.
+//! journaled, resumable, parallel across `--jobs` and fault-injectable
+//! like every paper artifact.
 
 use std::fmt;
 
@@ -120,7 +120,7 @@ where
 }
 
 /// [`dirscale`] with explicit sweep options (worker threads, fault plan,
-/// journal/fleet, quarantine, cancellation).
+/// journal, quarantine, cancellation).
 ///
 /// # Errors
 ///

@@ -1,7 +1,7 @@
 //! Append-only sweep journal: a write-ahead log of completed cells.
 //!
 //! A full paper sweep is hundreds of independent machine runs ("cells").
-//! The journal makes that fleet crash-safe: every finished cell is
+//! The journal makes that sweep crash-safe: every finished cell is
 //! appended to a JSONL file *before* the sweep moves on, so a killed or
 //! interrupted run can be re-launched with `--resume` and skip every cell
 //! that already completed. Because [`Metrics`] is built entirely from
@@ -41,25 +41,18 @@
 //! files ([`HEADER`], no checksums) still load, and a resumed v1 journal
 //! keeps appending v1 lines so the file stays internally consistent.
 //!
-//! Records are written under a lock with a single `write_all` and
-//! duplicate keys are resolved last-wins, so concurrent workers and
-//! re-runs are safe. A crash can at worst truncate the final line;
+//! One process writes each journal: the sweep's `--jobs` threads append
+//! through one handle, under a lock, with a single `write_all` per
+//! record, and duplicate keys resolve last-wins, so concurrent threads
+//! and re-runs are safe. A crash can at worst truncate the final line;
 //! unparseable trailing lines are dropped on load and counted in
 //! [`Journal::recovered_lines`], while checksum-failed lines whose JSON
 //! still parses are quarantined — dropped and counted separately in
 //! [`Journal::corrupt_lines`], and the cells they claimed to record run
-//! again. Failed cells are *not* treated as completed — a resumed sweep
-//! runs them again.
-//!
-//! # Fencing tokens
-//!
-//! Every record carries a `fence` — the fencing token of the lease under
-//! which the cell ran (0 for single-process sweeps). In fleet mode a cell
-//! whose worker died can be reclaimed and re-run under a strictly higher
-//! fence; when [`assemble`] folds multiple worker journals, duplicate
-//! keys resolve last-wins **by fence**, so a stale completion from a
-//! paused-then-resumed dead worker can never shadow the reclaimer's
-//! result. Pre-fleet journals (no `fence` field) load as fence 0.
+//! again. Failed records are kept in the file as diagnostics but are
+//! *not* treated as completed — a resumed sweep runs their cells again.
+//! Fields a record carries beyond the ones listed here are ignored, so
+//! journals written by earlier releases still resume.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -107,7 +100,7 @@ fn split_crc(line: &str) -> Option<(u32, &str)> {
 }
 
 /// One record of the journal file.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct JournalLine {
     /// The cell key (see the module docs).
     key: String,
@@ -115,43 +108,15 @@ struct JournalLine {
     status: String,
     /// How many attempts the cell took (1 = first try).
     attempts: u32,
-    /// Fencing token of the lease the cell ran under (0 = unfenced).
-    fence: u64,
     /// The rendered error for failed cells.
     error: Option<String>,
     /// The full result record for completed cells.
     metrics: Option<Metrics>,
 }
 
-// Hand-written so `fence` can default to 0: journals written before fleet
-// mode lack the field, and the derive's `field()` hard-errors on missing
-// keys (which would silently drop every pre-fence record as "recovered").
-impl Deserialize for JournalLine {
-    fn deserialize(content: &serde::Content) -> Result<Self, String> {
-        let fence = match content.get("fence") {
-            serde::Content::Null => 0,
-            v => u64::deserialize(v).map_err(|e| format!("field `fence`: {e}"))?,
-        };
-        Ok(JournalLine {
-            key: serde::field(content, "key")?,
-            status: serde::field(content, "status")?,
-            attempts: serde::field(content, "attempts")?,
-            fence,
-            error: serde::field(content, "error")?,
-            metrics: serde::field(content, "metrics")?,
-        })
-    }
-}
-
 /// A journal open/parse failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalError(String);
-
-impl JournalError {
-    pub(crate) fn new(msg: impl Into<String>) -> JournalError {
-        JournalError(msg.into())
-    }
-}
 
 impl fmt::Display for JournalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -164,23 +129,10 @@ impl std::error::Error for JournalError {}
 /// One completed cell as read back from a journal file.
 #[derive(Debug, Clone)]
 pub struct OkCell {
-    /// Fencing token the cell completed under (0 = unfenced).
-    pub fence: u64,
     /// Attempts the cell took.
     pub attempts: u32,
     /// The recorded result.
     pub metrics: Metrics,
-}
-
-/// One failed cell's diagnostics as read back from a journal file.
-#[derive(Debug, Clone)]
-pub struct FailedCell {
-    /// Fencing token the cell failed under (0 = unfenced).
-    pub fence: u64,
-    /// Attempts the cell took before giving up.
-    pub attempts: u32,
-    /// The rendered error.
-    pub error: String,
 }
 
 struct Inner {
@@ -190,9 +142,6 @@ struct Inner {
     crc: bool,
     /// Completed cells only (failed cells must re-run on resume).
     completed: HashMap<String, OkCell>,
-    /// Terminal failures (diagnostics for quarantine reports; a key never
-    /// appears in both maps — success outranks failure).
-    failed: HashMap<String, FailedCell>,
     /// Set when an append fails; surfaces as a sweep error so an
     /// interrupted run is never silently un-resumable.
     write_error: Option<String>,
@@ -220,14 +169,13 @@ impl fmt::Debug for Journal {
 }
 
 /// Parses journal record lines (everything after the header), building
-/// the completed/failed maps with last-wins semantics. With `crc` set
+/// the completed map with last-wins semantics. With `crc` set
 /// (version-2 files) every line must carry a matching checksum prefix: a
 /// mismatch whose payload still parses as JSON is a quarantined
 /// corruption, while a mismatch that is also unparseable is the familiar
 /// crash-torn tail.
 fn parse_records<'a>(lines: impl Iterator<Item = &'a str>, crc: bool) -> JournalScan {
     let mut completed: HashMap<String, OkCell> = HashMap::new();
-    let mut failed: HashMap<String, FailedCell> = HashMap::new();
     let mut loaded = 0usize;
     let mut recovered = 0usize;
     let mut corrupt = 0usize;
@@ -253,30 +201,16 @@ fn parse_records<'a>(lines: impl Iterator<Item = &'a str>, crc: bool) -> Journal
         match serde_json::from_str::<JournalLine>(payload) {
             Ok(rec) => {
                 loaded += 1;
+                // Last success wins: a re-run overrides history. A failure
+                // never invalidates an earlier success (deterministic cells
+                // cannot regress without a code change).
                 if rec.status == "ok" {
                     if let Some(m) = rec.metrics {
-                        // Last record wins: a re-run overrides history.
                         completed.insert(
-                            rec.key.clone(),
+                            rec.key,
                             OkCell {
-                                fence: rec.fence,
                                 attempts: rec.attempts,
                                 metrics: m,
-                            },
-                        );
-                        failed.remove(&rec.key);
-                    }
-                } else {
-                    // A failure never invalidates an earlier success
-                    // (deterministic cells cannot regress without a code
-                    // change, and re-running is always safe).
-                    if !completed.contains_key(&rec.key) {
-                        failed.insert(
-                            rec.key,
-                            FailedCell {
-                                fence: rec.fence,
-                                attempts: rec.attempts,
-                                error: rec.error.unwrap_or_default(),
                             },
                         );
                     }
@@ -287,7 +221,6 @@ fn parse_records<'a>(lines: impl Iterator<Item = &'a str>, crc: bool) -> Journal
     }
     JournalScan {
         completed,
-        failed,
         loaded,
         recovered,
         corrupt,
@@ -354,7 +287,6 @@ impl Journal {
                 file,
                 crc: true,
                 completed: HashMap::new(),
-                failed: HashMap::new(),
                 write_error: None,
             }),
             loaded: 0,
@@ -411,7 +343,6 @@ impl Journal {
                 file,
                 crc,
                 completed: scan.completed,
-                failed: scan.failed,
                 write_error: None,
             }),
             loaded: scan.loaded,
@@ -457,67 +388,12 @@ impl Journal {
             .map(|c| c.metrics.clone())
     }
 
-    /// Like [`Journal::lookup`], but also returns the fencing token the
-    /// cell completed under.
-    pub fn lookup_fenced(&self, key: &str) -> Option<(u64, Metrics)> {
-        self.inner
-            .lock()
-            .expect("journal lock")
-            .completed
-            .get(key)
-            .map(|c| (c.fence, c.metrics.clone()))
-    }
-
-    /// Finds a completed cell whose key matches `suffix` — everything
-    /// after the driver component — regardless of which driver recorded
-    /// it. Ties resolve to the lexicographically smallest full key, so
-    /// the answer is deterministic across journal layouts. Used by the
-    /// result server to satisfy queries from any sweep's records.
-    pub fn lookup_config(&self, suffix: &str) -> Option<(String, Metrics)> {
-        let inner = self.inner.lock().expect("journal lock");
-        let mut best: Option<&String> = None;
-        for key in inner.completed.keys() {
-            if key.split_once('/').map(|(_, rest)| rest) == Some(suffix)
-                && best.is_none_or(|b| key < b)
-            {
-                best = Some(key);
-            }
-        }
-        best.map(|k| (k.clone(), inner.completed[k].metrics.clone()))
-    }
-
-    /// Whether `key` is recorded as a terminal failure (and not since
-    /// superseded by a success).
-    pub fn is_failed(&self, key: &str) -> bool {
-        self.inner
-            .lock()
-            .expect("journal lock")
-            .failed
-            .contains_key(key)
-    }
-
-    /// The recorded diagnostics for a failed cell.
-    pub fn failed_cell(&self, key: &str) -> Option<FailedCell> {
-        self.inner
-            .lock()
-            .expect("journal lock")
-            .failed
-            .get(key)
-            .cloned()
-    }
-
     /// Appends a completed cell (flushed before returning).
     pub fn record_ok(&self, key: &str, attempts: u32, metrics: &Metrics) {
-        self.record_ok_fenced(key, attempts, 0, metrics);
-    }
-
-    /// Appends a completed cell under a fencing token.
-    pub fn record_ok_fenced(&self, key: &str, attempts: u32, fence: u64, metrics: &Metrics) {
         self.append(JournalLine {
             key: key.to_owned(),
             status: "ok".to_owned(),
             attempts,
-            fence,
             error: None,
             metrics: Some(metrics.clone()),
         });
@@ -526,16 +402,10 @@ impl Journal {
     /// Appends a failed cell (diagnostic only — failed cells re-run on
     /// resume).
     pub fn record_failed(&self, key: &str, attempts: u32, error: &str) {
-        self.record_failed_fenced(key, attempts, 0, error);
-    }
-
-    /// Appends a failed cell under a fencing token.
-    pub fn record_failed_fenced(&self, key: &str, attempts: u32, fence: u64, error: &str) {
         self.append(JournalLine {
             key: key.to_owned(),
             status: "failed".to_owned(),
             attempts,
-            fence,
             error: Some(error.to_owned()),
             metrics: None,
         });
@@ -587,25 +457,12 @@ impl Journal {
                 .get_or_insert(format!("append to {path}: {e}"));
             return;
         }
-        if line.status == "ok" {
-            if let Some(m) = line.metrics {
-                inner.failed.remove(&line.key);
-                inner.completed.insert(
-                    line.key,
-                    OkCell {
-                        fence: line.fence,
-                        attempts: line.attempts,
-                        metrics: m,
-                    },
-                );
-            }
-        } else if !inner.completed.contains_key(&line.key) {
-            inner.failed.insert(
+        if let Some(m) = line.metrics {
+            inner.completed.insert(
                 line.key,
-                FailedCell {
-                    fence: line.fence,
+                OkCell {
                     attempts: line.attempts,
-                    error: line.error.unwrap_or_default(),
+                    metrics: m,
                 },
             );
         }
@@ -625,8 +482,6 @@ impl Journal {
 pub struct JournalScan {
     /// Completed cells, last-wins within the file.
     pub completed: HashMap<String, OkCell>,
-    /// Terminal failures not superseded by a success.
-    pub failed: HashMap<String, FailedCell>,
     /// Parsed record count.
     pub loaded: usize,
     /// Unparseable (crash-torn) lines dropped.
@@ -637,7 +492,7 @@ pub struct JournalScan {
 
 /// Parses a journal file without opening it for append. As lenient as
 /// [`Journal::resume`]: a missing, empty, or header-torn file scans as
-/// empty (a fleet sibling may have died inside `create`).
+/// empty (its writer may have died inside `create`).
 ///
 /// # Errors
 ///
@@ -666,111 +521,6 @@ pub fn scan(path: impl AsRef<Path>) -> Result<JournalScan, JournalError> {
         }
     };
     Ok(parse_records(text.lines().skip(1), crc))
-}
-
-/// What [`assemble`] folded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AssembleSummary {
-    /// Worker journals read.
-    pub workers: usize,
-    /// Distinct completed cells in the merged journal.
-    pub cells: usize,
-    /// Distinct terminally-failed (quarantined) cells.
-    pub failed: usize,
-    /// Crash-torn lines dropped across all inputs.
-    pub recovered: usize,
-    /// Checksum-failed lines quarantined across all inputs.
-    pub corrupt: usize,
-}
-
-/// Folds one-or-many worker journals into a single merged journal at
-/// `out`, overwriting it. Duplicate keys resolve **last-wins by fencing
-/// token**: the record with the highest fence is kept (on a tie, the
-/// journal later in sorted-by-path order wins — ties only occur for
-/// unfenced records, where any copy is equally authoritative). A success
-/// under any fence outranks a stale failure. Output records are sorted
-/// by key, so the merged file is byte-deterministic regardless of which
-/// worker computed which cell.
-///
-/// # Errors
-///
-/// Reports I/O errors, unreadable inputs, and an empty `paths` list.
-pub fn assemble(paths: &[PathBuf], out: &Path) -> Result<AssembleSummary, JournalError> {
-    if paths.is_empty() {
-        return Err(JournalError("assemble: no worker journals to fold".into()));
-    }
-    let mut paths = paths.to_vec();
-    paths.sort();
-    let mut completed: HashMap<String, OkCell> = HashMap::new();
-    let mut failed: HashMap<String, FailedCell> = HashMap::new();
-    let mut recovered = 0usize;
-    let mut corrupt = 0usize;
-    for path in &paths {
-        let scan = scan(path)?;
-        recovered += scan.recovered;
-        corrupt += scan.corrupt;
-        for (key, cell) in scan.completed {
-            match completed.get(&key) {
-                Some(cur) if cur.fence > cell.fence => {}
-                _ => {
-                    completed.insert(key, cell);
-                }
-            }
-        }
-        for (key, cell) in scan.failed {
-            match failed.get(&key) {
-                Some(cur) if cur.fence > cell.fence => {}
-                _ => {
-                    failed.insert(key, cell);
-                }
-            }
-        }
-    }
-    failed.retain(|k, _| !completed.contains_key(k));
-    let mut text = String::from(HEADER_V2);
-    text.push('\n');
-    let render = |line: &JournalLine| -> Result<String, JournalError> {
-        serde_json::to_string(line)
-            .map(|json| format!("{:08x} {json}", crc32(json.as_bytes())))
-            .map_err(|e| JournalError(format!("assemble: serialize {}: {e}", line.key)))
-    };
-    let mut ok_keys: Vec<&String> = completed.keys().collect();
-    ok_keys.sort();
-    for key in ok_keys {
-        let cell = &completed[key];
-        text.push_str(&render(&JournalLine {
-            key: key.clone(),
-            status: "ok".to_owned(),
-            attempts: cell.attempts,
-            fence: cell.fence,
-            error: None,
-            metrics: Some(cell.metrics.clone()),
-        })?);
-        text.push('\n');
-    }
-    let mut failed_keys: Vec<&String> = failed.keys().collect();
-    failed_keys.sort();
-    for key in failed_keys {
-        let cell = &failed[key];
-        text.push_str(&render(&JournalLine {
-            key: key.clone(),
-            status: "failed".to_owned(),
-            attempts: cell.attempts,
-            fence: cell.fence,
-            error: Some(cell.error.clone()),
-            metrics: None,
-        })?);
-        text.push('\n');
-    }
-    std::fs::write(out, text)
-        .map_err(|e| JournalError(format!("assemble: cannot write {}: {e}", out.display())))?;
-    Ok(AssembleSummary {
-        workers: paths.len(),
-        cells: completed.len(),
-        failed: failed.len(),
-        recovered,
-        corrupt,
-    })
 }
 
 /// Builds the deterministic cell key for one simulator configuration (see
@@ -854,10 +604,6 @@ mod tests {
         assert_eq!(j.completed_cells(), 1);
         assert_eq!(j.lookup("a/b/c").expect("hit").exec_cycles, 123);
         assert!(j.lookup("a/b/d").is_none(), "failed cells must re-run");
-        assert!(j.is_failed("a/b/d"));
-        let fc = j.failed_cell("a/b/d").expect("diagnostics survive resume");
-        assert_eq!(fc.attempts, 3);
-        assert!(fc.error.contains("watchdog"));
         std::fs::remove_file(&path).ok();
     }
 
@@ -937,21 +683,33 @@ mod tests {
     }
 
     #[test]
-    fn pre_fence_records_load_as_fence_zero() {
-        let path = tmp("prefence");
+    fn records_from_earlier_releases_resume_as_completed() {
         let metrics_json = serde_json::to_string(&sample_metrics(5)).unwrap();
-        std::fs::write(
-            &path,
-            format!(
-                "{HEADER}\n{{\"key\":\"old/cell\",\"status\":\"ok\",\"attempts\":1,\
-                 \"error\":null,\"metrics\":{metrics_json}}}\n"
-            ),
-        )
-        .unwrap();
-        let j = Journal::resume(&path).expect("pre-fence journal loads");
-        assert_eq!(j.recovered_lines(), 0, "old records are not dropped");
-        assert_eq!(j.lookup_fenced("old/cell").expect("hit").0, 0);
-        std::fs::remove_file(&path).ok();
+        let v1 = format!(
+            "{HEADER}\n{{\"key\":\"old/cell\",\"status\":\"ok\",\"attempts\":1,\
+             \"error\":null,\"metrics\":{metrics_json}}}\n"
+        );
+        // Written byte for byte by a multi-process worker of an earlier
+        // release: a v2 file whose checksummed record carries that
+        // release's lease token, a field this reader does not know.
+        let v2 = include_str!("testdata/journal-v2-worker.jsonl");
+        for (name, text, key, exec) in [
+            ("v1", v1.as_str(), "old/cell", 5),
+            ("v2", v2, "new/cell", 6),
+        ] {
+            let path = tmp(&format!("earlier-{name}"));
+            std::fs::write(&path, text).unwrap();
+            let j = Journal::resume(&path).expect("an earlier journal loads");
+            assert_eq!(
+                j.recovered_lines(),
+                0,
+                "{name}: old records are not dropped"
+            );
+            assert_eq!(j.corrupt_lines(), 0, "{name}: old checksums still hold");
+            assert_eq!(j.completed_cells(), 1, "{name}");
+            assert_eq!(j.lookup(key).expect("hit").exec_cycles, exec, "{name}");
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]
@@ -991,7 +749,7 @@ mod tests {
             &path,
             format!(
                 "{HEADER}\n{{\"key\":\"old/cell\",\"status\":\"ok\",\"attempts\":1,\
-                 \"fence\":0,\"error\":null,\"metrics\":{metrics_json}}}\n"
+                 \"error\":null,\"metrics\":{metrics_json}}}\n"
             ),
         )
         .unwrap();
@@ -1036,93 +794,6 @@ mod tests {
         // The classic check value for CRC-32/ISO-HDLC.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn assemble_duplicate_keys_resolve_by_fence() {
-        let dir = tmp("assemble");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let a = dir.join("worker-a.jsonl");
-        let b = dir.join("worker-b.jsonl");
-        // Worker a completed the cell under fence 3 *after* worker b's
-        // stale fence-2 completion; metrics deliberately differ so the
-        // assertion can tell which record won.
-        let ja = Journal::create(&a).unwrap();
-        ja.record_ok_fenced("s/dup", 1, 3, &sample_metrics(300));
-        ja.record_ok_fenced("s/only-a", 1, 1, &sample_metrics(11));
-        drop(ja);
-        let jb = Journal::create(&b).unwrap();
-        jb.record_ok_fenced("s/dup", 1, 2, &sample_metrics(200));
-        jb.record_ok_fenced("s/only-b", 1, 1, &sample_metrics(22));
-        jb.record_failed_fenced("s/bad", 2, 1, "deadlock");
-        drop(jb);
-        let out = dir.join("assembled.jsonl");
-        let summary = assemble(&[b.clone(), a.clone()], &out).expect("assemble");
-        assert_eq!(summary.workers, 2);
-        assert_eq!(summary.cells, 3);
-        assert_eq!(summary.failed, 1);
-        let merged = Journal::resume(&out).expect("merged journal loads");
-        let (fence, m) = merged.lookup_fenced("s/dup").expect("dup resolved");
-        assert_eq!(fence, 3, "highest fence wins");
-        assert_eq!(m.exec_cycles, 300, "the fence-3 record's metrics won");
-        assert!(merged.lookup("s/only-a").is_some());
-        assert!(merged.lookup("s/only-b").is_some());
-        assert!(merged.is_failed("s/bad"));
-        // Assembly is byte-deterministic regardless of input order.
-        let out2 = dir.join("assembled2.jsonl");
-        assemble(&[a, b], &out2).expect("assemble again");
-        assert_eq!(
-            std::fs::read(&out).unwrap(),
-            std::fs::read(&out2).unwrap(),
-            "merged bytes are independent of input order"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn assemble_success_outranks_stale_failure() {
-        let dir = tmp("assemble-fail");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let a = dir.join("worker-a.jsonl");
-        let b = dir.join("worker-b.jsonl");
-        let ja = Journal::create(&a).unwrap();
-        ja.record_failed_fenced("s/cell", 3, 1, "watchdog");
-        drop(ja);
-        let jb = Journal::create(&b).unwrap();
-        jb.record_ok_fenced("s/cell", 1, 2, &sample_metrics(42));
-        drop(jb);
-        let out = dir.join("assembled.jsonl");
-        let summary = assemble(&[a, b], &out).expect("assemble");
-        assert_eq!(summary.cells, 1);
-        assert_eq!(summary.failed, 0, "the success shadows the failure");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn lookup_config_matches_any_driver() {
-        let path = tmp("suffix");
-        let _ = std::fs::remove_file(&path);
-        let j = Journal::create(&path).unwrap();
-        j.record_ok(
-            "zeta/W@2.1.1/BASIC/RC/uniform/base/f=none",
-            1,
-            &sample_metrics(1),
-        );
-        j.record_ok(
-            "alpha/W@2.1.1/BASIC/RC/uniform/base/f=none",
-            1,
-            &sample_metrics(2),
-        );
-        let (key, _) = j
-            .lookup_config("W@2.1.1/BASIC/RC/uniform/base/f=none")
-            .expect("suffix hit");
-        assert_eq!(key, "alpha/W@2.1.1/BASIC/RC/uniform/base/f=none");
-        assert!(j
-            .lookup_config("W@2.1.1/BASIC/SC/uniform/base/f=none")
-            .is_none());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -21,10 +21,6 @@
 //!   attempt). The rotation and the backoff schedule are both
 //!   deterministic, so interrupted and uninterrupted runs agree on every
 //!   outcome.
-//! * **Fleet mode** — with [`SweepOpts::fleet`] set, the sweep joins a
-//!   multi-process fleet sharing a lease file: workers claim disjoint
-//!   cells, heartbeat their leases, and reclaim cells whose worker died
-//!   (see [`super::fleet`]).
 //! * **Quarantine** — with [`SweepOpts::keep_going`], failing cells are
 //!   collected into a [`Quarantine`] report while their siblings finish;
 //!   without it the sweep stops claiming new cells after the first
@@ -46,7 +42,6 @@ use dirext_network::FaultPlan;
 use dirext_stats::Metrics;
 use dirext_trace::Workload;
 
-use super::fleet::Fleet;
 use super::journal::{cell_key, Journal};
 use super::pool;
 use crate::{Machine, MachineConfig, NetworkKind, NodeFaultPlan, SimError};
@@ -82,14 +77,6 @@ pub struct SweepOpts {
     /// Chaos hook: panic inside any cell whose key contains this substring
     /// (exercises the panic-isolation path in tests and CI smoke).
     pub chaos_panic: Option<String>,
-    /// Serve every cell from the journal without simulating: a miss is
-    /// [`SweepError::Incomplete`] (unless `keep_going`, which computes the
-    /// gaps). Used by `dirext assemble` to prove a merged journal covers
-    /// the sweep.
-    pub replay_only: bool,
-    /// Fleet coordinator: when set, the sweep claims cells through the
-    /// shared lease file instead of a process-private pool.
-    pub fleet: Option<Arc<Fleet>>,
 }
 
 impl Default for SweepOpts {
@@ -104,8 +91,6 @@ impl Default for SweepOpts {
             retry_cap_ms: 2000,
             cancel: None,
             chaos_panic: None,
-            replay_only: false,
-            fleet: None,
         }
     }
 }
@@ -161,21 +146,6 @@ impl SweepOpts {
     pub fn retry_backoff_ms(mut self, base_ms: u64, cap_ms: u64) -> Self {
         self.retry_base_ms = base_ms;
         self.retry_cap_ms = cap_ms;
-        self
-    }
-
-    /// Returns these options serving every cell from the journal (see
-    /// [`SweepOpts::replay_only`]).
-    pub fn replay_only(mut self) -> Self {
-        self.replay_only = true;
-        self
-    }
-
-    /// Returns these options running as one worker of `fleet` (the
-    /// fleet's worker journal becomes the sweep journal).
-    pub fn with_fleet(mut self, fleet: Arc<Fleet>) -> Self {
-        self.journal = Some(fleet.journal());
-        self.fleet = Some(fleet);
         self
     }
 }
@@ -316,32 +286,8 @@ pub enum SweepError {
         /// The panic payload, rendered.
         detail: String,
     },
-    /// A cell failed on a fleet worker (fail-fast mode). The diagnostics
-    /// were read back from that worker's journal rather than held
-    /// in-process, so only the rendered error text is available.
-    CellFailed {
-        /// The failing cell's key.
-        key: String,
-        /// Attempts made before giving up (0 when the worker died before
-        /// recording diagnostics).
-        attempts: u32,
-        /// The rendered error.
-        detail: String,
-    },
     /// `--keep-going`: the sweep completed but some cells failed.
     Quarantined(Quarantine),
-    /// Replay-only mode found cells the journal does not cover (see
-    /// [`SweepOpts::replay_only`]): the merged log is not a complete
-    /// record of this sweep.
-    Incomplete {
-        /// The sweep being replayed.
-        driver: String,
-        /// Cells with no completed record, in sweep order.
-        missing: Vec<String>,
-        /// How many of the missing cells are recorded as terminal
-        /// (quarantined) failures.
-        quarantined: usize,
-    },
     /// The sweep was cancelled cooperatively; completed cells are in the
     /// journal (when one is configured) and a `--resume` run picks up from
     /// there.
@@ -372,34 +318,6 @@ impl std::fmt::Display for SweepError {
             }
             SweepError::CellPanicked { key, detail } => {
                 write!(f, "cell {key} panicked: {detail}")
-            }
-            SweepError::CellFailed {
-                key,
-                attempts,
-                detail,
-            } => {
-                write!(f, "cell {key} failed after {attempts} attempt(s): {detail}")
-            }
-            SweepError::Incomplete {
-                driver,
-                missing,
-                quarantined,
-            } => {
-                writeln!(
-                    f,
-                    "journal does not cover {driver}: {} cell(s) missing ({quarantined} quarantined):",
-                    missing.len()
-                )?;
-                for key in missing.iter().take(8) {
-                    writeln!(f, "  {key}")?;
-                }
-                if missing.len() > 8 {
-                    writeln!(f, "  ... and {} more", missing.len() - 8)?;
-                }
-                write!(
-                    f,
-                    "finish the fleet sweep (or pass --keep-going to compute the gaps locally)"
-                )
             }
             SweepError::Quarantined(q) => {
                 writeln!(
@@ -455,7 +373,7 @@ impl SweepError {
 }
 
 /// Per-cell outcome inside the pool (before sweep-level aggregation).
-pub(super) enum Outcome {
+enum Outcome {
     Ok(Box<Metrics>),
     Failed(CellFailure),
 }
@@ -498,27 +416,6 @@ pub fn run_cells(
         })
         .collect();
 
-    if let Some(fleet) = &opts.fleet {
-        return super::fleet::run_fleet(driver, &keys, cells, opts, fleet);
-    }
-    if opts.replay_only && !opts.keep_going {
-        if let Some(journal) = &opts.journal {
-            let missing: Vec<String> = keys
-                .iter()
-                .filter(|k| journal.lookup(k).is_none())
-                .cloned()
-                .collect();
-            if !missing.is_empty() {
-                let quarantined = missing.iter().filter(|k| journal.is_failed(k)).count();
-                return Err(SweepError::Incomplete {
-                    driver: driver.to_owned(),
-                    missing,
-                    quarantined,
-                });
-            }
-        }
-    }
-
     let failed_fast = AtomicBool::new(false);
     let cancelled = || {
         opts.cancel
@@ -528,7 +425,7 @@ pub fn run_cells(
     let should_stop = || failed_fast.load(Ordering::Relaxed) || cancelled();
 
     let outcomes = pool::run_collect(opts.jobs, total, &should_stop, |i| {
-        let outcome = run_one(&keys[i], &cells[i], opts, 0);
+        let outcome = run_one(&keys[i], &cells[i], opts);
         if matches!(outcome, Outcome::Failed(_)) && !opts.keep_going {
             failed_fast.store(true, Ordering::Relaxed);
         }
@@ -608,10 +505,10 @@ pub(super) fn check_len(driver: &str, got: usize, want: usize) -> Result<(), Swe
 /// `cap_ms`; the returned delay lands in the upper half of the window
 /// (`[window/2, window]`), positioned by a jitter seeded from the cell
 /// key and the attempt number. Determinism matters here for the same
-/// reason fault-seed rotation is deterministic: interrupted, resumed,
-/// and fleet-sharded sweeps must agree on every cell's schedule. The
-/// per-key jitter decorrelates cells that fail together, so a burst of
-/// transient failures does not retry in lockstep.
+/// reason fault-seed rotation is deterministic: interrupted and resumed
+/// sweeps must agree on every cell's schedule. The per-key jitter
+/// decorrelates cells that fail together, so a burst of transient
+/// failures does not retry in lockstep.
 pub fn retry_backoff(key: &str, attempt: u32, base_ms: u64, cap_ms: u64) -> Duration {
     let attempt = attempt.max(1);
     let window = base_ms
@@ -634,8 +531,7 @@ pub fn retry_backoff(key: &str, attempt: u32, base_ms: u64, cap_ms: u64) -> Dura
 
 /// Runs one cell: journal lookup, chaos hook, `catch_unwind`, bounded
 /// retry with fault-seed rotation and jittered backoff, journal record.
-/// `fence` is the lease fencing token in fleet mode (0 = unfenced).
-pub(super) fn run_one(key: &str, cell: &Cell<'_>, opts: &SweepOpts, fence: u64) -> Outcome {
+fn run_one(key: &str, cell: &Cell<'_>, opts: &SweepOpts) -> Outcome {
     if let Some(journal) = &opts.journal {
         if let Some(metrics) = journal.lookup(key) {
             return Outcome::Ok(Box::new(metrics));
@@ -674,7 +570,7 @@ pub(super) fn run_one(key: &str, cell: &Cell<'_>, opts: &SweepOpts, fence: u64) 
         match result {
             Ok(Ok(metrics)) => {
                 if let Some(journal) = &opts.journal {
-                    journal.record_ok_fenced(key, attempt, fence, &metrics);
+                    journal.record_ok(key, attempt, &metrics);
                 }
                 return Outcome::Ok(Box::new(metrics));
             }
@@ -693,7 +589,7 @@ pub(super) fn run_one(key: &str, cell: &Cell<'_>, opts: &SweepOpts, fence: u64) 
                 }
                 let rendered = error.to_string();
                 if let Some(journal) = &opts.journal {
-                    journal.record_failed_fenced(key, attempt, fence, &rendered);
+                    journal.record_failed(key, attempt, &rendered);
                 }
                 return Outcome::Failed(CellFailure {
                     key: key.to_owned(),
@@ -706,7 +602,7 @@ pub(super) fn run_one(key: &str, cell: &Cell<'_>, opts: &SweepOpts, fence: u64) 
             Err(payload) => {
                 let detail = panic_message(payload.as_ref());
                 if let Some(journal) = &opts.journal {
-                    journal.record_failed_fenced(key, attempt, fence, &format!("panic: {detail}"));
+                    journal.record_failed(key, attempt, &format!("panic: {detail}"));
                 }
                 return Outcome::Failed(CellFailure {
                     key: key.to_owned(),

@@ -23,9 +23,9 @@
 //! * [`ocean`] — iterative near-neighbour grid relaxation: coherence misses
 //!   at partition boundaries, heavy barrier synchronization.
 //!
-//! [`locusroute`] (the sixth program of the ICPP'93 suite, not part of the
-//! ISCA'94 evaluation) and [`lu_software_prefetch`] are bonus generators
-//! used by the ablation benches.
+//! [`lu_software_prefetch`] is a bonus generator for the hardware-vs-
+//! software prefetching comparison in the ablation benches and
+//! `tests/paper_shapes.rs`.
 //!
 //! All generators are deterministic in `(scale, procs, seed)`. The
 //! [`micro`] module provides the small targeted patterns used by tests,
@@ -37,7 +37,6 @@
 #![warn(missing_debug_implementations)]
 
 mod app_cholesky;
-mod app_locusroute;
 mod app_lu;
 mod app_mp3d;
 mod app_ocean;
@@ -47,7 +46,6 @@ pub mod random;
 mod scale;
 
 pub use app_cholesky::cholesky;
-pub use app_locusroute::locusroute;
 pub use app_lu::{lu, lu_software_prefetch};
 pub use app_mp3d::mp3d;
 pub use app_ocean::ocean;
