@@ -4,7 +4,7 @@
 //! to two JSON files (default: the current directory, i.e. the repo root
 //! when run via `cargo run`):
 //!
-//! - `BENCH_kernel.json` — event-queue push/pop cost, two-tier bucket
+//! - `BENCH_kernel.json` — event-queue push/pop cost, levelled timing
 //!   wheel vs the pure-`BinaryHeap` baseline it replaced, on a hold-model
 //!   workload shaped like the simulator's (mostly near-future inserts, a
 //!   tail of far-future timeouts).

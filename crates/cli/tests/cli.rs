@@ -285,6 +285,21 @@ fn full_map_past_64_nodes_is_a_clean_config_error() {
 }
 
 #[test]
+fn flat_mesh_past_256_nodes_is_a_clean_config_error() {
+    // The flat mesh precomputes all-pairs routes up to 256 nodes: past
+    // that, the error must name the network, its limit and the two-level
+    // mesh, and nothing may panic.
+    let args = "run --app water --scale tiny --procs 300 --network mesh64 --dir ptr4b";
+    let out = dirext(&args.split(' ').collect::<Vec<_>>());
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("mesh64"), "names the network: {err}");
+    assert!(err.contains("256"), "names the node limit: {err}");
+    assert!(err.contains("hmesh"), "names the way out: {err}");
+    assert!(!err.contains("panicked"), "must not panic: {err}");
+}
+
+#[test]
 fn scalable_directory_runs_past_64_nodes() {
     let json = stdout(&[
         "run",

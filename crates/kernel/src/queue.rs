@@ -2,13 +2,16 @@
 //!
 //! Two implementations share one ordering contract:
 //!
-//! * [`EventQueue`] — the production queue: a two-tier design pairing a
-//!   near-future circular **bucket wheel** (the common case: almost every
-//!   event a simulated machine schedules lands within a few hundred cycles
-//!   of "now") with a [`BinaryHeap`] fallback for far-future events. Pushes
-//!   and pops into the wheel are O(1) amortized and allocation-free in
-//!   steady state — each bucket is a [`VecDeque`] that keeps its capacity
-//!   across reuse.
+//! * [`EventQueue`] — the production queue: a levelled **timing wheel**.
+//!   Level 0 is a 256-slot bucket wheel, one slot per cycle of the
+//!   256-cycle block being popped; three coarser levels of 256 slots each
+//!   (256, 65 536 and 16 777 216 cycles per slot) hold everything later in
+//!   the same 2^32-cycle span, and a slot cascades into the levels below
+//!   only when the wheel reaches it. A [`BinaryHeap`] takes what the wheel
+//!   cannot hold: pushes behind the cursor and pushes past its 2^32-cycle
+//!   span. Push and pop are O(1) amortized however far ahead an event
+//!   lands, which matters at 1024 nodes, where a broadcast serializes on
+//!   its source's links and schedules deliveries up to 2^21 cycles out.
 //! * [`HeapEventQueue`] — the original pure-heap implementation, kept as
 //!   the recorded perf baseline (`BENCH_kernel.json`) and as the oracle for
 //!   differential property tests.
@@ -18,13 +21,20 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use crate::Time;
 
-/// Number of cycles (and buckets) the near-future wheel covers. Events
-/// scheduled less than this many cycles ahead of the last popped event go
-/// to the wheel; later ones spill to the heap. Must be a power of two.
-const WHEEL_SPAN: u64 = 256;
-const WHEEL_MASK: u64 = WHEEL_SPAN - 1;
-/// Words in the wheel occupancy bitmap (one bit per bucket).
-const OCC_WORDS: usize = (WHEEL_SPAN / 64) as usize;
+/// Bits of cycle number each wheel level resolves.
+const SLOT_BITS: u32 = 8;
+/// Slots per level.
+const SLOTS: usize = 1 << SLOT_BITS;
+const SLOT_MASK: u64 = SLOTS as u64 - 1;
+/// Wheel levels: level `k` slots are `256^k` cycles wide.
+const LEVELS: usize = 4;
+/// Cycle bits the whole wheel spans: a push whose cycle differs from the
+/// cursor's above this bit goes to the heap.
+const WHEEL_BITS: u32 = SLOT_BITS * LEVELS as u32;
+/// Words in one level's occupancy bitmap (one bit per slot).
+const OCC_WORDS: usize = SLOTS / 64;
+/// Largest buffer (in entries) a coarse slot keeps when it cascades.
+const KEEP_CAPACITY: usize = 64;
 
 /// A timestamped event priority queue with deterministic ordering.
 ///
@@ -33,12 +43,20 @@ const OCC_WORDS: usize = (WHEEL_SPAN / 64) as usize;
 /// whole-machine simulations bit-reproducible: two runs with the same seed
 /// schedule the identical event sequence.
 ///
-/// Internally this is a two-tier structure: a circular bucket wheel covering
-/// the next `WHEEL_SPAN` (256) cycles after the most recently popped event, and a
-/// binary heap for everything further out (or scheduled in the past, which
-/// the simulator never does but the contract permits). The FIFO tie-break is
-/// carried by a global push sequence number that orders entries *across* the
-/// two tiers, so wheel/heap placement is invisible to callers.
+/// Internally this is a four-level timing wheel whose placement is aligned
+/// to the *cursor*, the cycle of the most recently popped event. An event
+/// for cycle `c` goes to the level of the highest 8-bit digit in which `c`
+/// differs from the cursor: level 0 (one slot per cycle) holds only the
+/// cursor's 256-cycle block, and level `k` holds only the later
+/// `256^k`-cycle slots of the cursor's `256^(k+1)`-aligned span. When level
+/// 0 runs dry, `pop` moves the cursor to the start of the lowest occupied
+/// slot and re-places that slot's events one level or more down. Because a
+/// cycle's events always share one slot, and a slot is only ever appended
+/// to or cascaded whole, same-cycle events keep their push order without
+/// any sorting. Events behind the cursor or beyond the wheel's 2^32-cycle
+/// span go to a binary heap; a global push sequence number orders them
+/// against wheel events of the same cycle, so placement is invisible to
+/// callers.
 ///
 /// # Example
 ///
@@ -54,22 +72,25 @@ const OCC_WORDS: usize = (WHEEL_SPAN / 64) as usize;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Near-future tier: bucket `c & WHEEL_MASK` holds the events of cycle
-    /// `c` for `c` in `[cursor, cursor + WHEEL_SPAN)`. Within the window a
-    /// bucket holds at most one distinct cycle, and its entries are in push
-    /// (= seq) order, so each bucket is a plain FIFO.
-    wheel: Vec<VecDeque<(u64, E)>>,
-    /// One occupancy bit per wheel bucket, so finding the next non-empty
-    /// bucket is a handful of word scans (`trailing_zeros`) instead of up
-    /// to `WHEEL_SPAN` `VecDeque::is_empty` probes when the wheel is
-    /// sparse — the common case for a small machine between bursts.
-    occ: [u64; OCC_WORDS],
-    /// Events in the wheel.
+    /// Level 0: slot `c & 255` holds the `(seq, event)`s of cycle `c` of the
+    /// cursor's 256-cycle block, in push order. Slots keep their capacity.
+    near: Vec<VecDeque<(u64, E)>>,
+    /// Levels 1..LEVELS: slot `s` of level `k` is `far[(k - 1) * SLOTS + s]`.
+    /// Its entries are in push order but not in time order. A cascade frees
+    /// any buffer larger than `KEEP_CAPACITY` entries, so a broadcast burst
+    /// does not pin its peak memory for the rest of the run.
+    far: Vec<FarSlot<E>>,
+    /// One occupancy bit per slot and level, so finding the lowest occupied
+    /// slot is a handful of word scans (`trailing_zeros`).
+    occ: [[u64; OCC_WORDS]; LEVELS],
+    /// Events in the wheel (all levels).
     wheel_len: usize,
-    /// Cycle of the most recently popped event: the left edge of the wheel
-    /// window. Never decreases (pops yield nondecreasing times).
+    /// The cycle every wheel placement is relative to: that of the last
+    /// wheel pop, of a heap pop made while the wheel was empty, or the start
+    /// of the last cascaded slot. It never decreases, and no wheel event
+    /// lies before it.
     cursor: u64,
-    /// Far-future (and past-time) tier.
+    /// Events behind the cursor or beyond the wheel's span.
     heap: BinaryHeap<Reverse<Entry<E>>>,
     seq: u64,
     /// Memoized [`EventQueue::peek_time`] result: `None` means stale
@@ -79,6 +100,15 @@ pub struct EventQueue<E> {
     /// This makes the simulator's inline-retirement checks — one peek per
     /// retired instruction — O(1) instead of a bitmap scan.
     peeked: Option<Option<Time>>,
+}
+
+/// One slot of a coarse wheel level.
+#[derive(Debug)]
+struct FarSlot<E> {
+    /// Earliest cycle among `entries` (`u64::MAX` when empty), so peeking
+    /// never scans or cascades a slot.
+    min: u64,
+    entries: Vec<Entry<E>>,
 }
 
 #[derive(Debug)]
@@ -112,8 +142,14 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            wheel: (0..WHEEL_SPAN).map(|_| VecDeque::new()).collect(),
-            occ: [0; OCC_WORDS],
+            near: (0..SLOTS).map(|_| VecDeque::new()).collect(),
+            far: (0..(LEVELS - 1) * SLOTS)
+                .map(|_| FarSlot {
+                    min: u64::MAX,
+                    entries: Vec::new(),
+                })
+                .collect(),
+            occ: [[0; OCC_WORDS]; LEVELS],
             wheel_len: 0,
             cursor: 0,
             heap: BinaryHeap::new(),
@@ -122,8 +158,8 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Creates an empty queue with `capacity` pre-reserved in the far-future
-    /// tier (wheel buckets grow on demand and keep their capacity).
+    /// Creates an empty queue with `capacity` pre-reserved in the heap tier
+    /// (wheel slots grow on demand).
     pub fn with_capacity(capacity: usize) -> Self {
         let mut q = Self::new();
         q.heap.reserve(capacity);
@@ -140,113 +176,150 @@ impl<E> EventQueue<E> {
         let seq = self.seq;
         self.seq += 1;
         let c = at.cycles();
-        if c >= self.cursor && c - self.cursor < WHEEL_SPAN {
-            let idx = (c & WHEEL_MASK) as usize;
-            let bucket = &mut self.wheel[idx];
-            debug_assert!(
-                bucket.back().is_none_or(|&(s, _)| s < seq),
-                "bucket seq order violated"
-            );
-            bucket.push_back((seq, event));
-            self.occ[idx / 64] |= 1 << (idx % 64);
-            self.wheel_len += 1;
-        } else {
+        if c < self.cursor || (c ^ self.cursor) >> WHEEL_BITS != 0 {
             self.heap.push(Reverse(Entry {
                 time: at,
                 seq,
                 event,
             }));
+        } else {
+            self.place(c, seq, event);
+            self.wheel_len += 1;
         }
     }
 
-    /// Finds the earliest wheel entry: `(cycle, bucket index)`. The search
-    /// walks the occupancy bitmap circularly from the cursor's bucket —
-    /// every live wheel entry sits at circular distance `[0, WHEEL_SPAN)`
-    /// from the cursor, so the first set bit in that order *is* the
-    /// minimum. Bounded by `limit` cycles past the cursor (the caller
-    /// passes the heap top's distance so a closer heap event wins without
-    /// a full scan).
+    /// Files an event for cycle `c` (at or after the cursor, inside the
+    /// wheel's span) at the level of the highest digit in which `c` differs
+    /// from the cursor.
     #[inline]
-    fn wheel_min(&self, limit: u64) -> Option<(u64, usize)> {
+    fn place(&mut self, c: u64, seq: u64, event: E) {
+        let diff = c ^ self.cursor;
+        if diff <= SLOT_MASK {
+            let slot = (c & SLOT_MASK) as usize;
+            let bucket = &mut self.near[slot];
+            debug_assert!(
+                bucket.back().is_none_or(|&(s, _)| s < seq),
+                "bucket seq order violated"
+            );
+            bucket.push_back((seq, event));
+            self.occ[0][slot / 64] |= 1 << (slot % 64);
+        } else {
+            let level = (63 - diff.leading_zeros()) / SLOT_BITS;
+            let slot = ((c >> (level * SLOT_BITS)) & SLOT_MASK) as usize;
+            let far = &mut self.far[(level as usize - 1) * SLOTS + slot];
+            far.min = far.min.min(c);
+            far.entries.push(Entry {
+                time: Time::from_cycles(c),
+                seq,
+                event,
+            });
+            self.occ[level as usize][slot / 64] |= 1 << (slot % 64);
+        }
+    }
+
+    /// The lowest occupied slot of one level's bitmap. Every occupied slot
+    /// of a level lies after the cursor's, so slot order is time order.
+    #[inline]
+    fn lowest_slot(occ: &[u64; OCC_WORDS]) -> Option<usize> {
+        occ.iter()
+            .position(|&w| w != 0)
+            .map(|i| i * 64 + occ[i].trailing_zeros() as usize)
+    }
+
+    /// The lowest occupied slot of the lowest occupied coarse level, as an
+    /// index into `far` (level 0 must be empty and the wheel not).
+    fn lowest_far_slot(&self) -> usize {
+        (1..LEVELS)
+            .find_map(|k| Self::lowest_slot(&self.occ[k]).map(|s| (k - 1) * SLOTS + s))
+            .expect("a nonempty wheel with an empty level 0 has a coarse slot")
+    }
+
+    /// The earliest cycle in the wheel. Reads the lowest occupied slot's
+    /// memoized minimum instead of cascading it: `peek_time` must leave the
+    /// cursor where the last pop put it, or pushes the caller makes between
+    /// the cursor and the next event would land behind it, in the heap.
+    fn wheel_min(&self) -> Option<u64> {
         if self.wheel_len == 0 {
             return None;
         }
-        let start = (self.cursor & WHEEL_MASK) as usize;
-        let (w0, b0) = (start / 64, start % 64);
-        // Circular first-set-bit search: the tail of the cursor's word,
-        // then the remaining full words, then the cursor word's head.
-        let head = self.occ[w0] >> b0;
-        let dist = if head != 0 {
-            u64::from(head.trailing_zeros())
-        } else {
-            let mut dist = (64 - b0) as u64;
-            let mut found = None;
-            for k in 1..OCC_WORDS {
-                let w = self.occ[(w0 + k) % OCC_WORDS];
-                if w != 0 {
-                    found = Some(dist + u64::from(w.trailing_zeros()));
-                    break;
-                }
-                dist += 64;
-            }
-            match found {
-                Some(d) => d,
-                None => {
-                    let tail = self.occ[w0] & ((1u64 << b0) - 1);
-                    if tail == 0 {
-                        return None;
-                    }
-                    dist + u64::from(tail.trailing_zeros())
-                }
-            }
-        };
-        if dist >= WHEEL_SPAN.min(limit) {
-            return None;
+        Some(match Self::lowest_slot(&self.occ[0]) {
+            Some(slot) => (self.cursor & !SLOT_MASK) | slot as u64,
+            None => self.far[self.lowest_far_slot()].min,
+        })
+    }
+
+    /// Empties coarse slot `far[i]` into the levels below it, after moving
+    /// the cursor to the slot's first cycle. Only `pop` cascades, and only
+    /// when level 0 is empty and the slot holds the wheel's minimum, so the
+    /// cursor never passes an event and the destination slots start empty
+    /// (which keeps each cycle's events in push order).
+    fn cascade(&mut self, i: usize) {
+        let (level, slot) = (i / SLOTS + 1, i % SLOTS);
+        self.occ[level][slot / 64] &= !(1 << (slot % 64));
+        let far = &mut self.far[i];
+        far.min = u64::MAX;
+        let mut entries = std::mem::take(&mut far.entries);
+        let above = SLOT_BITS * (level as u32 + 1);
+        self.cursor = (self.cursor >> above << above) | ((slot as u64) << (above - SLOT_BITS));
+        for e in entries.drain(..) {
+            self.place(e.time.cycles(), e.seq, e.event);
         }
-        let c = self.cursor + dist;
-        Some((c, (c & WHEEL_MASK) as usize))
+        // Every fill of a small slot would otherwise reallocate its way up
+        // again; a broadcast's large buffer is freed instead of pinned.
+        if entries.capacity() <= KEEP_CAPACITY {
+            self.far[i].entries = entries;
+        }
+    }
+
+    /// Pops the heap's earliest event.
+    fn pop_heap(&mut self) -> Option<(Time, E)> {
+        let Reverse(e) = self.heap.pop()?;
+        // Wheel placements are relative to the cursor, so it may only jump
+        // ahead to a heap event while the wheel is empty.
+        if self.wheel_len == 0 {
+            self.cursor = self.cursor.max(e.time.cycles());
+        }
+        Some((e.time, e.event))
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
     ///
     /// When the wheel and the heap both hold events for the same cycle
-    /// (possible when an event was pushed far ahead of its time and the
-    /// window has since caught up with it), the global sequence number
+    /// (possible when an event was pushed beyond the wheel's span and the
+    /// cursor has since caught up with it), the global sequence number
     /// decides, preserving cross-tier FIFO.
     pub fn pop(&mut self) -> Option<(Time, E)> {
         self.peeked = None;
-        let heap_top = self.heap.peek().map(|Reverse(e)| (e.time, e.seq));
-        // Never scan the wheel further than the heap's earliest event: past
-        // that point the heap entry wins regardless.
-        let limit = match heap_top {
-            Some((t, _)) => t.cycles().saturating_sub(self.cursor) + 1,
-            None => WHEEL_SPAN,
-        };
-        let wheel_best = self.wheel_min(limit);
-        let take_heap = match (wheel_best, heap_top) {
-            (None, None) => return None,
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-            (Some((wc, idx)), Some((ht, hseq))) => {
-                let wt = Time::from_cycles(wc);
-                ht < wt || (ht == wt && hseq < self.wheel[idx].front().expect("nonempty").0)
+        loop {
+            if let Some(slot) = Self::lowest_slot(&self.occ[0]) {
+                let c = (self.cursor & !SLOT_MASK) | slot as u64;
+                let bucket = &mut self.near[slot];
+                if let Some(Reverse(top)) = self.heap.peek() {
+                    let front = bucket.front().expect("occupied slot").0;
+                    if (top.time.cycles(), top.seq) < (c, front) {
+                        return self.pop_heap();
+                    }
+                }
+                let (_, event) = bucket.pop_front().expect("occupied slot");
+                if bucket.is_empty() {
+                    self.occ[0][slot / 64] &= !(1 << (slot % 64));
+                }
+                self.wheel_len -= 1;
+                self.cursor = c;
+                return Some((Time::from_cycles(c), event));
             }
-        };
-        if take_heap {
-            let Reverse(e) = self.heap.pop().expect("checked nonempty");
-            // Advancing the cursor to the popped (global-minimum) time keeps
-            // the wheel invariant: every remaining wheel entry is >= it.
-            self.cursor = self.cursor.max(e.time.cycles());
-            Some((e.time, e.event))
-        } else {
-            let (wc, idx) = wheel_best.expect("checked nonempty");
-            let (_, event) = self.wheel[idx].pop_front().expect("nonempty");
-            if self.wheel[idx].is_empty() {
-                self.occ[idx / 64] &= !(1 << (idx % 64));
+            if self.wheel_len == 0 {
+                return self.pop_heap();
             }
-            self.wheel_len -= 1;
-            self.cursor = wc;
-            Some((Time::from_cycles(wc), event))
+            let i = self.lowest_far_slot();
+            if self
+                .heap
+                .peek()
+                .is_some_and(|Reverse(top)| top.time.cycles() < self.far[i].min)
+            {
+                return self.pop_heap();
+            }
+            self.cascade(i);
         }
     }
 
@@ -259,11 +332,7 @@ impl<E> EventQueue<E> {
             return p;
         }
         let heap_t = self.heap.peek().map(|Reverse(e)| e.time);
-        let limit = match heap_t {
-            Some(t) => t.cycles().saturating_sub(self.cursor) + 1,
-            None => WHEEL_SPAN,
-        };
-        let wheel_t = self.wheel_min(limit).map(|(c, _)| Time::from_cycles(c));
+        let wheel_t = self.wheel_min().map(Time::from_cycles);
         let min = match (wheel_t, heap_t) {
             (Some(w), Some(h)) => Some(w.min(h)),
             (w, h) => w.or(h),
@@ -346,6 +415,7 @@ impl<E> Default for HeapEventQueue<E> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn fifo_among_equal_timestamps() {
@@ -383,29 +453,70 @@ mod tests {
     #[test]
     fn far_events_spill_to_heap_and_return() {
         let mut q = EventQueue::new();
-        // Far beyond the wheel span at push time.
+        // Past the wheel's 2^32-cycle span at push time, and on a coarse
+        // wheel level.
+        q.push(Time::from_cycles(1 << 33), "beyond");
         q.push(Time::from_cycles(10_000), "far");
         q.push(Time::from_cycles(3), "near");
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.len(), 3);
         assert_eq!(q.pop().unwrap().1, "near");
-        // The heap event must surface even though the wheel window has
-        // advanced past nothing in particular.
         assert_eq!(q.pop().unwrap(), (Time::from_cycles(10_000), "far"));
+        // The heap event must surface once the wheel has drained.
+        assert_eq!(q.pop().unwrap(), (Time::from_cycles(1 << 33), "beyond"));
         assert!(q.is_empty());
     }
 
     #[test]
     fn cross_tier_fifo_at_same_cycle() {
-        // Push an event for cycle 1000 while it is far (heap), then advance
-        // near it and push another for the same cycle (wheel). The heap one
-        // was pushed first and must pop first.
+        // Push an event for cycle T while it is beyond the wheel (heap),
+        // then advance near it and push another for the same cycle (wheel).
+        // The heap one was pushed first and must pop first.
+        let t = (1u64 << 32) + 1000;
         let mut q = EventQueue::new();
-        q.push(Time::from_cycles(1000), "first");
-        q.push(Time::from_cycles(900), "advance");
-        assert_eq!(q.pop().unwrap().1, "advance"); // cursor -> 900
-        q.push(Time::from_cycles(1000), "second");
-        assert_eq!(q.pop().unwrap(), (Time::from_cycles(1000), "first"));
-        assert_eq!(q.pop().unwrap(), (Time::from_cycles(1000), "second"));
+        q.push(Time::from_cycles(t), "first");
+        q.push(Time::from_cycles(t - 100), "advance");
+        assert_eq!(q.pop().unwrap().1, "advance"); // cursor -> t - 100
+        q.push(Time::from_cycles(t), "second");
+        assert_eq!(q.pop().unwrap(), (Time::from_cycles(t), "first"));
+        assert_eq!(q.pop().unwrap(), (Time::from_cycles(t), "second"));
+    }
+
+    #[test]
+    fn heap_pop_over_a_nonempty_wheel_keeps_its_placements() {
+        // Once the cursor has entered a far event's 2^32-cycle span, that
+        // event can pop from the heap while the wheel still holds coarse
+        // events placed relative to the cursor. Moving the cursor to it
+        // would file `f` one level below the earlier `e`, and pop `f` first.
+        let span = 1u64 << 32;
+        let mut q = EventQueue::new();
+        q.push(Time::from_cycles(span + 66_000), "h");
+        q.push(Time::from_cycles(span), "a");
+        assert_eq!(q.pop().unwrap().1, "a"); // empty wheel: cursor -> span
+        q.push(Time::from_cycles(span + 67_000), "e");
+        assert_eq!(q.pop().unwrap().1, "h");
+        q.push(Time::from_cycles(span + 69_000), "f");
+        assert_eq!(q.pop().unwrap().1, "e");
+        assert_eq!(q.pop().unwrap().1, "f");
+    }
+
+    #[test]
+    fn peek_does_not_cascade() {
+        // The simulator peeks, then retires instructions inline and pushes
+        // events between the cursor and the next queued one. A peek that
+        // cascaded would move the cursor past them and send them all to
+        // the heap.
+        let mut q = EventQueue::new();
+        q.push(Time::from_cycles(10), "a");
+        q.push(Time::from_cycles(1000), "far");
+        assert_eq!(q.pop().unwrap().1, "a");
+        assert_eq!(q.peek_time(), Some(Time::from_cycles(1000)));
+        q.push(Time::from_cycles(500), "between");
+        assert!(
+            q.heap.is_empty(),
+            "a push after the cursor must stay in the wheel"
+        );
+        assert_eq!(q.pop().unwrap().1, "between");
+        assert_eq!(q.pop().unwrap().1, "far");
     }
 
     #[test]
@@ -424,16 +535,32 @@ mod tests {
 
     #[test]
     fn spill_boundary_is_exact() {
-        // cursor = 0: cycle WHEEL_SPAN-1 is the last wheel cycle, cycle
-        // WHEEL_SPAN the first heap cycle. Both must pop in time order with
-        // FIFO among equals regardless of tier.
+        // cursor = 0: the last cycle of each level and the first of the
+        // next, up to the first heap cycle, pushed twice each in reverse
+        // order. They must pop in time order with FIFO among equals,
+        // whatever tier each copy landed in.
+        let edges = [
+            SLOTS as u64 - 1,
+            SLOTS as u64,
+            (1 << 16) - 1,
+            1 << 16,
+            (1 << 24) - 1,
+            1 << 24,
+            (1 << WHEEL_BITS) - 1,
+            1 << WHEEL_BITS,
+        ];
         let mut q = EventQueue::new();
-        q.push(Time::from_cycles(WHEEL_SPAN), "heap1");
-        q.push(Time::from_cycles(WHEEL_SPAN - 1), "wheel");
-        q.push(Time::from_cycles(WHEEL_SPAN), "heap2");
-        assert_eq!(q.pop().unwrap().1, "wheel");
-        assert_eq!(q.pop().unwrap().1, "heap1");
-        assert_eq!(q.pop().unwrap().1, "heap2");
+        for (i, &c) in edges.iter().enumerate().rev() {
+            q.push(Time::from_cycles(c), 2 * i);
+        }
+        for (i, &c) in edges.iter().enumerate().rev() {
+            q.push(Time::from_cycles(c), 2 * i + 1);
+        }
+        for (i, &c) in edges.iter().enumerate() {
+            assert_eq!(q.pop(), Some((Time::from_cycles(c), 2 * i)));
+            assert_eq!(q.pop(), Some((Time::from_cycles(c), 2 * i + 1)));
+        }
+        assert!(q.is_empty());
     }
 
     /// Drains `q` and checks (time, seq-as-payload) global ordering.
@@ -447,11 +574,123 @@ mod tests {
         }
     }
 
+    /// One step of a differential run. Times are relative to the last
+    /// popped event's.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Push `delta` cycles ahead.
+        Push(u64),
+        /// Push `back` cycles behind (clamped at cycle 0).
+        PushBehind(u64),
+        Pop,
+        Peek,
+        /// Pop once, then push `n` events at `base`, `base + gap`, ... ahead:
+        /// the shape of a broadcast wave serialized on its source's links.
+        Burst {
+            n: u16,
+            base: u64,
+            gap: u64,
+        },
+    }
+
+    /// An [`EventQueue`] run in lockstep with the [`HeapEventQueue`] oracle
+    /// and the multiset of live times.
+    #[derive(Default)]
+    struct Differential {
+        q: EventQueue<usize>,
+        oracle: HeapEventQueue<usize>,
+        live: BTreeMap<u64, usize>,
+        /// Cycle of the last pop.
+        now: u64,
+        pushed: usize,
+    }
+
+    impl Differential {
+        fn push(&mut self, c: u64) {
+            self.q.push(Time::from_cycles(c), self.pushed);
+            self.oracle.push(Time::from_cycles(c), self.pushed);
+            *self.live.entry(c).or_default() += 1;
+            self.pushed += 1;
+        }
+
+        /// Pops both queues, which must agree; `false` once they are empty.
+        fn pop(&mut self) -> Result<bool, String> {
+            let got = self.q.pop();
+            let want = self.oracle.pop();
+            if got != want {
+                return Err(format!("pop: got {got:?}, oracle {want:?}"));
+            }
+            let Some((t, _)) = got else {
+                return Ok(false);
+            };
+            self.now = t.cycles();
+            let n = self.live.get_mut(&self.now).expect("popped a live time");
+            *n -= 1;
+            if *n == 0 {
+                self.live.remove(&self.now);
+            }
+            Ok(true)
+        }
+
+        fn peek(&mut self) -> Result<(), String> {
+            let want = self.live.keys().next().copied().map(Time::from_cycles);
+            let got = self.q.peek_time();
+            if got != want {
+                return Err(format!("peek: got {got:?}, live minimum {want:?}"));
+            }
+            Ok(())
+        }
+    }
+
+    /// Runs `ops`, then drains the queue. Every pop must equal the oracle's
+    /// and every peek the minimum of the live multiset; with
+    /// `peek_each_op`, two peeks (the second one takes the memo path)
+    /// follow every op.
+    fn differential(ops: &[Op], peek_each_op: bool) -> Result<(), String> {
+        let mut d = Differential::default();
+        for &op in ops {
+            match op {
+                Op::Push(delta) => d.push(d.now + delta),
+                Op::PushBehind(back) => d.push(d.now.saturating_sub(back)),
+                Op::Pop => {
+                    d.pop()?;
+                }
+                Op::Peek => d.peek()?,
+                Op::Burst { n, base, gap } => {
+                    d.pop()?;
+                    for k in 0..u64::from(n) {
+                        d.push(d.now + base + k * gap);
+                    }
+                }
+            }
+            if peek_each_op {
+                d.peek()?;
+                d.peek()?;
+            }
+            if d.q.len() != d.oracle.len() {
+                return Err(format!("len {} vs oracle {}", d.q.len(), d.oracle.len()));
+            }
+        }
+        while d.pop()? {
+            if peek_each_op {
+                d.peek()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// A delta uniform in `[0, 2^bits)`, with `bits` uniform in
+    /// `0..=max_bits`: every wheel level, and the heap past the top one, gets
+    /// a fair share.
+    fn log_uniform(bits: u64, r: u64) -> u64 {
+        r & ((1u64 << bits) - 1)
+    }
+
     #[test]
     fn large_mixed_push_pop_across_boundary() {
-        // 10^5 mixed pushes/pops with deltas straddling the wheel->heap
-        // spill boundary, checked differentially against the pure-heap
-        // oracle at every pop.
+        // 10^5 mixed operations with log-uniform deltas up to 2^35 cycles,
+        // pushes behind the cursor, peeks between pops and broadcast-shaped
+        // bursts, checked differentially against the pure-heap oracle.
         let mut rng: u64 = 0x9E3779B97F4A7C15;
         let mut step = move || {
             rng ^= rng << 13;
@@ -459,33 +698,20 @@ mod tests {
             rng ^= rng << 17;
             rng
         };
-        let mut q = EventQueue::new();
-        let mut oracle = HeapEventQueue::new();
-        let mut now = 0u64;
-        let mut pushed = 0usize;
-        for i in 0..100_000 {
-            if pushed == 0 || step() % 3 != 0 {
-                // Deltas cluster just around WHEEL_SPAN: 0..2*WHEEL_SPAN.
-                let delta = step() % (2 * WHEEL_SPAN);
-                let t = Time::from_cycles(now + delta);
-                q.push(t, i);
-                oracle.push(t, i);
-                pushed += 1;
-            } else {
-                let got = q.pop();
-                let want = oracle.pop();
-                assert_eq!(got, want);
-                now = got.expect("pushed > 0").0.cycles();
-                pushed -= 1;
-            }
-        }
-        loop {
-            let got = q.pop();
-            assert_eq!(got, oracle.pop());
-            if got.is_none() {
-                break;
-            }
-        }
+        let ops: Vec<Op> = (0..100_000)
+            .map(|_| match step() % 100 {
+                0..=49 => Op::Push(log_uniform(step() % 36, step())),
+                50..=51 => Op::PushBehind(log_uniform(step() % 12, step())),
+                52..=86 => Op::Pop,
+                87..=98 => Op::Peek,
+                _ => Op::Burst {
+                    n: (step() % 400) as u16 + 100,
+                    base: log_uniform(step() % 36, step()),
+                    gap: log_uniform(step() % 17, step()),
+                },
+            })
+            .collect();
+        differential(&ops, false).unwrap();
     }
 
     #[test]
@@ -494,10 +720,29 @@ mod tests {
         q.push(Time::from_cycles(9), ());
         q.push(Time::from_cycles(9), ());
         q.push(Time::from_cycles(400), ());
+        q.push(Time::from_cycles(1 << 20), ());
         while let Some(t) = q.peek_time() {
             assert_eq!(q.pop(), Some((t, ())));
         }
         assert!(q.is_empty());
+    }
+
+    /// Operations for the differential properties: pushes with log-uniform
+    /// deltas up to 2^35 cycles, pushes behind the cursor, pops, peeks and
+    /// broadcast-shaped bursts.
+    fn op() -> impl Strategy<Value = Op> {
+        let delta =
+            |max_bits: u64| (0..max_bits + 1, any::<u64>()).prop_map(|(b, r)| log_uniform(b, r));
+        prop_oneof![
+            delta(35).prop_map(Op::Push),
+            delta(35).prop_map(Op::Push),
+            delta(35).prop_map(Op::Push),
+            delta(11).prop_map(Op::PushBehind),
+            Just(Op::Pop),
+            Just(Op::Pop),
+            Just(Op::Peek),
+            (1u16..400, delta(35), delta(16)).prop_map(|(n, base, gap)| Op::Burst { n, base, gap }),
+        ]
     }
 
     proptest! {
@@ -512,70 +757,29 @@ mod tests {
             assert_sorted_stable(q);
         }
 
-        /// Same property with deltas spanning the wheel->heap boundary and
-        /// interleaved pops (the pop path moves the cursor, which is where
-        /// windowing bugs would hide).
+        /// Every pop equals the pure-heap oracle's, with deltas reaching
+        /// every wheel level and the heap past it, pushes behind the cursor
+        /// and broadcast bursts interleaved with pops (the pop path moves
+        /// the cursor and cascades, which is where windowing bugs would
+        /// hide).
         #[test]
         fn pops_sorted_stable_across_tiers(
-            ops in proptest::collection::vec((0u64..3 * WHEEL_SPAN, any::<bool>()), 0..400)
+            ops in proptest::collection::vec(op(), 0..400)
         ) {
-            let mut q = EventQueue::new();
-            let mut oracle = HeapEventQueue::new();
-            let mut now = 0u64;
-            for (i, &(delta, do_pop)) in ops.iter().enumerate() {
-                if do_pop {
-                    let got = q.pop();
-                    prop_assert_eq!(got, oracle.pop());
-                    if let Some((t, _)) = got {
-                        now = t.cycles();
-                    }
-                } else {
-                    let t = Time::from_cycles(now + delta);
-                    q.push(t, i);
-                    oracle.push(t, i);
-                }
-            }
-            loop {
-                let got = q.pop();
-                prop_assert_eq!(got, oracle.pop());
-                if got.is_none() { break; }
-            }
+            differential(&ops, false)?;
         }
 
         /// The memoized `peek_time` always equals the true minimum of the
         /// live multiset, no matter how pushes, pops and repeated peeks
-        /// interleave across the wheel/heap boundary (the memo is refreshed
-        /// by pushes and invalidated by pops; a stale memo would surface
-        /// here as a peek that disagrees with the multiset minimum).
+        /// interleave across the wheel levels and the heap (the memo is
+        /// refreshed by pushes and invalidated by pops; a stale memo, or a
+        /// peek that cascaded, would surface here as a peek or a pop that
+        /// disagrees with the multiset minimum or the oracle).
         #[test]
         fn peek_memo_matches_multiset_min(
-            ops in proptest::collection::vec((0u64..3 * WHEEL_SPAN, 0u8..3), 0..400)
+            ops in proptest::collection::vec(op(), 0..400)
         ) {
-            let mut q = EventQueue::new();
-            let mut live: Vec<u64> = Vec::new();
-            let mut now = 0u64;
-            for (i, &(delta, op)) in ops.iter().enumerate() {
-                match op {
-                    0 => {
-                        let t = now + delta;
-                        q.push(Time::from_cycles(t), i);
-                        live.push(t);
-                    }
-                    1 => {
-                        let got = q.pop();
-                        let min = live.iter().copied().min();
-                        prop_assert_eq!(got.map(|(t, _)| t.cycles()), min);
-                        if let Some(m) = min {
-                            live.swap_remove(live.iter().position(|&t| t == m).unwrap());
-                            now = m;
-                        }
-                    }
-                    _ => {} // fall through to the peek below
-                }
-                let expect = live.iter().copied().min().map(Time::from_cycles);
-                prop_assert_eq!(q.peek_time(), expect);
-                prop_assert_eq!(q.peek_time(), expect); // repeated peek: memo path
-            }
+            differential(&ops, true)?;
         }
     }
 }

@@ -53,7 +53,7 @@ pub struct MeshNetwork {
     name: String,
 }
 
-/// All `(src, dst)` routes of a mesh, stored back-to-back in one hop arena.
+/// All `(src, dst)` routes of a grid, stored back-to-back in one hop arena.
 ///
 /// `spans[src * nodes + dst]` is the `(offset, len)` of that pair's link
 /// sequence inside `hops`. Built once at construction; `send` is then a
@@ -66,12 +66,50 @@ struct RouteTable {
 }
 
 impl RouteTable {
-    /// Offset/length of the `src -> dst` route inside the hop arena.
-    #[inline]
-    fn span(&self, src: NodeId, dst: NodeId) -> (usize, usize) {
-        let (off, len) = self.spans[src.idx() * self.nodes + dst.idx()];
-        (off as usize, len as usize)
+    /// Stores `route(src, dst, path)`'s derivation for every pair of
+    /// `nodes` endpoints.
+    fn new(nodes: usize, mut route: impl FnMut(usize, usize, &mut Vec<usize>)) -> Self {
+        let mut hops = Vec::new();
+        let mut spans = Vec::with_capacity(nodes * nodes);
+        let mut path = Vec::new();
+        for src in 0..nodes {
+            for dst in 0..nodes {
+                path.clear();
+                route(src, dst, &mut path);
+                spans.push((hops.len() as u32, path.len() as u16));
+                hops.extend(path.iter().map(|&l| l as u32));
+            }
+        }
+        RouteTable { hops, spans, nodes }
     }
+
+    /// The links of the `src -> dst` route, in traversal order.
+    #[inline]
+    fn hops(&self, src: usize, dst: usize) -> &[u32] {
+        let (off, len) = self.spans[src * self.nodes + dst];
+        &self.hops[off as usize..off as usize + len as usize]
+    }
+}
+
+/// Walks a message's head flit over `hops` (link indices relative to
+/// `base`), starting at `head`: it waits for each link, then spends `delay`
+/// cycles routing, while the body keeps the link busy for `delay + flits`.
+/// Returns when the head leaves the last link.
+#[inline]
+fn walk(
+    links: &mut [Resource],
+    base: usize,
+    hops: &[u32],
+    delay: u64,
+    flits: u64,
+    head: Time,
+) -> Time {
+    let mut head = head;
+    for &link in hops {
+        let start = links[base + link as usize].acquire(head, Time::from_cycles(delay + flits));
+        head = start + Time::from_cycles(delay);
+    }
+    head
 }
 
 /// Direction of a unidirectional mesh link out of a router.
@@ -114,28 +152,13 @@ impl MeshNetwork {
             link_bits,
             router_delay: 2,
             links: vec![Resource::new(); cols * rows * 4],
-            routes: RouteTable {
-                hops: Vec::new(),
-                spans: Vec::new(),
-                nodes: cols * rows,
-            },
+            routes: RouteTable::new(0, |_, _, _| {}),
             traffic: TrafficStats::new(),
             name: format!("mesh{cols}x{rows}-{link_bits}bit"),
         };
-        let nodes = cols * rows;
-        let mut hops = Vec::with_capacity(nodes * nodes * (cols + rows) / 2);
-        let mut spans = Vec::with_capacity(nodes * nodes);
-        let mut path = Vec::with_capacity(cols + rows);
-        for src in 0..nodes {
-            for dst in 0..nodes {
-                path.clear();
-                mesh.route_into(NodeId(src as u16), NodeId(dst as u16), &mut path);
-                spans.push((hops.len() as u32, path.len() as u16));
-                hops.extend(path.iter().map(|&l| l as u32));
-            }
-        }
-        mesh.routes.hops = hops;
-        mesh.routes.spans = spans;
+        mesh.routes = RouteTable::new(cols * rows, |src, dst, path| {
+            mesh.route_into(NodeId(src as u16), NodeId(dst as u16), path)
+        });
         mesh
     }
 
@@ -193,8 +216,8 @@ impl MeshNetwork {
     /// The arena-stored route for a pair (reads what `send` will walk).
     #[cfg(test)]
     fn route(&self, src: NodeId, dst: NodeId) -> Vec<usize> {
-        let (off, len) = self.routes.span(src, dst);
-        self.routes.hops[off..off + len]
+        self.routes
+            .hops(src.idx(), dst.idx())
             .iter()
             .map(|&l| l as usize)
             .collect()
@@ -208,17 +231,8 @@ impl Network for MeshNetwork {
         }
         self.traffic.record(&env);
         let flits = self.flits(env.bytes);
-        let mut head = now;
-        let (off, len) = self.routes.span(env.src, env.dst);
-        for i in off..off + len {
-            // The head flit must wait for the link, then spends the router
-            // delay; the body then streams for `flits` cycles, keeping the
-            // link busy for router_delay + flits.
-            let link = self.routes.hops[i] as usize;
-            let start =
-                self.links[link].acquire(head, Time::from_cycles(self.router_delay + flits));
-            head = start + Time::from_cycles(self.router_delay);
-        }
+        let hops = self.routes.hops(env.src.idx(), env.dst.idx());
+        let head = walk(&mut self.links, 0, hops, self.router_delay, flits, now);
         head + Time::from_cycles(flits)
     }
 
@@ -243,10 +257,12 @@ impl Network for MeshNetwork {
 /// but the same link width, so wide machines keep the flit model of
 /// Section 5.3. 1024 nodes = 64 clusters = an 8×8 express grid.
 ///
-/// Unlike [`MeshNetwork`], routes are derived on the fly into a recycled
-/// scratch buffer: an all-pairs table for 1024 nodes would dwarf the
-/// caches the simulator is trying to model. Steady-state sends still do
-/// not allocate (the scratch's capacity is reused).
+/// Routes are precomputed per level, like [`MeshNetwork`]'s: one table of
+/// the `cluster_size²` router pairs inside a cluster (every cluster shares
+/// it, offset by the cluster's first link) and one of the `clusters²`
+/// gateway pairs on the express grid — 256 + 4096 pairs at 1024 nodes,
+/// where an all-pairs table would need a million. `send` walks at most
+/// three table slices and never allocates.
 #[derive(Debug)]
 pub struct HierMeshNetwork {
     /// Intra-cluster mesh width (4 for full clusters); row count follows
@@ -264,8 +280,11 @@ pub struct HierMeshNetwork {
     /// dir`), then express links (`express_base + grid_router * 4 + dir`).
     links: Vec<Resource>,
     express_base: usize,
-    /// Recycled route buffer (`send` is allocation-free in steady state).
-    scratch: Vec<usize>,
+    /// Routes between the routers of one cluster, as cluster 0's links;
+    /// cluster `c`'s are `c * cluster_size * 4` further on.
+    intra: RouteTable,
+    /// Routes between cluster gateways on the express grid.
+    express: RouteTable,
     traffic: TrafficStats,
     name: String,
 }
@@ -283,11 +302,10 @@ impl HierMeshNetwork {
         let cluster_size = nodes.min(16);
         let clusters = nodes.div_ceil(cluster_size);
         let ccols = (cluster_size as f64).sqrt().ceil() as usize;
-        let crows = cluster_size.div_ceil(ccols.max(1));
         let gcols = (clusters as f64).sqrt().ceil() as usize;
         let grows = clusters.div_ceil(gcols.max(1));
         let express_base = clusters * cluster_size * 4;
-        HierMeshNetwork {
+        let mut net = HierMeshNetwork {
             ccols,
             gcols,
             cluster_size,
@@ -296,10 +314,22 @@ impl HierMeshNetwork {
             express_delay: 4,
             links: vec![Resource::new(); express_base + gcols * grows * 4],
             express_base,
-            scratch: Vec::with_capacity(2 * (ccols + crows) + gcols + grows),
+            intra: RouteTable::new(0, |_, _, _| {}),
+            express: RouteTable::new(0, |_, _, _| {}),
             traffic: TrafficStats::new(),
             name: format!("hmesh{gcols}x{grows}x{cluster_size}-{link_bits}bit"),
-        }
+        };
+        net.intra = RouteTable::new(cluster_size, |from, to, path| {
+            Self::grid_route(net.ccols, from, to, path, |router, dir| {
+                router * 4 + dir.idx()
+            })
+        });
+        net.express = RouteTable::new(clusters, |from, to, path| {
+            Self::grid_route(net.gcols, from, to, path, |router, dir| {
+                net.express_base + router * 4 + dir.idx()
+            })
+        });
+        net
     }
 
     /// Link width in bits.
@@ -309,6 +339,11 @@ impl HierMeshNetwork {
 
     fn flits(&self, bytes: u32) -> u64 {
         Envelope::flits_on(bytes, self.link_bits)
+    }
+
+    /// A node's cluster and its router within the cluster.
+    fn locate(&self, n: NodeId) -> (usize, usize) {
+        (n.idx() / self.cluster_size, n.idx() % self.cluster_size)
     }
 
     /// Appends the X-Y route `from -> to` on a `cols`-wide grid to `path`,
@@ -342,12 +377,13 @@ impl HierMeshNetwork {
         }
     }
 
-    /// Builds the full route into the scratch buffer: intra-cluster ascent
-    /// to the gateway, express traversal of the cluster grid, intra-cluster
-    /// descent. Same-cluster traffic never touches an express link.
+    /// Derives the full route directly: intra-cluster ascent to the
+    /// gateway, express traversal of the cluster grid, intra-cluster
+    /// descent. Same-cluster traffic never touches an express link. The
+    /// oracle for the route tables.
+    #[cfg(test)]
     fn route_into(&self, src: NodeId, dst: NodeId, path: &mut Vec<usize>) {
-        let (sc, sl) = (src.idx() / self.cluster_size, src.idx() % self.cluster_size);
-        let (dc, dl) = (dst.idx() / self.cluster_size, dst.idx() % self.cluster_size);
+        let ((sc, sl), (dc, dl)) = (self.locate(src), self.locate(dst));
         let intra = |cluster: usize| {
             move |router: usize, dir: Dir| (cluster * self.cluster_size + router) * 4 + dir.idx()
         };
@@ -363,6 +399,22 @@ impl HierMeshNetwork {
         debug_assert!(path.len() > express_start, "distinct clusters need hops");
         Self::grid_route(self.ccols, 0, dl, path, intra(dc));
     }
+
+    /// The route `send` walks for a pair, read from the tables the same
+    /// way.
+    #[cfg(test)]
+    fn route(&self, src: NodeId, dst: NodeId) -> Vec<usize> {
+        let ((sc, sl), (dc, dl)) = (self.locate(src), self.locate(dst));
+        let leg = |base: usize, hops: &[u32]| hops.iter().map(|&l| base + l as usize).collect();
+        let stride = self.cluster_size * 4;
+        if sc == dc {
+            return leg(sc * stride, self.intra.hops(sl, dl));
+        }
+        let mut path: Vec<usize> = leg(sc * stride, self.intra.hops(sl, 0));
+        path.extend(self.express.hops(sc, dc).iter().map(|&l| l as usize));
+        path.extend(leg(dc * stride, self.intra.hops(0, dl)));
+        path
+    }
 }
 
 impl Network for HierMeshNetwork {
@@ -372,20 +424,19 @@ impl Network for HierMeshNetwork {
         }
         self.traffic.record(&env);
         let flits = self.flits(env.bytes);
-        let mut path = std::mem::take(&mut self.scratch);
-        path.clear();
-        self.route_into(env.src, env.dst, &mut path);
-        let mut head = now;
-        for &link in &path {
-            let delay = if link >= self.express_base {
-                self.express_delay
-            } else {
-                self.router_delay
-            };
-            let start = self.links[link].acquire(head, Time::from_cycles(delay + flits));
-            head = start + Time::from_cycles(delay);
-        }
-        self.scratch = path;
+        let ((sc, sl), (dc, dl)) = (self.locate(env.src), self.locate(env.dst));
+        let stride = self.cluster_size * 4;
+        let (intra, express) = (&self.intra, &self.express);
+        let mut leg = |base: usize, hops: &[u32], delay: u64, head: Time| {
+            walk(&mut self.links, base, hops, delay, flits, head)
+        };
+        let head = if sc == dc {
+            leg(sc * stride, intra.hops(sl, dl), self.router_delay, now)
+        } else {
+            let up = leg(sc * stride, intra.hops(sl, 0), self.router_delay, now);
+            let across = leg(0, express.hops(sc, dc), self.express_delay, up);
+            leg(dc * stride, intra.hops(0, dl), self.router_delay, across)
+        };
         head + Time::from_cycles(flits)
     }
 
@@ -432,6 +483,22 @@ mod tests {
                     let mut fresh = Vec::new();
                     mesh.route_into(s, d, &mut fresh);
                     assert_eq!(mesh.route(s, d), fresh, "{dims:?} {src}->{dst}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hier_route_tables_match_fresh_derivation() {
+        for nodes in [5usize, 16, 48, 64, 256, 1000, 1024] {
+            let net = HierMeshNetwork::new(nodes, 32);
+            let mut fresh = Vec::new();
+            for src in 0..nodes {
+                for dst in 0..nodes {
+                    let (s, d) = (NodeId(src as u16), NodeId(dst as u16));
+                    fresh.clear();
+                    net.route_into(s, d, &mut fresh);
+                    assert_eq!(net.route(s, d), fresh, "{nodes} nodes: {src}->{dst}");
                 }
             }
         }

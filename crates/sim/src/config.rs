@@ -35,7 +35,23 @@ pub enum NetworkKind {
     },
 }
 
+/// Nodes the flat mesh serves: it precomputes all-pairs routes.
+const FLAT_MESH_MAX_NODES: usize = 256;
+
 impl NetworkKind {
+    /// Checks that this network can be built for `procs` nodes, returning
+    /// an actionable message on failure.
+    pub(crate) fn validate(self, procs: usize) -> Result<(), String> {
+        match self {
+            NetworkKind::Mesh { link_bits } if procs > FLAT_MESH_MAX_NODES => Err(format!(
+                "network `mesh{link_bits}` cannot serve a {procs}-node machine: the flat mesh \
+                 supports at most {FLAT_MESH_MAX_NODES} nodes; use `hmesh{link_bits}`, the \
+                 two-level mesh"
+            )),
+            _ => Ok(()),
+        }
+    }
+
     pub(crate) fn build(self, procs: usize) -> Box<dyn Network> {
         match self {
             NetworkKind::Uniform => Box::new(UniformNetwork::paper_default()),

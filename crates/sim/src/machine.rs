@@ -18,7 +18,7 @@ use dirext_trace::{BlockAddr, NodeId, Workload, WorkloadError};
 use crate::home::Home;
 use crate::invariants;
 use crate::node::{Nodes, ProcState, SlwbOp, SyncWait};
-use crate::{MachineConfig, NodeFaultPlan};
+use crate::{MachineConfig, NetworkKind, NodeFaultPlan};
 
 /// Simulation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -269,21 +269,27 @@ pub struct Machine {
 impl Machine {
     /// Builds a machine from a configuration.
     ///
-    /// An infeasible `dir_org` × `procs` pair (e.g. the 64-node full map on
-    /// a 256-node machine) does not panic here: the machine is built empty
-    /// and [`Machine::run`] returns the structured [`SimError::Config`].
+    /// An infeasible `dir_org` × `procs` or `network` × `procs` pair (e.g.
+    /// the 64-node full map, or the 256-node flat mesh, on a 300-node
+    /// machine) does not panic here: the machine is built empty and
+    /// [`Machine::run`] returns the structured [`SimError::Config`].
     pub fn new(cfg: MachineConfig) -> Self {
-        let mut net = cfg.network.build(cfg.procs);
-        if let Some(plan) = cfg.fault_plan.filter(|p| p.is_active()) {
-            net = Box::new(FaultyNetwork::with_nodes(net, plan, cfg.procs));
-        }
         let config_error = cfg
             .dir_org
             .validate(cfg.procs)
+            .map_err(|e| e.to_string())
+            .and_then(|()| cfg.network.validate(cfg.procs))
             .err()
-            .map(|e| SimError::Config {
-                detail: e.to_string(),
-            });
+            .map(|detail| SimError::Config { detail });
+        let mut net = if config_error.is_some() {
+            // Never sent on: `run` returns the config error first.
+            NetworkKind::Uniform.build(cfg.procs)
+        } else {
+            cfg.network.build(cfg.procs)
+        };
+        if let Some(plan) = cfg.fault_plan.filter(|p| p.is_active()) {
+            net = Box::new(FaultyNetwork::with_nodes(net, plan, cfg.procs));
+        }
         let recovery = cfg
             .node_fault_plan
             .as_ref()

@@ -1,7 +1,8 @@
 //! Differential safety net for protocol-core refactors: the rendered
 //! Figure 2 / Table 2 / Table 3 artifacts (all 8 protocol configurations,
 //! `Scale::Tiny`) must stay bit-identical to the goldens captured from the
-//! pre-refactor controllers.
+//! pre-refactor controllers. Two 1024-node cells pin the schedules of the
+//! broadcast-heavy directory organizations on the hierarchical mesh.
 //!
 //! Regenerate the goldens with `DIREXT_BLESS=1 cargo test --test
 //! experiments_golden` — but only after establishing that a behavior
@@ -11,8 +12,10 @@
 use std::fs;
 use std::path::PathBuf;
 
+use dirext_sim::core::{Consistency, DirOrg, ProtocolKind};
 use dirext_sim::experiments;
 use dirext_sim::trace::Workload;
+use dirext_sim::NetworkKind;
 use dirext_workloads::{App, Scale};
 
 fn tiny_suite() -> Vec<Workload> {
@@ -59,4 +62,35 @@ fn table2_bit_identical_to_pre_refactor() {
 fn table3_bit_identical_to_pre_refactor() {
     let t = experiments::table3(&tiny_suite()).unwrap();
     check("table3_tiny.txt", t.to_string());
+}
+
+#[test]
+fn dir1024_bit_identical_to_parent() {
+    // Directoryless LU sends 1023-target waves that serialize on the
+    // source's links, so their deliveries land on the event queue's coarse
+    // levels; Dir_4B Water overflows into broadcasts on a lighter schedule.
+    let mut rendered = String::new();
+    for (app, dir) in [
+        (App::Lu, DirOrg::Directoryless),
+        (
+            App::Water,
+            DirOrg::LimitedPtr {
+                ptrs: 4,
+                broadcast: true,
+            },
+        ),
+    ] {
+        let m = experiments::run_protocol_dir(
+            &app.workload(1024, Scale::Tiny),
+            ProtocolKind::PCw,
+            Consistency::Rc,
+            NetworkKind::HierMesh { link_bits: 64 },
+            dir,
+            None,
+            None,
+        )
+        .unwrap();
+        rendered.push_str(&format!("{m}\n"));
+    }
+    check("dir1024_tiny.txt", rendered);
 }
