@@ -547,6 +547,9 @@ fn parse_args() -> Result<Args, String> {
                 parsed.seeds = value("--seeds")?
                     .parse()
                     .map_err(|e| format!("bad --seeds: {e}"))?;
+                if parsed.seeds == 0 {
+                    return Err("--seeds must be at least 1".to_owned());
+                }
             }
             "--fault-drop" => {
                 let v: u32 = value("--fault-drop")?
@@ -832,6 +835,13 @@ fn quarantine_verdict(acc: experiments::Quarantine) -> Result<(), Box<dyn std::e
     }
 }
 
+/// Writes an SVG figure to `path`; a failure names the path.
+fn write_figure(path: &str, chart: String) -> Result<(), String> {
+    std::fs::write(path, chart).map_err(|e| format!("cannot write figure to '{path}': {e}"))?;
+    eprintln!("figure written to {path}");
+    Ok(())
+}
+
 fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     match args.command.as_str() {
         "fig2" => {
@@ -850,8 +860,7 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                     &values,
                     1.0,
                 );
-                std::fs::write(path, chart)?;
-                eprintln!("figure written to {path}");
+                write_figure(path, chart)?;
             }
             if args.csv {
                 print!("{}", r.csv())
@@ -883,8 +892,7 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                     &values,
                     1.0,
                 );
-                std::fs::write(path, chart)?;
-                eprintln!("figure written to {path}");
+                write_figure(path, chart)?;
             }
             if args.csv {
                 print!("{}", r.csv())
@@ -917,8 +925,7 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                     &values,
                     1.0,
                 );
-                std::fs::write(path, chart)?;
-                eprintln!("figure written to {path}");
+                write_figure(path, chart)?;
             }
             if args.csv {
                 print!("{}", r.csv())

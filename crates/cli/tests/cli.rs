@@ -261,6 +261,29 @@ fn figures_render_as_svg() {
 }
 
 #[test]
+fn svg_write_failure_names_the_path() {
+    for cmd in ["fig2", "fig3", "fig4"] {
+        let args = format!("{cmd} --scale tiny --app water --svg /nonexistent/f.svg");
+        let out = dirext(&args.split(' ').collect::<Vec<_>>());
+        assert_eq!(out.status.code(), Some(1), "{cmd}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("cannot write figure to '/nonexistent/f.svg'"),
+            "{cmd}: {err}"
+        );
+    }
+}
+
+#[test]
+fn stress_with_zero_seeds_is_a_parse_error() {
+    let out = dirext(&["stress", "--seeds", "0"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--seeds must be at least 1"), "{err}");
+    assert!(out.stdout.is_empty(), "no run summary");
+}
+
+#[test]
 fn procs_out_of_range_is_a_clean_error() {
     for bad in ["0", "1025"] {
         let out = dirext(&["run", "--app", "water", "--scale", "tiny", "--procs", bad]);

@@ -45,7 +45,7 @@ pub struct PrefetchConfig {
     pub restart_mark: u8,
     /// If false, K is fixed at `initial_k` (the non-adaptive "fixed
     /// sequential prefetching" baseline from the ICPP'93 comparison, used
-    /// by the ablation bench).
+    /// by the ablation tests in `tests/paper_shapes.rs`).
     pub adaptive: bool,
 }
 
@@ -70,7 +70,7 @@ pub struct CompetitiveConfig {
     /// caches and 1 with them.
     pub threshold: u8,
     /// Whether the 4-block write cache is attached to the SLC (the paper's
-    /// CW always includes it; the ablation bench disables it).
+    /// CW always includes it; an ablation test disables it).
     pub write_cache: bool,
 }
 
@@ -95,13 +95,13 @@ pub struct ProtocolConfig {
     pub migratory: bool,
     /// Whether a migratory classification reverts when the sharing pattern
     /// changes (an unwritten exclusive copy is fetched or replaced). Always
-    /// on in the paper's protocol; the ablation bench turns it off to show
+    /// on in the paper's protocol; an ablation test turns it off to show
     /// why the extra cache state is worth its bit.
     pub migratory_revert: bool,
     /// MESI-style exclusive-clean grants (extension, off by default and not
     /// part of any paper protocol): a read miss to a block with *no* cached
     /// copies returns an exclusive copy, so the first write to private data
-    /// is silent. The ablation bench uses this to measure how much of the
+    /// is silent. An ablation test uses this to measure how much of the
     /// migratory optimization's benefit a plain E state already captures —
     /// M generalizes E from "nobody has it" to "the previous writer is done
     /// with it".

@@ -332,7 +332,7 @@ impl DirCtrl {
 
     /// Enables or disables migratory reversion (the self-correcting part of
     /// the optimization: an unwritten exclusive copy reverts the block to
-    /// ordinary sharing). On by default; the ablation bench disables it.
+    /// ordinary sharing). On by default; an ablation test disables it.
     pub fn set_revert(&mut self, enabled: bool) {
         self.exts.configure(ExtOption::MigratoryRevert, enabled);
     }

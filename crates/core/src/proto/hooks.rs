@@ -74,7 +74,7 @@ pub enum WriteMode {
     UpdateNow,
 }
 
-/// Runtime-adjustable extension options (used by ablation benches).
+/// Runtime-adjustable extension options (turned off by ablation tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExtOption {
     /// M: whether an unwritten exclusive copy reverts the block to

@@ -40,7 +40,7 @@ mod resource;
 mod rng;
 mod time;
 
-pub use queue::{EventQueue, HeapEventQueue};
+pub use queue::EventQueue;
 pub use resource::Resource;
 pub use rng::Pcg32;
 pub use time::Time;

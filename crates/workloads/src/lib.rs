@@ -24,12 +24,11 @@
 //!   at partition boundaries, heavy barrier synchronization.
 //!
 //! [`lu_software_prefetch`] is a bonus generator for the hardware-vs-
-//! software prefetching comparison in the ablation benches and
-//! `tests/paper_shapes.rs`.
+//! software prefetching comparison in `tests/paper_shapes.rs`.
 //!
 //! All generators are deterministic in `(scale, procs, seed)`. The
-//! [`micro`] module provides the small targeted patterns used by tests,
-//! examples and ablation benches; [`random`] generates the fuzzer's
+//! [`micro`] module provides the small targeted patterns used by tests
+//! and examples; [`random`] generates the fuzzer's
 //! well-formed random workloads; and [`App`] enumerates the suite for the
 //! experiment drivers.
 

@@ -1,8 +1,8 @@
 //! Micro-workloads: small targeted sharing patterns.
 //!
-//! These drive the integration tests, the examples, and the ablation
-//! benches; each isolates one behaviour (sequential streaming, migratory
-//! ping-pong, producer-consumer, false sharing, lock contention).
+//! These drive the integration tests and the examples; each isolates one
+//! behaviour (sequential streaming, migratory ping-pong, producer-consumer,
+//! false sharing, lock contention).
 
 use dirext_trace::{Addr, BarrierId, Layout, Program, ProgramBuilder, Workload, BLOCK_BYTES};
 

@@ -10,7 +10,7 @@
 /// keeps CI runs in milliseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Scale {
-    /// Full experiment scale (used by the benches and the CLI by default).
+    /// Full experiment scale (the CLI's default).
     #[default]
     Paper,
     /// Integration-test scale.
