@@ -53,6 +53,43 @@ const COMMANDS: &[&str] = &[
     "-h",
 ];
 
+/// The sweep commands: every command that runs through `sweep_opts`.
+const SWEEPS: &[&str] = &[
+    "fig2",
+    "table2",
+    "fig3",
+    "table3",
+    "fig4",
+    "sens-buffers",
+    "sens-cache",
+    "miss-latency",
+    "topology",
+    "scaling",
+    "dirscale",
+    "degrade",
+    "run-all",
+    "report",
+];
+
+/// The commands whose `dispatch` arm reads a command-specific flag
+/// (`None` for the flags every command accepts). `parse_args` rejects a
+/// flag given to any other command instead of silently ignoring it.
+fn flag_commands(flag: &str) -> Option<Vec<&'static str>> {
+    Some(match flag {
+        "--protocol" | "--consistency" | "--json" | "--network" => vec!["run", "trace"],
+        "--dir" | "--watchdog" | "--audit-every" => vec!["run", "trace", "stress"],
+        "--trace" => vec!["run", "trace", "validate"],
+        "--last" | "--ring" => vec!["trace"],
+        "--seeds" => vec!["stress"],
+        "--csv" => vec!["fig2", "table2", "fig3", "table3", "fig4"],
+        "--svg" => vec!["fig2", "fig3", "fig4"],
+        "--out" => vec!["report"],
+        "--journal" | "--resume" | "--keep-going" => SWEEPS.to_vec(),
+        "--jobs" => [SWEEPS, &["stress"]].concat(),
+        _ => return None,
+    })
+}
+
 const USAGE: &str = "\
 dirext — reproduce 'Combined Performance Gains of Simple Cache Protocol Extensions' (ISCA 1994)
 
@@ -99,18 +136,19 @@ OPTIONS:
     --scale     Problem scale (default: paper)
     --procs     Processor count (default: 16; up to 1024 with a scalable
                 --dir organization, 64 with the full-map directory)
-    --dir       Directory organization for `run`/`trace`: full (default),
+    --dir       Directory organization for run/trace/stress: full (default),
                 ptr4b, ptr4nb, coarse8, none (any ptrNb/ptrNnb/coarseN)
     --app       Restrict to one application (MP3D, Cholesky, Water, LU, Ocean)
-    --protocol  For `run`: BASIC, P, M, CW, P+CW, P+M, CW+M, P+CW+M
-    --consistency  For `run`: rc (default) or sc
-    --json      For `run`: emit the metrics as JSON
+    --protocol  For run/trace: BASIC, P, M, CW, P+CW, P+M, CW+M, P+CW+M
+    --consistency  For run/trace: rc (default) or sc
+    --json      For run/trace: emit the metrics as JSON
     --csv       For fig2/table2/fig3/table3/fig4: emit CSV instead of a table
     --svg       For fig2/fig3/fig4: also write the figure as an SVG file
-    --trace     For `run`: load the workload from a text trace file
+    --trace     For run/trace/validate: load the workload from a text
+                trace file
     --seeds     For `stress`: number of random seeds to sweep (default 50)
     --out       For `report`: output file (default: stdout)
-    --network   For `run`: uniform (default), mesh64, mesh32, mesh16,
+    --network   For run/trace: uniform (default), mesh64, mesh32, mesh16,
                 ring64, ring32, ring16, hmesh64, hmesh32, hmesh16
                 (hmesh = two-level hierarchical mesh, up to 1024 nodes)
     --last      For `trace`: how many trailing transition records to print
@@ -119,13 +157,13 @@ OPTIONS:
                 (default 65536; oldest records are overwritten on overflow)
     --jobs      Worker threads for the sweep commands (fig2/table2/fig3/
                 table3/fig4/sens-*/miss-latency/topology/scaling/
-                dirscale/stress/run-all/report). Default 1 (serial);
-                0 = all CPU cores.
+                dirscale/degrade/run-all/report) and stress. Default 1
+                (serial); 0 = all CPU cores.
                 Results are byte-identical for any value. Each cell
                 runs on one thread; the sweep runs cells in parallel.
 
 CRASH-SAFE SWEEPS (fig2/table2/fig3/table3/fig4/sens-*/miss-latency/
-topology/scaling/dirscale/run-all/report):
+topology/scaling/dirscale/degrade/run-all/report):
     --journal PATH  Append each completed cell to a write-ahead JSONL log.
                     A killed sweep loses at most the in-flight cells; the
                     log replays with --resume. Refuses to overwrite an
@@ -151,10 +189,11 @@ FAULT INJECTION (for `run`, `stress` and the sweep commands):
                      reproduces the same schedule byte for byte
     --fault-retries  Link-layer retransmission budget per message
                      (default 16; 0 makes every drop a permanent loss)
-    --watchdog       Progress-watchdog window in processor clocks
-                     (default 1000000; 0 disables the watchdog)
-    --audit-every    Check mid-run coherence invariants every N events
-                     (default 0 = only at quiescence)
+    --watchdog       For run/trace/stress: progress-watchdog window in
+                     processor clocks (default 1000000; 0 disables it)
+    --audit-every    For run/trace/stress: check mid-run coherence
+                     invariants every N events (default 0 = only at
+                     quiescence)
 
 NODE FAULT INJECTION (whole-node crash/recovery; `run`, `trace`, `stress`
 and the `degrade` sweep):
@@ -499,7 +538,9 @@ fn parse_args() -> Result<Args, String> {
         resume: false,
         keep_going: false,
     };
+    let mut given = Vec::new();
     while let Some(flag) = args.next() {
+        given.push(flag.clone());
         let mut value = |name: &str| {
             args.next()
                 .ok_or_else(|| format!("missing value for {name}"))
@@ -732,6 +773,18 @@ fn parse_args() -> Result<Args, String> {
                      --node-fault-schedule SPEC, or the degrade command"
                 ));
             }
+        }
+    }
+    for flag in &given {
+        let Some(commands) = flag_commands(flag) else {
+            continue;
+        };
+        if !commands.contains(&parsed.command.as_str()) {
+            return Err(format!(
+                "{flag} applies to {}, not '{}'",
+                commands.join(", "),
+                parsed.command
+            ));
         }
     }
     Ok(parsed)

@@ -284,6 +284,33 @@ fn stress_with_zero_seeds_is_a_parse_error() {
 }
 
 #[test]
+fn flags_the_command_never_reads_are_parse_errors() {
+    let svg = tmp("unread.svg");
+    let svg = svg.to_str().unwrap();
+    for (args, needle) in [
+        (
+            &["dirscale", "--scale", "tiny", "--watchdog", "5"][..],
+            "--watchdog applies to run, trace, stress, not 'dirscale'",
+        ),
+        (
+            &["table2", "--scale", "tiny", "--svg", svg][..],
+            "--svg applies to fig2, fig3, fig4, not 'table2'",
+        ),
+        (
+            &["fig2", "--scale", "tiny", "--protocol", "P+CW"][..],
+            "--protocol applies to run, trace, not 'fig2'",
+        ),
+    ] {
+        let out = dirext(args);
+        assert_eq!(out.status.code(), Some(1), "dirext {args:?} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(needle), "dirext {args:?}: {err}");
+        assert!(out.stdout.is_empty(), "dirext {args:?} must not run");
+    }
+    assert!(!std::path::Path::new(svg).exists(), "no figure written");
+}
+
+#[test]
 fn procs_out_of_range_is_a_clean_error() {
     for bad in ["0", "1025"] {
         let out = dirext(&["run", "--app", "water", "--scale", "tiny", "--procs", bad]);

@@ -185,6 +185,16 @@ mod tests {
         assert_eq!(c.write_cache_blocks, 4);
         assert_eq!(c.mem_bits_per_line, 19);
         assert!(c.slwb_note.contains("block"));
+        // The no-write-cache variant's threshold of 4 needs a 3-bit counter
+        // (counts 4..0).
+        let cfg = ProtocolConfig {
+            competitive: Some(crate::config::CompetitiveConfig {
+                threshold: 4,
+                write_cache: false,
+            }),
+            ..ProtocolKind::Cw.config(Consistency::Rc)
+        };
+        assert_eq!(HardwareCost::of(&cfg, 16).slc_bits_per_line, 2 + 3);
     }
 
     #[test]

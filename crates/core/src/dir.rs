@@ -24,13 +24,11 @@ use std::collections::VecDeque;
 use dirext_trace::{BlockAddr, NodeId};
 
 use crate::blockmap::BlockMap;
+use crate::config::{CompetitiveConfig, Consistency, ProtocolConfig};
 use crate::error::ProtocolError;
 use crate::msg::MsgKind;
 use crate::sharer::{AckMask, AddOutcome, DirOrg, DirOrgError, FanoutClass, SharerSet};
-use crate::proto::hooks::{
-    CompetitiveUpdateExt, ExclusiveCleanExt, ExtOption, ExtStack, MigratoryExt, ReadFetch,
-    ReadGrant, UpdateRoute,
-};
+use crate::proto::hooks::{Exts, ReadFetch, UpdateRoute};
 use crate::proto::table::ExtKind;
 use crate::proto::trace::{DirTag, MsgTag, StateTag, TraceInput, TraceRing, TransitionRecord};
 
@@ -232,7 +230,7 @@ pub struct DirStats {
 pub struct DirCtrl {
     nprocs: usize,
     org: DirOrg,
-    exts: ExtStack,
+    exts: Exts,
     entries: BlockMap<DirEntry>,
     stats: DirStats,
     trace: TraceRing,
@@ -250,16 +248,16 @@ pub struct DirCtrl {
 
 impl DirCtrl {
     /// Creates a controller for a machine of `nprocs` nodes with the given
-    /// directory organization and extension stack. The BASIC transition
-    /// core itself has no extension knowledge: pass [`ExtStack::new`] for
-    /// the pure write-invalidate protocol, or [`ExtStack::from_protocol`]
-    /// for a configured one.
+    /// directory organization and extensions. The BASIC transition core
+    /// itself has no extension knowledge: pass [`Exts::default`] for the
+    /// pure write-invalidate protocol, or [`Exts::from_protocol`] for a
+    /// configured one.
     ///
     /// # Errors
     ///
     /// Returns a [`DirOrgError`] naming the organization and its node
     /// limit when it cannot represent an `nprocs`-node machine.
-    pub fn with_org(nprocs: usize, org: DirOrg, exts: ExtStack) -> Result<Self, DirOrgError> {
+    pub fn with_org(nprocs: usize, org: DirOrg, exts: Exts) -> Result<Self, DirOrgError> {
         org.validate(nprocs)?;
         Ok(DirCtrl {
             nprocs,
@@ -281,7 +279,7 @@ impl DirCtrl {
     /// Panics if `nprocs` is zero or exceeds the 64-node presence vector
     /// (use [`DirCtrl::with_org`] with a scalable organization for larger
     /// machines).
-    pub fn with_exts(nprocs: usize, exts: ExtStack) -> Self {
+    pub fn with_exts(nprocs: usize, exts: Exts) -> Self {
         DirCtrl::with_org(nprocs, DirOrg::FullMap, exts).unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -293,16 +291,12 @@ impl DirCtrl {
     ///
     /// Panics if `nprocs` is zero or exceeds the 64-node presence vector.
     pub fn new(nprocs: usize, migratory: bool, competitive: bool) -> Self {
-        let mut exts = ExtStack::new();
-        if migratory {
-            exts.push(Box::new(MigratoryExt::new(competitive)));
-        }
-        if competitive {
-            exts.push(Box::new(CompetitiveUpdateExt::new(
-                crate::config::CompetitiveConfig::default(),
-            )));
-        }
-        DirCtrl::with_exts(nprocs, exts)
+        let p = ProtocolConfig {
+            migratory,
+            competitive: competitive.then(CompetitiveConfig::default),
+            ..ProtocolConfig::basic(Consistency::Rc)
+        };
+        DirCtrl::with_exts(nprocs, Exts::from_protocol(&p))
     }
 
     /// The configured directory organization.
@@ -316,7 +310,7 @@ impl DirCtrl {
     }
 
     /// The rule layers a conformance replay of this controller's trace
-    /// must enable: the extension stack's layers, plus the DIR layer when
+    /// must enable: the extensions' layers, plus the DIR layer when
     /// the organization can over-approximate (broadcasts, multicasts and
     /// pointer recalls become legal transitions).
     pub fn rule_set(&self) -> crate::proto::table::ExtSet {
@@ -328,29 +322,6 @@ impl DirCtrl {
             set = set.with(ExtKind::Recovery);
         }
         set
-    }
-
-    /// Enables or disables migratory reversion (the self-correcting part of
-    /// the optimization: an unwritten exclusive copy reverts the block to
-    /// ordinary sharing). On by default; an ablation test disables it.
-    pub fn set_revert(&mut self, enabled: bool) {
-        self.exts.configure(ExtOption::MigratoryRevert, enabled);
-    }
-
-    /// Enables MESI-style exclusive-clean grants: a read miss to a block
-    /// with no cached copies returns an exclusive copy (extension; see
-    /// `ProtocolConfig::exclusive_clean`).
-    pub fn set_exclusive_clean(&mut self, enabled: bool) {
-        if enabled && !self.exts.contains(ExtKind::ExclusiveClean) {
-            self.exts.push(Box::new(ExclusiveCleanExt));
-        } else if !enabled {
-            self.exts.remove(ExtKind::ExclusiveClean);
-        }
-    }
-
-    /// The installed extension stack.
-    pub fn exts(&self) -> &ExtStack {
-        &self.exts
     }
 
     /// Starts recording state transitions into a ring of `capacity`
@@ -588,12 +559,12 @@ impl DirCtrl {
         }
     }
 
-    /// Runs a hook dispatch with the entry, the extension stack and the
-    /// stats borrowed simultaneously (split borrow of `self`).
+    /// Runs a hook with the entry, the extensions and the stats borrowed
+    /// simultaneously (split borrow of `self`).
     fn with_entry_exts<R>(
         &mut self,
         block: BlockAddr,
-        f: impl FnOnce(&mut DirEntry, &mut ExtStack, &mut DirStats) -> R,
+        f: impl FnOnce(&mut DirEntry, &mut Exts, &mut DirStats) -> R,
     ) -> R {
         let DirCtrl {
             entries,
@@ -757,10 +728,7 @@ impl DirCtrl {
                 self.stats.reads_clean += 1;
                 // BASIC grants a shared copy; extensions (migratory,
                 // exclusive-clean) may upgrade the grant.
-                let mut grant = ReadGrant::shared();
-                self.with_entry_exts(block, |e, exts, stats| {
-                    exts.read_clean(e, src, stats, &mut grant)
-                });
+                let grant = self.with_entry_exts(block, |e, exts, stats| exts.read_clean(e, stats));
                 let outcome = {
                     let e = self.entry(block);
                     let outcome = e.sharers.add(src);
@@ -796,8 +764,7 @@ impl DirCtrl {
                 self.stats.reads_dirty += 1;
                 // BASIC fetches the dirty copy; the migratory extension
                 // redirects to a fetch-invalidate that passes the block on.
-                let mut mode = ReadFetch::Plain;
-                self.with_entry_exts(block, |e, exts, _| exts.read_modified(e, &mut mode));
+                let mode = self.with_entry_exts(block, |e, exts, _| exts.read_modified(e));
                 let (fetch, pkind) = match mode {
                     ReadFetch::Invalidating => (MsgKind::FetchInval, PendingKind::FetchMigRead),
                     ReadFetch::Plain => (MsgKind::Fetch, PendingKind::FetchRead),
@@ -998,8 +965,7 @@ impl DirCtrl {
             DirState::Clean => {
                 // BASIC-CW fans the update out; the migratory extension
                 // composed with CW reroutes through an interrogation round.
-                let mut route = UpdateRoute::Fanout;
-                self.with_entry_exts(block, |e, exts, _| exts.update_route(e, src, &mut route));
+                let route = self.with_entry_exts(block, |e, exts, _| exts.update_route(e, src));
                 if route == UpdateRoute::Interrogate {
                     // The M hook only routes here when the sharer count is
                     // exactly known (> 1), so this fan-out is always exact.
@@ -1736,6 +1702,11 @@ mod tests {
         NodeId(i)
     }
 
+    /// A full-map controller with BASIC plus the given extensions.
+    fn dir_with(p: ProtocolConfig) -> DirCtrl {
+        DirCtrl::with_exts(N, Exts::from_protocol(&p))
+    }
+
     /// Shorthand: assert a single action with the given destination+kind.
     fn assert_single(actions: &[DirAction], dst: NodeId, kind: MsgKind) {
         assert_eq!(actions, &[DirAction { dst, kind }]);
@@ -2084,8 +2055,11 @@ mod tests {
 
     #[test]
     fn revert_disabled_keeps_granting_exclusive() {
-        let mut dir = DirCtrl::new(N, true, false);
-        dir.set_revert(false);
+        let mut dir = dir_with(ProtocolConfig {
+            migratory: true,
+            migratory_revert: false,
+            ..ProtocolConfig::basic(Consistency::Rc)
+        });
         migratory_turn(&mut dir, n(0), b(0));
         migratory_turn(&mut dir, n(1), b(0));
         assert!(dir.snapshot(b(0)).unwrap().2);
@@ -2139,8 +2113,10 @@ mod tests {
 
     #[test]
     fn exclusive_clean_grants_when_no_copies_exist() {
-        let mut dir = DirCtrl::new(N, false, false);
-        dir.set_exclusive_clean(true);
+        let mut dir = dir_with(ProtocolConfig {
+            exclusive_clean: true,
+            ..ProtocolConfig::basic(Consistency::Rc)
+        });
         let a = dir.h(n(1), b(0), MsgKind::ReadReq { prefetch: false });
         assert_single(&a, n(1), MsgKind::ReadReply { exclusive: true });
         assert_eq!(dir.snapshot(b(0)).unwrap().0, Some(n(1)));
@@ -2156,8 +2132,10 @@ mod tests {
 
     #[test]
     fn exclusive_clean_not_granted_with_existing_sharers() {
-        let mut dir = DirCtrl::new(N, false, false);
-        dir.set_exclusive_clean(true);
+        let mut dir = dir_with(ProtocolConfig {
+            exclusive_clean: true,
+            ..ProtocolConfig::basic(Consistency::Rc)
+        });
         dir.h(n(1), b(0), MsgKind::ReadReq { prefetch: false });
         dir.h(n(1), b(0), MsgKind::WritebackReq { written: false });
         dir.h(n(1), b(0), MsgKind::ReadReq { prefetch: false });
@@ -2169,6 +2147,33 @@ mod tests {
         // Node 3 now reads a block with two sharers: plain shared grant.
         let a = dir.h(n(3), b(0), MsgKind::ReadReq { prefetch: false });
         assert_single(&a, n(3), MsgKind::ReadReply { exclusive: false });
+    }
+
+    #[test]
+    fn exclusive_clean_yields_to_migratory() {
+        // Both M and E upgrade a read of a clean block with no copies; M's
+        // grant must win once the block is migratory.
+        let mut dir = dir_with(ProtocolConfig {
+            migratory: true,
+            exclusive_clean: true,
+            ..ProtocolConfig::basic(Consistency::Rc)
+        });
+        dir.enable_trace(64);
+        let last_ext = |dir: &DirCtrl| dir.trace().iter().last().and_then(|r| r.ext);
+        // A first read of an untouched block: E's exclusive grant.
+        let a = dir.h(n(0), b(0), MsgKind::ReadReq { prefetch: false });
+        assert_single(&a, n(0), MsgKind::ReadReply { exclusive: true });
+        assert_eq!(last_ext(&dir), Some("E"));
+        // Two read-then-write turns classify the block migratory.
+        migratory_turn(&mut dir, n(1), b(0));
+        migratory_turn(&mut dir, n(2), b(0));
+        assert!(dir.snapshot(b(0)).unwrap().2, "block must be migratory now");
+        let a = dir.h(n(2), b(0), MsgKind::WritebackReq { written: true });
+        assert_single(&a, n(2), MsgKind::WritebackAck);
+        // The block is clean with no copies, but M's grant outranks E's.
+        let a = dir.h(n(3), b(0), MsgKind::ReadReq { prefetch: false });
+        assert_single(&a, n(3), MsgKind::ReadReply { exclusive: true });
+        assert_eq!(last_ext(&dir), Some("M"));
     }
 
     // ------------------------------------------------- competitive update (CW)
@@ -2421,7 +2426,7 @@ mod tests {
 
     #[test]
     fn purge_sweeps_inexact_set_and_restores_exactness() {
-        let mut dir = DirCtrl::with_org(N, DirOrg::Directoryless, ExtStack::new()).unwrap();
+        let mut dir = DirCtrl::with_org(N, DirOrg::Directoryless, Exts::default()).unwrap();
         for i in [1u16, 2, 3] {
             dir.h(n(i), b(0), MsgKind::ReadReq { prefetch: false });
         }

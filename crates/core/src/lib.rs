@@ -12,8 +12,9 @@
 //! * **M** — the migratory-sharing optimization (detection and reversion
 //!   live in [`dir::DirCtrl`]; the `MigClean` cache state in
 //!   [`line::CacheState`]);
-//! * **CW** — competitive update with write caches
-//!   ([`competitive::CompetitivePolicy`]; the write cache itself is
+//! * **CW** — competitive update with write caches (the counter in
+//!   [`line::Line`], the update fan-out in [`dir::DirCtrl`], the policy
+//!   knobs in [`CompetitiveConfig`]; the write cache itself is
 //!   `dirext_memsys::WriteCache`);
 //! * every combination of the above, selected by [`ProtocolKind`] /
 //!   [`ProtocolConfig`];
@@ -30,7 +31,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod blockmap;
-pub mod competitive;
 pub mod config;
 pub mod cost;
 pub mod dir;
@@ -49,5 +49,41 @@ pub use error::ProtocolError;
 pub use line::{CacheState, Line};
 pub use msg::{Msg, MsgKind};
 pub use prefetch::Prefetcher;
-pub use proto::{ExtKind, ExtSet, ExtStack, ProtocolExt, TraceRing, TransitionRecord};
+pub use proto::{ExtKind, ExtSet, Exts, TraceRing, TransitionRecord};
 pub use sharer::{AckMask, AddOutcome, DirOrg, DirOrgError, FanoutClass, SharerSet};
+
+/// Width of the CW counter. Its countdown is tested in [`line`]; its per-line
+/// bit cost is computed by [`cost::HardwareCost`].
+#[cfg(test)]
+mod competitive {
+    mod tests {
+        use crate::config::{CompetitiveConfig, Consistency, ProtocolConfig, ProtocolKind};
+        use crate::cost::HardwareCost;
+
+        /// SLC bits per line that CW's counter adds to BASIC at `threshold`.
+        fn counter_bits(threshold: u8, write_cache: bool) -> u32 {
+            let cw = ProtocolConfig {
+                competitive: Some(CompetitiveConfig {
+                    threshold,
+                    write_cache,
+                }),
+                ..ProtocolKind::Cw.config(Consistency::Rc)
+            };
+            let basic = ProtocolKind::Basic.config(Consistency::Rc);
+            HardwareCost::of(&cw, 16).slc_bits_per_line
+                - HardwareCost::of(&basic, 16).slc_bits_per_line
+        }
+
+        #[test]
+        fn counter_bits_matches_table_1() {
+            // Threshold 1 -> modulo-2 counter -> 1 bit.
+            assert_eq!(counter_bits(1, true), 1);
+            // Threshold 4 -> 3 bits (counts 4..0).
+            assert_eq!(counter_bits(4, false), 3);
+            // In general the counter holds threshold..0.
+            assert_eq!(counter_bits(2, true), 2);
+            assert_eq!(counter_bits(8, true), 4);
+            assert_eq!(counter_bits(u8::MAX, true), 8);
+        }
+    }
+}

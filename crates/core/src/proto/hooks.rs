@@ -1,29 +1,24 @@
-//! Composable protocol-extension hooks.
+//! The protocol extensions, as one value per controller.
 //!
 //! The BASIC transition cores (the directory in [`crate::dir`] and the
 //! simulator's cache controller) know nothing about P, M, CW or the
-//! exclusive-clean ablation: at every point where an extension may change
-//! an outcome they consult an [`ExtStack`] — an ordered list of
-//! [`ProtocolExt`] implementations built once from the
-//! [`ProtocolConfig`]. Rewriting hooks are *first-win*: the first
-//! extension that rewrites an outcome settles it, mirroring the paper's
-//! precedence (migratory handling before the exclusive-clean grant);
-//! observation hooks (`on_own_lookup`, `on_writeback`, prefetch
-//! callbacks) run for every installed extension.
+//! exclusive-clean ablation E: at every point where an extension may change
+//! an outcome they call a hook on an [`Exts`] built once from the
+//! [`ProtocolConfig`]. Each hook is written once, with the precedence of
+//! the extensions it serves spelled out in its body (M's exclusive grant
+//! before E's, the CW+M interrogation only when both are installed).
 //!
-//! The stack remembers which hook fired so the transition-trace layer can
-//! attribute the resulting state change to an extension.
+//! The directory-side hooks remember which extension changed an outcome so
+//! the transition-trace layer can attribute the resulting state change.
 
-use crate::competitive::CompetitivePolicy;
-use crate::config::{CompetitiveConfig, PrefetchConfig, ProtocolConfig};
+use crate::config::{CompetitiveConfig, ProtocolConfig};
 use crate::dir::{DirEntry, DirState, DirStats};
 use crate::prefetch::{PrefetchStats, Prefetcher};
 use dirext_trace::NodeId;
 
 use super::table::{ExtKind, ExtSet};
 
-/// Outcome of a read miss on a CLEAN directory entry, as rewritable by
-/// extensions.
+/// Outcome of a read miss on a CLEAN directory entry.
 #[derive(Debug, Clone, Copy)]
 pub struct ReadGrant {
     /// Grant the block exclusively (the requester installs `MigClean`).
@@ -31,16 +26,6 @@ pub struct ReadGrant {
     /// Record the requester as the block's last writer (migratory grants
     /// do; plain exclusive-clean grants do not).
     pub record_writer: bool,
-}
-
-impl ReadGrant {
-    /// The BASIC outcome: an ordinary shared copy.
-    pub fn shared() -> Self {
-        ReadGrant {
-            exclusive: false,
-            record_writer: false,
-        }
-    }
 }
 
 /// How the home services a read miss on a MODIFIED entry.
@@ -74,558 +59,263 @@ pub enum WriteMode {
     UpdateNow,
 }
 
-/// Runtime-adjustable extension options (turned off by ablation tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExtOption {
+/// The protocol extensions installed at one controller, and the hooks the
+/// BASIC transition cores call. The default value is pure BASIC.
+#[derive(Debug, Default)]
+pub struct Exts {
+    /// P: the per-node adaptive sequential prefetcher.
+    prefetch: Option<Prefetcher>,
+    /// M: the migratory-sharing optimization.
+    migratory: bool,
     /// M: whether an unwritten exclusive copy reverts the block to
     /// ordinary read sharing.
-    MigratoryRevert,
-}
-
-/// A protocol extension: a set of hooks the BASIC transition cores consult.
-///
-/// Every method has a no-op default, so an extension implements exactly
-/// the decision points it cares about. Hooks returning `bool` report
-/// whether they rewrote the outcome (for first-win dispatch and trace
-/// attribution).
-#[allow(unused_variables)]
-pub trait ProtocolExt: std::fmt::Debug + Send {
-    /// Short name used in trace records ("P", "M", "CW", "E").
-    fn name(&self) -> &'static str;
-
-    /// Which transition-table layer this extension enables.
-    fn kind(&self) -> ExtKind;
-
-    /// Adjusts a runtime option; unknown options are ignored.
-    fn configure(&mut self, opt: ExtOption, on: bool) {}
-
-    // ------------------------------------------------- directory side
-
-    /// Read miss on a CLEAN entry: may upgrade the grant to exclusive.
-    fn read_clean(
-        &mut self,
-        e: &mut DirEntry,
-        src: NodeId,
-        stats: &mut DirStats,
-        grant: &mut ReadGrant,
-    ) -> bool {
-        false
-    }
-
-    /// Read miss on a MODIFIED entry: may redirect the fetch.
-    fn read_modified(&mut self, e: &DirEntry, fetch: &mut ReadFetch) -> bool {
-        false
-    }
-
-    /// An ownership request arrived (before state dispatch): sharing-
-    /// pattern detection.
-    fn on_own_lookup(&mut self, e: &mut DirEntry, src: NodeId, stats: &mut DirStats) -> bool {
-        false
-    }
-
-    /// Update request on a CLEAN entry: may reroute the fan-out.
-    fn update_route(&mut self, e: &DirEntry, src: NodeId, route: &mut UpdateRoute) -> bool {
-        false
-    }
-
-    /// An owner's writeback was applied (entry already CLEAN):
-    /// self-correction.
-    fn on_writeback(&mut self, e: &mut DirEntry, written: bool, stats: &mut DirStats) -> bool {
-        false
-    }
-
-    /// A migratory fetch completed with `written == false`: should the
-    /// block revert to ordinary read sharing?
-    fn unwritten_migratory_fetch(&mut self, revert: &mut bool) -> bool {
-        false
-    }
-
-    // ----------------------------------------------------- cache side
-
-    /// How a write to a SHARED or absent block is serviced.
-    fn write_mode(&mut self, mode: &mut WriteMode) -> bool {
-        false
-    }
-
-    /// A demand read miss whose predecessor-cached bit is `pred_cached`:
-    /// sets the number of sequential prefetches to issue.
-    fn on_demand_miss(&mut self, pred_cached: bool, k: &mut u32) -> bool {
-        false
-    }
-
-    /// First reference to a prefetched block: sets the number of
-    /// prefetches extending the stream.
-    fn on_useful_first_reference(&mut self, k: &mut u32) -> bool {
-        false
-    }
-
-    /// A prefetch request left the cache.
-    fn on_prefetch_issued(&mut self) {}
-
-    /// A prefetched block arrived.
-    fn on_prefetch_arrived(&mut self) {}
-
-    /// Prefetcher counters for metrics collection, if this extension
-    /// prefetches.
-    fn prefetch_stats(&self) -> Option<PrefetchStats> {
-        None
-    }
-}
-
-// --------------------------------------------------------------- stack
-
-/// An ordered stack of protocol extensions, built from a
-/// [`ProtocolConfig`] and consulted by both transition cores.
-#[derive(Debug, Default)]
-pub struct ExtStack {
-    exts: Vec<Box<dyn ProtocolExt>>,
-    /// Name of the first hook that rewrote an outcome since the last
-    /// [`ExtStack::take_fired`] (trace attribution).
+    revert: bool,
+    /// E: MESI-style exclusive-clean grants.
+    exclusive_clean: bool,
+    /// CW: competitive update.
+    competitive: Option<CompetitiveConfig>,
+    /// Name of the first extension that changed an outcome since the last
+    /// [`Exts::take_fired`] (trace attribution).
     fired: Option<&'static str>,
 }
 
-impl ExtStack {
-    /// An empty stack: the pure BASIC protocol.
-    pub fn new() -> Self {
-        ExtStack::default()
-    }
-
-    /// Builds the stack matching a protocol configuration, in precedence
-    /// order: P, M, E, CW.
+impl Exts {
+    /// The extensions of a protocol configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the competitive threshold is zero (a copy that
+    /// self-invalidates before any update would make loads incoherent).
     pub fn from_protocol(p: &ProtocolConfig) -> Self {
-        let mut s = ExtStack::new();
-        if let Some(pf) = p.prefetch {
-            s.push(Box::new(PrefetchExt::new(pf)));
-        }
-        if p.migratory {
-            let mut m = MigratoryExt::new(p.competitive.is_some());
-            m.configure(ExtOption::MigratoryRevert, p.migratory_revert);
-            s.push(Box::new(m));
-        }
-        if p.exclusive_clean {
-            s.push(Box::new(ExclusiveCleanExt));
-        }
         if let Some(c) = p.competitive {
-            s.push(Box::new(CompetitiveUpdateExt::new(c)));
+            assert!(c.threshold > 0, "competitive threshold must be positive");
         }
-        s
-    }
-
-    /// Appends an extension (later entries lose first-win rewrites).
-    pub fn push(&mut self, ext: Box<dyn ProtocolExt>) {
-        self.exts.push(ext);
-    }
-
-    /// Removes every extension of table layer `kind`.
-    pub fn remove(&mut self, kind: ExtKind) {
-        self.exts.retain(|e| e.kind() != kind);
-    }
-
-    /// Whether an extension of table layer `kind` is installed.
-    pub fn contains(&self, kind: ExtKind) -> bool {
-        self.exts.iter().any(|e| e.kind() == kind)
+        Exts {
+            prefetch: p.prefetch.map(Prefetcher::new),
+            migratory: p.migratory,
+            revert: p.migratory_revert,
+            exclusive_clean: p.exclusive_clean,
+            competitive: p.competitive,
+            fired: None,
+        }
     }
 
     /// The enabled transition-table layers (BASIC plus one per installed
     /// extension, with CW+M inferred).
     pub fn rule_set(&self) -> ExtSet {
-        self.exts
-            .iter()
-            .fold(ExtSet::basic(), |s, e| s.with(e.kind()))
+        [
+            (self.prefetch.is_some(), ExtKind::Prefetch),
+            (self.migratory, ExtKind::Migratory),
+            (self.exclusive_clean, ExtKind::ExclusiveClean),
+            (self.competitive.is_some(), ExtKind::Competitive),
+        ]
+        .into_iter()
+        .filter(|&(on, _)| on)
+        .fold(ExtSet::basic(), |s, (_, kind)| s.with(kind))
     }
 
-    /// Installed extension names, in stack order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.exts.iter().map(|e| e.name()).collect()
-    }
-
-    /// Forwards an option to every installed extension.
-    pub fn configure(&mut self, opt: ExtOption, on: bool) {
-        for e in &mut self.exts {
-            e.configure(opt, on);
-        }
-    }
-
-    /// Takes (and clears) the name of the first hook that rewrote an
+    /// Takes (and clears) the name of the first extension that changed an
     /// outcome since the previous call.
     pub fn take_fired(&mut self) -> Option<&'static str> {
         self.fired.take()
     }
 
-    fn note_fired(&mut self, name: &'static str) {
-        if self.fired.is_none() {
-            self.fired = Some(name);
-        }
+    fn fire(&mut self, name: &'static str) {
+        self.fired.get_or_insert(name);
     }
 
-    // Dispatchers. Rewriting hooks are first-win; observation hooks run
-    // for every extension.
+    // ------------------------------------------------- directory side
 
-    /// First-win dispatch of [`ProtocolExt::read_clean`].
-    pub fn read_clean(
-        &mut self,
-        e: &mut DirEntry,
-        src: NodeId,
-        stats: &mut DirStats,
-        grant: &mut ReadGrant,
-    ) {
-        for i in 0..self.exts.len() {
-            if self.exts[i].read_clean(e, src, stats, grant) {
-                let name = self.exts[i].name();
-                self.note_fired(name);
-                return;
-            }
-        }
-    }
-
-    /// First-win dispatch of [`ProtocolExt::read_modified`].
-    pub fn read_modified(&mut self, e: &DirEntry, fetch: &mut ReadFetch) {
-        for i in 0..self.exts.len() {
-            if self.exts[i].read_modified(e, fetch) {
-                let name = self.exts[i].name();
-                self.note_fired(name);
-                return;
-            }
-        }
-    }
-
-    /// Dispatches [`ProtocolExt::on_own_lookup`] to every extension.
-    pub fn on_own_lookup(&mut self, e: &mut DirEntry, src: NodeId, stats: &mut DirStats) {
-        for i in 0..self.exts.len() {
-            if self.exts[i].on_own_lookup(e, src, stats) {
-                let name = self.exts[i].name();
-                self.note_fired(name);
-            }
-        }
-    }
-
-    /// First-win dispatch of [`ProtocolExt::update_route`].
-    pub fn update_route(&mut self, e: &DirEntry, src: NodeId, route: &mut UpdateRoute) {
-        for i in 0..self.exts.len() {
-            if self.exts[i].update_route(e, src, route) {
-                let name = self.exts[i].name();
-                self.note_fired(name);
-                return;
-            }
-        }
-    }
-
-    /// Dispatches [`ProtocolExt::on_writeback`] to every extension.
-    pub fn on_writeback(&mut self, e: &mut DirEntry, written: bool, stats: &mut DirStats) {
-        for i in 0..self.exts.len() {
-            if self.exts[i].on_writeback(e, written, stats) {
-                let name = self.exts[i].name();
-                self.note_fired(name);
-            }
-        }
-    }
-
-    /// First-win dispatch of [`ProtocolExt::unwritten_migratory_fetch`].
-    pub fn unwritten_migratory_fetch(&mut self) -> bool {
-        let mut revert = false;
-        for i in 0..self.exts.len() {
-            if self.exts[i].unwritten_migratory_fetch(&mut revert) {
-                let name = self.exts[i].name();
-                self.note_fired(name);
-                break;
-            }
-        }
-        revert
-    }
-
-    /// First-win dispatch of [`ProtocolExt::write_mode`].
-    pub fn write_mode(&mut self) -> WriteMode {
-        let mut mode = WriteMode::Invalidate;
-        for e in &mut self.exts {
-            if e.write_mode(&mut mode) {
-                break;
-            }
-        }
-        mode
-    }
-
-    /// First-win dispatch of [`ProtocolExt::on_demand_miss`]; 0 means no
-    /// prefetching.
-    pub fn on_demand_miss(&mut self, pred_cached: bool) -> u32 {
-        let mut k = 0;
-        for e in &mut self.exts {
-            if e.on_demand_miss(pred_cached, &mut k) {
-                break;
-            }
-        }
-        k
-    }
-
-    /// First-win dispatch of [`ProtocolExt::on_useful_first_reference`].
-    pub fn on_useful_first_reference(&mut self) -> u32 {
-        let mut k = 0;
-        for e in &mut self.exts {
-            if e.on_useful_first_reference(&mut k) {
-                break;
-            }
-        }
-        k
-    }
-
-    /// Notifies every extension that a prefetch request left the cache.
-    pub fn on_prefetch_issued(&mut self) {
-        for e in &mut self.exts {
-            e.on_prefetch_issued();
-        }
-    }
-
-    /// Notifies every extension that a prefetched block arrived.
-    pub fn on_prefetch_arrived(&mut self) {
-        for e in &mut self.exts {
-            e.on_prefetch_arrived();
-        }
-    }
-
-    /// The first extension's prefetch counters, if any extension
-    /// prefetches.
-    pub fn prefetch_stats(&self) -> Option<PrefetchStats> {
-        self.exts.iter().find_map(|e| e.prefetch_stats())
-    }
-}
-
-// ---------------------------------------------------------- extensions
-
-/// P — adaptive sequential prefetching (wraps the per-node
-/// [`Prefetcher`] state machine).
-#[derive(Debug)]
-pub struct PrefetchExt {
-    pf: Prefetcher,
-}
-
-impl PrefetchExt {
-    /// A prefetch extension with the given adaptation parameters.
-    pub fn new(cfg: PrefetchConfig) -> Self {
-        PrefetchExt {
-            pf: Prefetcher::new(cfg),
-        }
-    }
-}
-
-impl ProtocolExt for PrefetchExt {
-    fn name(&self) -> &'static str {
-        "P"
-    }
-
-    fn kind(&self) -> ExtKind {
-        ExtKind::Prefetch
-    }
-
-    fn on_demand_miss(&mut self, pred_cached: bool, k: &mut u32) -> bool {
-        *k = self.pf.on_demand_miss(pred_cached);
-        true
-    }
-
-    fn on_useful_first_reference(&mut self, k: &mut u32) -> bool {
-        *k = self.pf.on_useful_first_reference();
-        true
-    }
-
-    fn on_prefetch_issued(&mut self) {
-        self.pf.on_prefetch_issued();
-    }
-
-    fn on_prefetch_arrived(&mut self) {
-        self.pf.on_prefetch_arrived();
-    }
-
-    fn prefetch_stats(&self) -> Option<PrefetchStats> {
-        Some(self.pf.stats())
-    }
-}
-
-/// M — the migratory-sharing optimization: detection at the home on
-/// ownership requests, exclusive read grants, fetch-invalidate reads, and
-/// self-correcting reversion.
-#[derive(Debug)]
-pub struct MigratoryExt {
-    revert: bool,
-    /// Composed with CW: detection must go through interrogation, because
-    /// the home cannot see local reads under an update protocol.
-    interrogate: bool,
-}
-
-impl MigratoryExt {
-    /// A migratory extension; `with_competitive` selects the CW+M
-    /// interrogation-based detection.
-    pub fn new(with_competitive: bool) -> Self {
-        MigratoryExt {
-            revert: true,
-            interrogate: with_competitive,
-        }
-    }
-}
-
-impl ProtocolExt for MigratoryExt {
-    fn name(&self) -> &'static str {
-        "M"
-    }
-
-    fn kind(&self) -> ExtKind {
-        ExtKind::Migratory
-    }
-
-    fn configure(&mut self, opt: ExtOption, on: bool) {
-        match opt {
-            ExtOption::MigratoryRevert => self.revert = on,
-        }
-    }
-
-    fn read_clean(
-        &mut self,
-        e: &mut DirEntry,
-        src: NodeId,
-        stats: &mut DirStats,
-        grant: &mut ReadGrant,
-    ) -> bool {
-        if !e.migratory {
-            return false;
-        }
-        // A migratory block that is clean has no cached copies (the last
-        // holder wrote it back): grant exclusively.
-        debug_assert!(e.sharers.exactly_empty());
-        let _ = src;
+    /// Read miss on a CLEAN entry. M grants a migratory block exclusively
+    /// and records the reader as its writer; otherwise E grants a block
+    /// with certainly no cached copies exclusively; otherwise BASIC grants
+    /// a shared copy.
+    pub fn read_clean(&mut self, e: &DirEntry, stats: &mut DirStats) -> ReadGrant {
+        let record_writer = if self.migratory && e.migratory {
+            // A migratory block that is clean has no cached copies (the
+            // last holder wrote it back).
+            debug_assert!(e.sharers.exactly_empty());
+            self.fire("M");
+            true
+        } else if self.exclusive_clean && e.sharers.exactly_empty() {
+            // Gated on *certain* emptiness: an inexact organization never
+            // grants exclusivity.
+            self.fire("E");
+            false
+        } else {
+            return ReadGrant {
+                exclusive: false,
+                record_writer: false,
+            };
+        };
         stats.exclusive_grants += 1;
-        grant.exclusive = true;
-        grant.record_writer = true;
-        true
-    }
-
-    fn read_modified(&mut self, e: &DirEntry, fetch: &mut ReadFetch) -> bool {
-        if !e.migratory {
-            return false;
+        ReadGrant {
+            exclusive: true,
+            record_writer,
         }
-        *fetch = ReadFetch::Invalidating;
-        true
     }
 
-    fn on_own_lookup(&mut self, e: &mut DirEntry, src: NodeId, stats: &mut DirStats) -> bool {
-        // Migratory detection (Stenström et al. [12], Cox & Fowler [2]):
-        // an ownership request from a node that just read the block, while
-        // the only other copy belongs to the previous writer.
-        if !e.migratory
+    /// Read miss on a MODIFIED entry: M passes a migratory block on with a
+    /// fetch-invalidate; BASIC fetches the dirty copy.
+    pub fn read_modified(&mut self, e: &DirEntry) -> ReadFetch {
+        if self.migratory && e.migratory {
+            self.fire("M");
+            ReadFetch::Invalidating
+        } else {
+            ReadFetch::Plain
+        }
+    }
+
+    /// An ownership request arrived (before state dispatch): M's migratory
+    /// detection (Stenström et al. \[12\], Cox & Fowler \[2\]) — an ownership
+    /// request from a node that just read the block, while the only other
+    /// copy belongs to the previous writer.
+    pub fn on_own_lookup(&mut self, e: &mut DirEntry, src: NodeId, stats: &mut DirStats) {
+        if self.migratory
+            && !e.migratory
             && e.state == DirState::Clean
             && e.sharers.exact_count() == Some(2)
             && e.sharers.certainly_contains(src)
+            && e.last_writer
+                .is_some_and(|lw| lw != src && e.sharers.certainly_contains(lw))
         {
-            if let Some(lw) = e.last_writer {
-                if lw != src && e.sharers.certainly_contains(lw) {
-                    e.migratory = true;
-                    stats.migratory_detections += 1;
-                    return true;
-                }
-            }
+            e.migratory = true;
+            stats.migratory_detections += 1;
+            self.fire("M");
         }
-        false
     }
 
-    fn update_route(&mut self, e: &DirEntry, src: NodeId, route: &mut UpdateRoute) -> bool {
-        // CW+M: two consecutive non-overlapping read/write sequences by
-        // distinct processors are only *potentially* migratory —
-        // interrogate the caches holding copies.
-        if self.interrogate
+    /// Update request on a CLEAN entry. Only with M and CW both installed:
+    /// two consecutive non-overlapping read/write sequences by distinct
+    /// processors are *potentially* migratory, so the home interrogates
+    /// the caches holding copies instead of fanning the update out.
+    pub fn update_route(&mut self, e: &DirEntry, src: NodeId) -> UpdateRoute {
+        if self.migratory
+            && self.competitive.is_some()
             && !e.migratory
             && e.sharers.exact_count().is_some_and(|c| c > 1)
             && e.last_updater.is_some()
             && e.last_updater != Some(src)
         {
-            *route = UpdateRoute::Interrogate;
-            return true;
+            self.fire("M");
+            UpdateRoute::Interrogate
+        } else {
+            UpdateRoute::Fanout
         }
-        false
     }
 
-    fn on_writeback(&mut self, e: &mut DirEntry, written: bool, stats: &mut DirStats) -> bool {
-        if !written && e.migratory && self.revert {
-            // The holder replaced the block without ever writing it: the
-            // sharing pattern is no longer migratory.
+    /// An owner's writeback was applied (entry already CLEAN): M's
+    /// self-correction when the holder replaced the block without ever
+    /// writing it.
+    pub fn on_writeback(&mut self, e: &mut DirEntry, written: bool, stats: &mut DirStats) {
+        if self.migratory && self.revert && !written && e.migratory {
             e.migratory = false;
             stats.migratory_reverts += 1;
-            return true;
-        }
-        false
-    }
-
-    fn unwritten_migratory_fetch(&mut self, revert: &mut bool) -> bool {
-        *revert = self.revert;
-        true
-    }
-}
-
-/// The MESI-style exclusive-clean ablation: a read miss to a block with no
-/// cached copies returns an exclusive copy.
-#[derive(Debug)]
-pub struct ExclusiveCleanExt;
-
-impl ProtocolExt for ExclusiveCleanExt {
-    fn name(&self) -> &'static str {
-        "E"
-    }
-
-    fn kind(&self) -> ExtKind {
-        ExtKind::ExclusiveClean
-    }
-
-    fn read_clean(
-        &mut self,
-        e: &mut DirEntry,
-        _src: NodeId,
-        stats: &mut DirStats,
-        grant: &mut ReadGrant,
-    ) -> bool {
-        // With no other copies, grant exclusively so the first write to
-        // (effectively private) data is silent. Gated on *certain* emptiness:
-        // an inexact organization never grants exclusivity.
-        if !e.sharers.exactly_empty() {
-            return false;
-        }
-        stats.exclusive_grants += 1;
-        grant.exclusive = true;
-        true
-    }
-}
-
-/// CW — competitive update with write caches. The directory's update
-/// fan-out is message-driven (an `UpdateReq` can only exist under CW);
-/// this extension's hooks select the cache-side write policy.
-#[derive(Debug)]
-pub struct CompetitiveUpdateExt {
-    policy: CompetitivePolicy,
-}
-
-impl CompetitiveUpdateExt {
-    /// A competitive-update extension with the given threshold policy.
-    pub fn new(cfg: CompetitiveConfig) -> Self {
-        CompetitiveUpdateExt {
-            policy: CompetitivePolicy::new(cfg),
+            self.fire("M");
         }
     }
 
-    /// The per-line competitive counter preset.
-    pub fn preset(&self) -> u8 {
-        self.policy.preset()
+    /// A migratory fetch completed with `written == false`: whether the
+    /// block reverts to ordinary read sharing.
+    pub fn unwritten_migratory_fetch(&mut self) -> bool {
+        if self.migratory {
+            self.fire("M");
+        }
+        self.migratory && self.revert
+    }
+
+    // ----------------------------------------------------- cache side
+
+    /// How a write to a SHARED or absent block is serviced: CW combines it
+    /// in the write cache (or, without one, sends it at once); BASIC
+    /// requests ownership.
+    pub fn write_mode(&self) -> WriteMode {
+        match self.competitive {
+            None => WriteMode::Invalidate,
+            Some(c) if c.write_cache => WriteMode::WriteCache,
+            Some(_) => WriteMode::UpdateNow,
+        }
+    }
+
+    /// A demand read miss whose predecessor-cached bit is `pred_cached`:
+    /// the number of sequential prefetches P issues (0 without P).
+    pub fn on_demand_miss(&mut self, pred_cached: bool) -> u32 {
+        self.prefetch
+            .as_mut()
+            .map_or(0, |pf| pf.on_demand_miss(pred_cached))
+    }
+
+    /// First reference to a prefetched block: the number of prefetches
+    /// extending the stream.
+    pub fn on_useful_first_reference(&mut self) -> u32 {
+        self.prefetch
+            .as_mut()
+            .map_or(0, Prefetcher::on_useful_first_reference)
+    }
+
+    /// A prefetch request left the cache.
+    pub fn on_prefetch_issued(&mut self) {
+        if let Some(pf) = &mut self.prefetch {
+            pf.on_prefetch_issued();
+        }
+    }
+
+    /// A prefetched block arrived.
+    pub fn on_prefetch_arrived(&mut self) {
+        if let Some(pf) = &mut self.prefetch {
+            pf.on_prefetch_arrived();
+        }
+    }
+
+    /// The prefetcher's counters, if P is installed.
+    pub fn prefetch_stats(&self) -> Option<PrefetchStats> {
+        self.prefetch.as_ref().map(Prefetcher::stats)
     }
 }
 
-impl ProtocolExt for CompetitiveUpdateExt {
-    fn name(&self) -> &'static str {
-        "CW"
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{Consistency, ProtocolKind};
 
-    fn kind(&self) -> ExtKind {
-        ExtKind::Competitive
-    }
-
-    fn write_mode(&mut self, mode: &mut WriteMode) -> bool {
-        *mode = if self.policy.write_cache_enabled() {
-            WriteMode::WriteCache
-        } else {
-            WriteMode::UpdateNow
+    #[test]
+    fn rule_set_has_one_layer_per_extension() {
+        for k in ProtocolKind::ALL {
+            let set = Exts::from_protocol(&k.config(Consistency::Rc)).rule_set();
+            assert_eq!(set.contains(ExtKind::Prefetch), k.has_prefetch(), "{k}");
+            assert_eq!(set.contains(ExtKind::Migratory), k.has_migratory(), "{k}");
+            assert_eq!(
+                set.contains(ExtKind::Competitive),
+                k.has_competitive(),
+                "{k}"
+            );
+            assert_eq!(
+                set.contains(ExtKind::CompetitiveMigratory),
+                k.has_migratory() && k.has_competitive(),
+                "{k}"
+            );
+            assert!(!set.contains(ExtKind::ExclusiveClean), "{k}");
+        }
+        let e = ProtocolConfig {
+            exclusive_clean: true,
+            ..ProtocolConfig::basic(Consistency::Sc)
         };
-        true
+        assert_eq!(
+            Exts::from_protocol(&e).rule_set().kinds(),
+            [ExtKind::Basic, ExtKind::ExclusiveClean]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "threshold must be positive")]
+    fn zero_threshold_rejected() {
+        let p = ProtocolConfig {
+            competitive: Some(CompetitiveConfig {
+                threshold: 0,
+                write_cache: true,
+            }),
+            ..ProtocolConfig::basic(Consistency::Rc)
+        };
+        let _ = Exts::from_protocol(&p);
     }
 }

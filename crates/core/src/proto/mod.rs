@@ -11,16 +11,14 @@
 //!   plain `static` data: the documentation generator renders them into
 //!   `docs/PROTOCOL.md` and the conformance checker validates executions
 //!   against them.
-//! * [`hooks`] — the **composable extension hooks**: the
-//!   [`ProtocolExt`] trait whose implementations
-//!   ([`PrefetchExt`], [`MigratoryExt`],
-//!   [`CompetitiveUpdateExt`],
-//!   [`ExclusiveCleanExt`]) carry *all*
-//!   extension-specific behavior. The BASIC transition core in
+//! * [`hooks`] — the **extension hooks**: one concrete [`Exts`] value per
+//!   controller, built once from the [`crate::ProtocolConfig`], carries
+//!   *all* extension-specific behavior. The BASIC transition core in
 //!   [`crate::dir`] and the simulator's cache controller contain no
-//!   extension flag branches: they consult an [`hooks::ExtStack`] built
-//!   once from the [`crate::ProtocolConfig`], so any of the paper's eight
-//!   configurations is just a different stack.
+//!   extension flag branches: at each decision point they call an `Exts`
+//!   hook, whose body spells out how the installed extensions take
+//!   precedence, so any of the paper's eight configurations is just a
+//!   different `Exts`.
 //! * [`trace`] + [`conformance`] — the **transition-trace layer**: both
 //!   controllers append [`trace::TransitionRecord`]s (time, node, block,
 //!   state before/after, triggering input, firing extension) to ring
@@ -34,9 +32,6 @@ pub mod table;
 pub mod trace;
 
 pub use conformance::{check_trace, Violation};
-pub use hooks::{
-    CompetitiveUpdateExt, ExclusiveCleanExt, ExtOption, ExtStack, MigratoryExt, PrefetchExt,
-    ProtocolExt, ReadFetch, ReadGrant, UpdateRoute, WriteMode,
-};
+pub use hooks::{Exts, ReadFetch, ReadGrant, UpdateRoute, WriteMode};
 pub use table::{ExtKind, ExtSet, Rule, CACHE_RULES, DIR_RULES};
 pub use trace::{CacheTag, DirTag, MsgTag, StateTag, TraceInput, TraceRing, TransitionRecord};

@@ -16,11 +16,8 @@
 //! * **Retry with fault-seed rotation** — transiently-failing cells
 //!   ([`SimError::is_transient`] under an active fault plan) are retried
 //!   up to [`SweepOpts::retries`] times with the fault seed rotated by the
-//!   attempt number and a bounded exponential backoff between attempts
-//!   ([`retry_backoff`]: seeded jitter, deterministic per cell key and
-//!   attempt). The rotation and the backoff schedule are both
-//!   deterministic, so interrupted and uninterrupted runs agree on every
-//!   outcome.
+//!   attempt number. The rotation is deterministic, so interrupted and
+//!   uninterrupted runs agree on every outcome.
 //! * **Quarantine** — with [`SweepOpts::keep_going`], failing cells are
 //!   collected into a [`Quarantine`] report while their siblings finish;
 //!   without it the sweep stops claiming new cells after the first
@@ -32,7 +29,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use dirext_core::config::Consistency;
 use dirext_core::sharer::DirOrg;
@@ -67,10 +63,6 @@ pub struct SweepOpts {
     /// Extra attempts for transiently-failing cells under an active fault
     /// plan (0 disables retry).
     pub retries: u32,
-    /// Base delay of the transient-retry backoff, in milliseconds.
-    pub retry_base_ms: u64,
-    /// Upper bound of the transient-retry backoff, in milliseconds.
-    pub retry_cap_ms: u64,
     /// Cooperative cancellation flag (e.g. armed by a SIGINT handler):
     /// checked between cells, drains in-flight work when set.
     pub cancel: Option<Arc<AtomicBool>>,
@@ -87,8 +79,6 @@ impl Default for SweepOpts {
             journal: None,
             keep_going: false,
             retries: 2,
-            retry_base_ms: 10,
-            retry_cap_ms: 2000,
             cancel: None,
             chaos_panic: None,
         }
@@ -138,14 +128,6 @@ impl SweepOpts {
     /// `needle` (test/CI chaos hook).
     pub fn with_chaos_panic(mut self, needle: impl Into<String>) -> Self {
         self.chaos_panic = Some(needle.into());
-        self
-    }
-
-    /// Returns these options with the transient-retry backoff window set
-    /// (`base_ms` doubling per attempt up to `cap_ms`).
-    pub fn retry_backoff_ms(mut self, base_ms: u64, cap_ms: u64) -> Self {
-        self.retry_base_ms = base_ms;
-        self.retry_cap_ms = cap_ms;
         self
     }
 }
@@ -499,38 +481,8 @@ pub(super) fn check_len(driver: &str, got: usize, want: usize) -> Result<(), Swe
     }
 }
 
-/// Deterministic bounded exponential backoff for transient-cell retries.
-///
-/// The window doubles from `base_ms` per attempt and is capped at
-/// `cap_ms`; the returned delay lands in the upper half of the window
-/// (`[window/2, window]`), positioned by a jitter seeded from the cell
-/// key and the attempt number. Determinism matters here for the same
-/// reason fault-seed rotation is deterministic: interrupted and resumed
-/// sweeps must agree on every cell's schedule. The per-key jitter
-/// decorrelates cells that fail together, so a burst of transient
-/// failures does not retry in lockstep.
-pub fn retry_backoff(key: &str, attempt: u32, base_ms: u64, cap_ms: u64) -> Duration {
-    let attempt = attempt.max(1);
-    let window = base_ms
-        .max(1)
-        .saturating_mul(1u64 << (attempt - 1).min(20))
-        .min(cap_ms.max(1));
-    // FNV-1a over the key, mixed with the attempt, then one xorshift
-    // round to spread low-entropy inputs across the window.
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in key.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h ^= u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    h ^= h << 13;
-    h ^= h >> 7;
-    h ^= h << 17;
-    let half = window / 2;
-    Duration::from_millis(half + h % (window - half + 1))
-}
-
 /// Runs one cell: journal lookup, chaos hook, `catch_unwind`, bounded
-/// retry with fault-seed rotation and jittered backoff, journal record.
+/// retry with fault-seed rotation, journal record.
 fn run_one(key: &str, cell: &Cell<'_>, opts: &SweepOpts) -> Outcome {
     if let Some(journal) = &opts.journal {
         if let Some(metrics) = journal.lookup(key) {
@@ -556,16 +508,20 @@ fn run_one(key: &str, cell: &Cell<'_>, opts: &SweepOpts) -> Outcome {
                     panic!("chaos hook: deliberate panic in cell {key}");
                 }
             }
-            run_protocol_full(
-                cell.workload,
-                cell.kind,
-                cell.consistency,
-                cell.network,
-                cell.dir,
-                cell.timing.clone(),
-                fault,
-                cell.node_fault.clone(),
-            )
+            let mut cfg =
+                MachineConfig::new(cell.workload.procs(), cell.kind.config(cell.consistency))
+                    .with_network(cell.network)
+                    .with_dir_org(cell.dir);
+            if let Some(t) = cell.timing.clone() {
+                cfg = cfg.with_timing(t);
+            }
+            if let Some(p) = fault {
+                cfg = cfg.with_faults(p);
+            }
+            if let Some(p) = cell.node_fault.clone() {
+                cfg = cfg.with_node_faults(p);
+            }
+            Machine::new(cfg).run(cell.workload)
         }));
         match result {
             Ok(Ok(metrics)) => {
@@ -576,15 +532,6 @@ fn run_one(key: &str, cell: &Cell<'_>, opts: &SweepOpts) -> Outcome {
             }
             Ok(Err(error)) => {
                 if error.is_transient() && attempt < max_attempts {
-                    // Bounded, jittered backoff before the reseeded
-                    // attempt; deterministic per (key, attempt) so resumed
-                    // sweeps replay the identical schedule.
-                    std::thread::sleep(retry_backoff(
-                        key,
-                        attempt,
-                        opts.retry_base_ms,
-                        opts.retry_cap_ms,
-                    ));
                     continue;
                 }
                 let rendered = error.to_string();
@@ -625,120 +572,4 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_owned()
     }
-}
-
-/// Runs `workload` on the paper's 16-node machine (or `workload.procs()`
-/// nodes) under `kind` × `consistency` with the default uniform network.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the run.
-pub fn run_protocol(
-    workload: &Workload,
-    kind: ProtocolKind,
-    consistency: Consistency,
-) -> Result<Metrics, SimError> {
-    run_protocol_on(workload, kind, consistency, NetworkKind::Uniform, None)
-}
-
-/// [`run_protocol`] with an explicit network and optional timing override.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the run.
-pub fn run_protocol_on(
-    workload: &Workload,
-    kind: ProtocolKind,
-    consistency: Consistency,
-    network: NetworkKind,
-    timing: Option<Timing>,
-) -> Result<Metrics, SimError> {
-    run_protocol_cfg(workload, kind, consistency, network, timing, None)
-}
-
-/// [`run_protocol_dir`] under the default full-map directory. Kept as the
-/// stable entry point for callers that never leave the ≤64-node regime.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the run.
-pub fn run_protocol_cfg(
-    workload: &Workload,
-    kind: ProtocolKind,
-    consistency: Consistency,
-    network: NetworkKind,
-    timing: Option<Timing>,
-    fault: Option<FaultPlan>,
-) -> Result<Metrics, SimError> {
-    run_protocol_dir(
-        workload,
-        kind,
-        consistency,
-        network,
-        DirOrg::FullMap,
-        timing,
-        fault,
-    )
-}
-
-/// The fully-general run helper: explicit network, directory
-/// organization, optional timing override, optional fault plan. Every
-/// sweep configuration bottoms out here.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the run, including
-/// [`SimError::Config`] when `dir` cannot serve `workload.procs()` nodes.
-pub fn run_protocol_dir(
-    workload: &Workload,
-    kind: ProtocolKind,
-    consistency: Consistency,
-    network: NetworkKind,
-    dir: DirOrg,
-    timing: Option<Timing>,
-    fault: Option<FaultPlan>,
-) -> Result<Metrics, SimError> {
-    run_protocol_full(
-        workload,
-        kind,
-        consistency,
-        network,
-        dir,
-        timing,
-        fault,
-        None,
-    )
-}
-
-/// [`run_protocol_dir`] with a whole-node crash/recovery schedule on
-/// top of the optional link-fault plan — the fully-loaded entry point the
-/// `degrade` sweep bottoms out in.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_protocol_full(
-    workload: &Workload,
-    kind: ProtocolKind,
-    consistency: Consistency,
-    network: NetworkKind,
-    dir: DirOrg,
-    timing: Option<Timing>,
-    fault: Option<FaultPlan>,
-    node_fault: Option<NodeFaultPlan>,
-) -> Result<Metrics, SimError> {
-    let mut cfg = MachineConfig::new(workload.procs(), kind.config(consistency))
-        .with_network(network)
-        .with_dir_org(dir);
-    if let Some(t) = timing {
-        cfg = cfg.with_timing(t);
-    }
-    if let Some(p) = fault {
-        cfg = cfg.with_faults(p);
-    }
-    if let Some(p) = node_fault {
-        cfg = cfg.with_node_faults(p);
-    }
-    Machine::new(cfg).run(workload)
 }

@@ -3,7 +3,7 @@
 use dirext_core::blockmap::BlockMap;
 use dirext_core::config::ProtocolConfig;
 use dirext_core::dir::DirCtrl;
-use dirext_core::proto::ExtStack;
+use dirext_core::proto::Exts;
 use dirext_core::sharer::DirOrg;
 use dirext_core::sync::{BarrierCtrl, LockCtrl};
 use dirext_trace::BlockAddr;
@@ -24,7 +24,7 @@ impl Home {
     /// Builds one home. The `org` × `nprocs` pair must already have passed
     /// [`DirOrg::validate`] (the machine checks before building homes).
     pub(crate) fn new(nprocs: usize, org: DirOrg, protocol: &ProtocolConfig) -> Self {
-        let dir = DirCtrl::with_org(nprocs, org, ExtStack::from_protocol(protocol))
+        let dir = DirCtrl::with_org(nprocs, org, Exts::from_protocol(protocol))
             .expect("organization validated by Machine::new");
         Home {
             dir,

@@ -8,7 +8,7 @@ use dirext_core::config::Consistency;
 use dirext_core::line::CacheState;
 use dirext_core::msg::{Msg, MsgKind};
 use dirext_core::proto::trace::{CacheTag, TraceInput};
-use dirext_core::proto::{ExtSet, ExtStack, TraceRing, TransitionRecord};
+use dirext_core::proto::{ExtSet, Exts, TraceRing, TransitionRecord};
 use dirext_core::ProtocolError;
 use dirext_kernel::{EventQueue, Time};
 use dirext_network::{FaultyNetwork, Network, TrafficClass};
@@ -862,7 +862,7 @@ impl Machine {
         // it must stay monotone across incarnations or the homes' duplicate
         // filters would eat the new life's acquires.
         self.nodes.held_locks[i] = BlockMap::new();
-        self.nodes.exts[i] = ExtStack::from_protocol(&self.cfg.protocol);
+        self.nodes.exts[i] = Exts::from_protocol(&self.cfg.protocol);
         self.retry_attempts[i] = BlockMap::new();
         self.retry_inflight[i] = BlockMap::new();
         if self.nodes.finish[i].is_none() {

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 use dirext_core::blockmap::BlockMap;
 use dirext_core::config::ProtocolConfig;
 use dirext_core::line::Line;
-use dirext_core::proto::ExtStack;
+use dirext_core::proto::Exts;
 use dirext_kernel::{Resource, Time};
 use dirext_memsys::{Fifo, FlcArray, Slc, SlcGeometry, Timing, WcEntry, WriteCache};
 use dirext_stats::{Histogram, StallBreakdown, StallKind};
@@ -177,9 +177,9 @@ pub(crate) struct Nodes {
     pub wb_backlog: Vec<VecDeque<(BlockAddr, bool, u64)>>,
 
     // ----- protocol / synchronization columns -----
-    /// Cache-side protocol-extension hooks (prefetch adaptation, write-mode
-    /// selection), built from the same configuration as the home's stack.
-    pub exts: Vec<ExtStack>,
+    /// Cache-side protocol extensions (prefetch adaptation, write-mode
+    /// selection), built from the same configuration as the directories'.
+    pub exts: Vec<Exts>,
     /// Outstanding ownership/update requests (release gating).
     pub pending_writes: Vec<u64>,
     /// Releases and barrier arrivals waiting for pending writes to drain.
@@ -244,7 +244,7 @@ impl Nodes {
             wc_version: (0..n).map(|_| BlockMap::new()).collect(),
             update_backlog: (0..n).map(|_| VecDeque::new()).collect(),
             wb_backlog: (0..n).map(|_| VecDeque::new()).collect(),
-            exts: (0..n).map(|_| ExtStack::from_protocol(protocol)).collect(),
+            exts: (0..n).map(|_| Exts::from_protocol(protocol)).collect(),
             pending_writes: vec![0; n],
             sync_waiting: (0..n).map(|_| VecDeque::new()).collect(),
             waiting_grant: vec![None; n],

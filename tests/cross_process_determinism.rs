@@ -24,8 +24,8 @@ use dirext_core::sharer::DirOrg;
 use dirext_core::{DirCtrl, MsgKind};
 use dirext_sim::core::config::Consistency;
 use dirext_sim::core::ProtocolKind;
-use dirext_sim::experiments::{fig2_with, run_protocol_dir, SweepOpts};
-use dirext_sim::{FaultPlan, NetworkKind};
+use dirext_sim::experiments::{fig2_with, SweepOpts};
+use dirext_sim::{FaultPlan, Machine, MachineConfig, NetworkKind};
 use dirext_trace::{BlockAddr, NodeId, Workload};
 use dirext_workloads::{App, Scale};
 
@@ -121,42 +121,29 @@ fn sweep_artifact() -> String {
 /// per-process ordering leak there gets its own surface. The rendered
 /// metrics include the `ext:` directory counters.
 fn dirscale_artifact() -> String {
-    let w = App::Water.workload(256, Scale::Tiny);
-    let m = run_protocol_dir(
-        &w,
-        ProtocolKind::PCw,
-        Consistency::Rc,
-        NetworkKind::HierMesh { link_bits: 64 },
-        DirOrg::LimitedPtr {
-            ptrs: 4,
-            broadcast: true,
-        },
-        None,
-        None,
-    )
-    .expect("256-node ptr4b run");
-    format!("{m}")
+    format!("{}", ptr4b_pcw_run(256))
 }
 
 /// The same directory-scaling cell at 1024 nodes, the largest machine the
 /// simulator builds: 1024-wide sharer sets and the full express grid of
 /// the two-level mesh. This is the fingerprint's only 1024-node surface.
 fn dirscale1024_artifact() -> String {
-    let w = App::Water.workload(1024, Scale::Tiny);
-    let m = run_protocol_dir(
-        &w,
-        ProtocolKind::PCw,
-        Consistency::Rc,
-        NetworkKind::HierMesh { link_bits: 64 },
-        DirOrg::LimitedPtr {
+    format!("{}", ptr4b_pcw_run(1024))
+}
+
+/// Water under P+CW on `procs` nodes with a four-pointer broadcast
+/// directory on the hierarchical mesh.
+fn ptr4b_pcw_run(procs: usize) -> dirext_sim::stats::Metrics {
+    let w = App::Water.workload(procs, Scale::Tiny);
+    let cfg = MachineConfig::new(w.procs(), ProtocolKind::PCw.config(Consistency::Rc))
+        .with_network(NetworkKind::HierMesh { link_bits: 64 })
+        .with_dir_org(DirOrg::LimitedPtr {
             ptrs: 4,
             broadcast: true,
-        },
-        None,
-        None,
-    )
-    .expect("1024-node ptr4b run");
-    format!("{m}")
+        });
+    Machine::new(cfg)
+        .run(&w)
+        .unwrap_or_else(|e| panic!("{procs}-node ptr4b run: {e}"))
 }
 
 /// FNV-1a, so a multi-kilobyte fingerprint compares as one printable line.

@@ -15,7 +15,7 @@ use std::path::PathBuf;
 use dirext_sim::core::{Consistency, DirOrg, ProtocolKind};
 use dirext_sim::experiments;
 use dirext_sim::trace::Workload;
-use dirext_sim::NetworkKind;
+use dirext_sim::{Machine, MachineConfig, NetworkKind};
 use dirext_workloads::{App, Scale};
 
 fn tiny_suite() -> Vec<Workload> {
@@ -80,16 +80,12 @@ fn dir1024_bit_identical_to_parent() {
             },
         ),
     ] {
-        let m = experiments::run_protocol_dir(
-            &app.workload(1024, Scale::Tiny),
-            ProtocolKind::PCw,
-            Consistency::Rc,
-            NetworkKind::HierMesh { link_bits: 64 },
-            dir,
-            None,
-            None,
-        )
-        .unwrap();
+        let cfg = MachineConfig::new(1024, ProtocolKind::PCw.config(Consistency::Rc))
+            .with_network(NetworkKind::HierMesh { link_bits: 64 })
+            .with_dir_org(dir);
+        let m = Machine::new(cfg)
+            .run(&app.workload(1024, Scale::Tiny))
+            .unwrap();
         rendered.push_str(&format!("{m}\n"));
     }
     check("dir1024_tiny.txt", rendered);

@@ -9,14 +9,21 @@
 use dirext_sim::core::{
     CompetitiveConfig, Consistency, PrefetchConfig, ProtocolConfig, ProtocolKind,
 };
-use dirext_sim::experiments::run_protocol;
 use dirext_sim::stats::Metrics;
+use dirext_sim::trace::Workload;
 use dirext_sim::{Machine, MachineConfig};
 use dirext_workloads::{App, Scale};
 
 fn run(app: App, kind: ProtocolKind, c: Consistency) -> Metrics {
-    let w = app.workload(16, Scale::Small);
-    run_protocol(&w, kind, c).unwrap_or_else(|e| panic!("{app} {kind} {c:?}: {e}"))
+    run_on(&app.workload(16, Scale::Small), kind, c)
+}
+
+/// Runs `w` under `kind` on the default machine (uniform network, paper
+/// timing, full-map directory).
+fn run_on(w: &Workload, kind: ProtocolKind, c: Consistency) -> Metrics {
+    Machine::new(MachineConfig::new(w.procs(), kind.config(c)))
+        .run(w)
+        .unwrap_or_else(|e| panic!("{} {kind} {c:?}: {e}", w.name()))
 }
 
 /// [`run`] under a protocol configuration that no [`ProtocolKind`] names.
@@ -174,9 +181,9 @@ fn hardware_prefetching_matches_software_annotations() {
     // plain LU under P.
     let plain = dirext_workloads::lu(16, Scale::Small);
     let swpf = dirext_workloads::lu_software_prefetch(16, Scale::Small);
-    let base = run_protocol(&plain, ProtocolKind::Basic, Consistency::Rc).unwrap();
-    let hw = run_protocol(&plain, ProtocolKind::P, Consistency::Rc).unwrap();
-    let sw = run_protocol(&swpf, ProtocolKind::Basic, Consistency::Rc).unwrap();
+    let base = run_on(&plain, ProtocolKind::Basic, Consistency::Rc);
+    let hw = run_on(&plain, ProtocolKind::P, Consistency::Rc);
+    let sw = run_on(&swpf, ProtocolKind::Basic, Consistency::Rc);
     let hw_rel = hw.relative_time(&base);
     let sw_rel = sw.relative_time(&base);
     assert!(sw_rel < 0.85, "software prefetching must help: {sw_rel}");
@@ -275,15 +282,15 @@ fn migratory_optimization_reduces_traffic() {
 
 #[test]
 fn narrow_links_erode_pcw_more_than_pm() {
-    use dirext_sim::experiments::run_protocol_on;
     use dirext_sim::NetworkKind;
     let w = App::Mp3d.workload(16, Scale::Small);
     let ratio = |kind: ProtocolKind, bits: u32| {
-        let net = NetworkKind::Mesh { link_bits: bits };
-        let base = run_protocol_on(&w, ProtocolKind::Basic, Consistency::Rc, net, None).unwrap();
-        run_protocol_on(&w, kind, Consistency::Rc, net, None)
-            .unwrap()
-            .relative_time(&base)
+        let run = |kind: ProtocolKind| {
+            let cfg = MachineConfig::new(16, kind.config(Consistency::Rc))
+                .with_network(NetworkKind::Mesh { link_bits: bits });
+            Machine::new(cfg).run(&w).unwrap()
+        };
+        run(kind).relative_time(&run(ProtocolKind::Basic))
     };
     let pcw_degrade = ratio(ProtocolKind::PCw, 16) - ratio(ProtocolKind::PCw, 64);
     let pm_degrade = ratio(ProtocolKind::PM, 16) - ratio(ProtocolKind::PM, 64);

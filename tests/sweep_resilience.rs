@@ -14,9 +14,10 @@ use std::sync::Arc;
 use dirext_core::config::Consistency;
 use dirext_core::ProtocolKind;
 use dirext_sim::experiments::{
-    fig2_with, journal::Journal, miss_latency_with, run_protocol_cfg, SweepError, SweepOpts,
+    fig2_with, journal::Journal, miss_latency_with, SweepError, SweepOpts,
 };
-use dirext_sim::{FaultPlan, NetworkKind};
+use dirext_sim::stats::Metrics;
+use dirext_sim::{FaultPlan, Machine, MachineConfig, SimError};
 use dirext_trace::Workload;
 use dirext_workloads::{App, Scale};
 
@@ -171,31 +172,20 @@ fn lossy(seed: u64) -> FaultPlan {
     }
 }
 
+/// Runs `w` under BASIC/RC on the uniform network with `lossy(seed)`.
+fn run_lossy(w: &Workload, seed: u64) -> Result<Metrics, SimError> {
+    let cfg = MachineConfig::new(w.procs(), ProtocolKind::Basic.config(Consistency::Rc))
+        .with_faults(lossy(seed));
+    Machine::new(cfg).run(w)
+}
+
 /// Finds a fault seed whose first attempt fails transiently. Returns the
 /// seed and whether the rotated-seed retry (seed+1 or seed+2) succeeds.
 fn find_transient_seed(w: &Workload) -> Option<(u64, bool)> {
     for seed in 0..120u64 {
-        let first = run_protocol_cfg(
-            w,
-            ProtocolKind::Basic,
-            Consistency::Rc,
-            NetworkKind::Uniform,
-            None,
-            Some(lossy(seed)),
-        );
-        match first {
+        match run_lossy(w, seed) {
             Err(e) if e.is_transient() => {
-                let retry_clears = (1..=2).any(|off| {
-                    run_protocol_cfg(
-                        w,
-                        ProtocolKind::Basic,
-                        Consistency::Rc,
-                        NetworkKind::Uniform,
-                        None,
-                        Some(lossy(seed + off)),
-                    )
-                    .is_ok()
-                });
+                let retry_clears = (1..=2).any(|off| run_lossy(w, seed + off).is_ok());
                 return Some((seed, retry_clears));
             }
             _ => continue,
@@ -263,19 +253,9 @@ fn retry_attempts_are_recorded_in_the_quarantine() {
     // retries(1) sweep demonstrably retried before quarantining.
     let mut found = None;
     for seed in 0..200u64 {
-        let both_fail = [seed, seed + 1].iter().all(|&s| {
-            matches!(
-                run_protocol_cfg(
-                    &w,
-                    ProtocolKind::Basic,
-                    Consistency::Rc,
-                    NetworkKind::Uniform,
-                    None,
-                    Some(lossy(s)),
-                ),
-                Err(e) if e.is_transient()
-            )
-        });
+        let both_fail = [seed, seed + 1]
+            .iter()
+            .all(|&s| matches!(run_lossy(&w, s), Err(e) if e.is_transient()));
         if both_fail {
             found = Some(seed);
             break;
@@ -342,74 +322,20 @@ fn cancellation_drains_and_resume_completes_byte_identical() {
     std::fs::remove_file(&path).ok();
 }
 
-// ---------------------------------------------------------------------
-// Deterministic bounded exponential backoff
-// ---------------------------------------------------------------------
-
 #[test]
-fn retry_backoff_is_deterministic_jittered_and_capped() {
-    use dirext_sim::experiments::retry_backoff;
-    let key = "fig2/MP3D@4.100.50/BASIC/RC/uniform/base/f=none";
-
-    // Deterministic: the same (key, attempt) always sleeps the same time.
-    for attempt in 1..=6 {
-        assert_eq!(
-            retry_backoff(key, attempt, 10, 2000),
-            retry_backoff(key, attempt, 10, 2000)
-        );
-    }
-
-    // Bounded: attempt n draws from [window/2, window] with
-    // window = min(base * 2^(n-1), cap).
-    for (attempt, window) in [(1u32, 10u64), (2, 20), (3, 40), (4, 80)] {
-        let d = retry_backoff(key, attempt, 10, 2000).as_millis() as u64;
-        assert!(
-            (window / 2..=window).contains(&d),
-            "attempt {attempt}: {d} ms outside [{}, {window}]",
-            window / 2
-        );
-    }
-
-    // Capped: the exponential stops growing at cap_ms.
-    for attempt in [10u32, 20, 63] {
-        let d = retry_backoff(key, attempt, 10, 2000).as_millis() as u64;
-        assert!(
-            (1000..=2000).contains(&d),
-            "attempt {attempt}: {d} ms escaped the cap"
-        );
-    }
-
-    // Jittered: different cells desynchronize — across many keys the
-    // same attempt must not collapse onto one delay (that would re-herd
-    // the retries the jitter exists to spread).
-    let delays: std::collections::HashSet<u128> = (0..32)
-        .map(|i| retry_backoff(&format!("{key}/{i}"), 3, 10, 2000).as_millis())
-        .collect();
-    assert!(
-        delays.len() > 8,
-        "only {} distinct delays across 32 keys",
-        delays.len()
-    );
-
-    // attempt 0 is treated as attempt 1, never a zero-length window.
-    assert!(retry_backoff(key, 0, 10, 2000) >= std::time::Duration::from_millis(5));
-}
-
-#[test]
-fn retries_account_attempts_with_custom_backoff() {
+fn retries_account_attempts_in_the_journal() {
     let w = App::Mp3d.workload(4, Scale::Tiny);
     let (seed, _) =
         find_transient_seed(&w).expect("a lossy seed that wedges the run must exist in 0..120");
-    // Tight backoff keeps the test fast; the journal records how many
-    // attempts each cell consumed, so the retry loop is accountable.
-    let path = tmp_journal("backoff-attempts");
+    // The journal records how many attempts each cell consumed, so the
+    // retry loop is accountable.
+    let path = tmp_journal("retry-attempts");
     let journal = Arc::new(Journal::create(&path).expect("journal"));
     let r = miss_latency_with(
         &[w],
         &SweepOpts::jobs(1)
             .with_fault(lossy(seed))
             .retries(2)
-            .retry_backoff_ms(1, 4)
             .keep_going()
             .with_journal(Arc::clone(&journal)),
     );
