@@ -8,12 +8,15 @@ mod svg;
 
 use std::process::ExitCode;
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use dirext_core::config::Consistency;
 use dirext_core::sharer::DirOrg;
 use dirext_core::ProtocolKind;
-use dirext_sim::experiments::{self, sens, Journal, SweepError, SweepOpts};
+use dirext_sim::experiments::fig2::FIG2_PROTOCOLS;
+use dirext_sim::experiments::fig3::FIG3_PROTOCOLS;
+use dirext_sim::experiments::fig4::FIG4_PROTOCOLS;
+use dirext_sim::experiments::{self, Constraint, Journal, SweepError, SweepOpts};
 use dirext_sim::Machine;
 use dirext_sim::MachineConfig;
 use dirext_sim::{FaultPlan, NodeFaultEvent, NodeFaultPlan};
@@ -23,20 +26,12 @@ use dirext_workloads::{App, Scale};
 /// Default journal path when `--resume` is given without `--journal`.
 const DEFAULT_JOURNAL: &str = "dirext-journal.jsonl";
 
-/// Every command `dispatch` accepts. `parse_args` checks the command
-/// against this list before it reads any flag, so `dirext assemble fig2`
-/// reports the unknown command, not its argument.
+/// Every command `dispatch` accepts besides the [`PAPER_SWEEPS`].
+/// `parse_args` checks the command against both lists before it reads any
+/// flag, so `dirext assemble fig2` reports the unknown command, not its
+/// argument.
 const COMMANDS: &[&str] = &[
-    "fig2",
-    "table2",
-    "fig3",
-    "table3",
-    "fig4",
     "table1",
-    "sens-buffers",
-    "sens-cache",
-    "miss-latency",
-    "topology",
     "stress",
     "run-all",
     "scaling",
@@ -53,23 +48,158 @@ const COMMANDS: &[&str] = &[
     "-h",
 ];
 
-/// The sweep commands: every command that runs through `sweep_opts`.
-const SWEEPS: &[&str] = &[
-    "fig2",
-    "table2",
-    "fig3",
-    "table3",
-    "fig4",
-    "sens-buffers",
-    "sens-cache",
-    "miss-latency",
-    "topology",
-    "scaling",
-    "dirscale",
-    "degrade",
-    "run-all",
-    "report",
+/// A paper sweep's rendered result: the text table, plus the CSV and the
+/// SVG figure for the sweeps that have them.
+struct Rendered {
+    text: String,
+    csv: Option<String>,
+    svg: Option<String>,
+}
+
+/// One of the paper's sweeps: its command, its `report` heading, and the
+/// function that runs it over a suite and renders the result.
+struct PaperSweep {
+    command: &'static str,
+    heading: &'static str,
+    run: fn(&[Workload], &SweepOpts) -> Result<Rendered, SweepError>,
+}
+
+/// The paper's sweeps in `run-all` order. The per-command dispatch,
+/// `run-all` and `report` all read this table.
+static PAPER_SWEEPS: [PaperSweep; 9] = [
+    PaperSweep {
+        command: "fig2",
+        heading: "Figure 2 — relative execution times (RC)",
+        run: |s, o| {
+            let r = experiments::fig2(s, o)?;
+            Ok(Rendered {
+                csv: Some(r.csv()),
+                svg: Some(bars(
+                    "Figure 2: execution time relative to BASIC (RC)",
+                    &FIG2_PROTOCOLS.map(|k| k.name().to_owned()),
+                    r.rows
+                        .iter()
+                        .map(|row| (row.app.clone(), row.relative_times())),
+                )),
+                ..text(&r)
+            })
+        },
+    },
+    PaperSweep {
+        command: "table2",
+        heading: "Table 2 — miss-rate components",
+        run: |s, o| {
+            let r = experiments::table2(s, o)?;
+            Ok(Rendered {
+                csv: Some(r.csv()),
+                ..text(&r)
+            })
+        },
+    },
+    PaperSweep {
+        command: "fig3",
+        heading: "Figure 3 — sequential consistency",
+        run: |s, o| {
+            let r = experiments::fig3(s, o)?;
+            Ok(Rendered {
+                csv: Some(r.csv()),
+                svg: Some(bars(
+                    "Figure 3: execution time under SC relative to B-SC",
+                    &FIG3_PROTOCOLS.map(|k| format!("{}-SC", k.name())),
+                    r.rows
+                        .iter()
+                        .map(|row| (row.app.clone(), row.relative_times())),
+                )),
+                ..text(&r)
+            })
+        },
+    },
+    PaperSweep {
+        command: "table3",
+        heading: "Table 3 — mesh link widths",
+        run: |s, o| {
+            let r = experiments::table3(s, o)?;
+            Ok(Rendered {
+                csv: Some(r.csv()),
+                ..text(&r)
+            })
+        },
+    },
+    PaperSweep {
+        command: "fig4",
+        heading: "Figure 4 — network traffic",
+        run: |s, o| {
+            let r = experiments::fig4(s, o)?;
+            Ok(Rendered {
+                csv: Some(r.csv()),
+                svg: Some(bars(
+                    "Figure 4: network traffic normalized to BASIC (RC)",
+                    &FIG4_PROTOCOLS.map(|k| k.name().to_owned()),
+                    r.rows
+                        .iter()
+                        .map(|row| (row.app.clone(), row.relative_traffic())),
+                )),
+                ..text(&r)
+            })
+        },
+    },
+    PaperSweep {
+        command: "sens-buffers",
+        heading: "Sensitivity — small buffers (5.4)",
+        run: |s, o| {
+            Ok(text(&experiments::sensitivity(
+                s,
+                Constraint::SmallBuffers,
+                o,
+            )?))
+        },
+    },
+    PaperSweep {
+        command: "sens-cache",
+        heading: "Sensitivity — 16-KB SLC (5.4)",
+        run: |s, o| Ok(text(&experiments::sensitivity(s, Constraint::SmallSlc, o)?)),
+    },
+    PaperSweep {
+        command: "miss-latency",
+        heading: "Read-miss latency — BASIC vs CW (5.1)",
+        run: |s, o| Ok(text(&experiments::miss_latency(s, o)?)),
+    },
+    PaperSweep {
+        command: "topology",
+        heading: "Topology sweep (extension)",
+        run: |s, o| Ok(text(&experiments::topology(s, o)?)),
+    },
 ];
+
+/// A sweep result with only its text table.
+fn text(r: &impl std::fmt::Display) -> Rendered {
+    Rendered {
+        text: r.to_string(),
+        csv: None,
+        svg: None,
+    }
+}
+
+/// A figure as grouped bars around the BASIC = 1.0 line: one group per
+/// `(application, bar heights)` row, one bar per series.
+fn bars(title: &str, series: &[String], rows: impl Iterator<Item = (String, Vec<f64>)>) -> String {
+    let (groups, values): (Vec<_>, Vec<_>) = rows.unzip();
+    svg::grouped_bars(title, &groups, series, &values, 1.0)
+}
+
+/// The [`PAPER_SWEEPS`] entry of `command`, if it is one.
+fn paper_sweep(command: &str) -> Option<&'static PaperSweep> {
+    PAPER_SWEEPS.iter().find(|p| p.command == command)
+}
+
+/// The sweep commands: every command that runs through `sweep_opts`.
+fn sweeps() -> Vec<&'static str> {
+    PAPER_SWEEPS
+        .iter()
+        .map(|p| p.command)
+        .chain(["scaling", "dirscale", "degrade", "run-all", "report"])
+        .collect()
+}
 
 /// The commands whose `dispatch` arm reads a command-specific flag
 /// (`None` for the flags every command accepts). `parse_args` rejects a
@@ -84,8 +214,8 @@ fn flag_commands(flag: &str) -> Option<Vec<&'static str>> {
         "--csv" => vec!["fig2", "table2", "fig3", "table3", "fig4"],
         "--svg" => vec!["fig2", "fig3", "fig4"],
         "--out" => vec!["report"],
-        "--journal" | "--resume" | "--keep-going" => SWEEPS.to_vec(),
-        "--jobs" => [SWEEPS, &["stress"]].concat(),
+        "--journal" | "--resume" | "--keep-going" => sweeps(),
+        "--jobs" => [sweeps(), vec!["stress"]].concat(),
         _ => return None,
     })
 }
@@ -304,9 +434,8 @@ impl Args {
     /// The sweep options (worker threads, fault overlay, journal,
     /// quarantine, SIGINT cancellation) for the experiment drivers.
     ///
-    /// Opens the journal when `--journal`/`--resume` ask for one, arms the
-    /// SIGINT drain handler, and picks up the `DIREXT_CHAOS_PANIC` test
-    /// hook from the environment.
+    /// Opens the journal when `--journal`/`--resume` ask for one and arms
+    /// the SIGINT drain handler.
     fn sweep_opts(&self) -> Result<SweepOpts, Box<dyn std::error::Error>> {
         let mut opts = SweepOpts::jobs(self.jobs());
         if self.fault.is_active() {
@@ -349,48 +478,10 @@ impl Args {
                     }
                 );
             }
-            let journal = Arc::new(journal);
-            register_journal(&journal);
-            opts = opts.with_journal(journal);
+            opts = opts.with_journal(Arc::new(journal));
         }
-        opts = opts.with_cancel(sigint::arm());
-        if let Ok(needle) = std::env::var("DIREXT_CHAOS_PANIC") {
-            if !needle.is_empty() {
-                opts = opts.with_chaos_panic(needle);
-            }
-        }
-        if std::env::var("DIREXT_CHAOS_JOURNAL_ERROR").as_deref() == Ok("early") {
-            if let Some(j) = journals().lock().unwrap_or_else(|e| e.into_inner()).last() {
-                j.inject_write_error("chaos: simulated journal write failure (early)");
-            }
-        }
-        Ok(opts)
+        Ok(opts.with_cancel(sigint::arm()))
     }
-}
-
-/// Every journal this process opened, so `main` can refuse to exit clean
-/// over a pending write error no code path happened to surface (a sweep
-/// that "succeeded" into a broken journal is not a success — its on-disk
-/// record is a lie for the next `--resume`).
-fn journals() -> &'static Mutex<Vec<Arc<Journal>>> {
-    static JOURNALS: OnceLock<Mutex<Vec<Arc<Journal>>>> = OnceLock::new();
-    JOURNALS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn register_journal(journal: &Arc<Journal>) {
-    journals()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .push(Arc::clone(journal));
-}
-
-/// Drains the first pending write error across all registered journals.
-fn pending_write_error() -> Option<String> {
-    journals()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-        .find_map(|j| j.take_write_error())
 }
 
 /// Minimal std-only SIGINT hook: the first Ctrl-C sets the cooperative
@@ -506,7 +597,7 @@ fn parse_node_fault_schedule(s: &str) -> Result<Vec<NodeFaultEvent>, String> {
 fn parse_args() -> Result<Args, String> {
     let mut args = std::env::args().skip(1);
     let command = args.next().unwrap_or_else(|| "help".to_owned());
-    if !COMMANDS.contains(&command.as_str()) {
+    if !COMMANDS.contains(&command.as_str()) && paper_sweep(&command).is_none() {
         return Err(format!("unknown command '{command}'"));
     }
     let mut parsed = Args {
@@ -808,15 +899,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let outcome = dispatch(&args);
-    // Test hook: fault the journal after the sweep so the exit-time
-    // write-error guard below is exercised end to end.
-    if std::env::var("DIREXT_CHAOS_JOURNAL_ERROR").as_deref() == Ok("late") {
-        if let Some(j) = journals().lock().unwrap_or_else(|e| e.into_inner()).first() {
-            j.inject_write_error("chaos: simulated journal write failure (late)");
-        }
-    }
-    let code = match outcome {
+    match dispatch(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -835,18 +918,7 @@ fn main() -> ExitCode {
                 _ => ExitCode::FAILURE,
             }
         }
-    };
-    // A pending journal write error means the on-disk record is missing
-    // cells that the process believes are done: exiting clean (or with a
-    // mere quarantine code) would hand the next --resume a lying journal.
-    if let Some(detail) = pending_write_error() {
-        eprintln!(
-            "error: journal write failure: {detail} (results on disk are incomplete; do not \
-             trust this journal for --resume)"
-        );
-        return ExitCode::FAILURE;
     }
-    code
 }
 
 /// Starts an empty quarantine accumulator for a multi-sweep command.
@@ -896,129 +968,23 @@ fn write_figure(path: &str, chart: String) -> Result<(), String> {
 }
 
 fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+    if let Some(sweep) = paper_sweep(&args.command) {
+        let r = (sweep.run)(&suite(args), &args.sweep_opts()?)?;
+        if let (Some(path), Some(chart)) = (&args.svg, r.svg) {
+            write_figure(path, chart)?;
+        }
+        match r.csv.filter(|_| args.csv) {
+            Some(csv) => print!("{csv}"),
+            None => println!("{}", r.text),
+        }
+        return Ok(());
+    }
     match args.command.as_str() {
-        "fig2" => {
-            let r = experiments::fig2_with(&suite(args), &args.sweep_opts()?)?;
-            if let Some(path) = &args.svg {
-                let groups: Vec<String> = r.rows.iter().map(|row| row.app.clone()).collect();
-                let series: Vec<String> = experiments::fig2::FIG2_PROTOCOLS
-                    .iter()
-                    .map(|k| k.name().to_owned())
-                    .collect();
-                let values: Vec<Vec<f64>> = r.rows.iter().map(|row| row.relative_times()).collect();
-                let chart = svg::grouped_bars(
-                    "Figure 2: execution time relative to BASIC (RC)",
-                    &groups,
-                    &series,
-                    &values,
-                    1.0,
-                );
-                write_figure(path, chart)?;
-            }
-            if args.csv {
-                print!("{}", r.csv())
-            } else {
-                println!("{r}")
-            }
-        }
-        "table2" => {
-            let r = experiments::table2_with(&suite(args), &args.sweep_opts()?)?;
-            if args.csv {
-                print!("{}", r.csv())
-            } else {
-                println!("{r}")
-            }
-        }
-        "fig3" => {
-            let r = experiments::fig3_with(&suite(args), &args.sweep_opts()?)?;
-            if let Some(path) = &args.svg {
-                let groups: Vec<String> = r.rows.iter().map(|row| row.app.clone()).collect();
-                let series: Vec<String> = experiments::fig3::FIG3_PROTOCOLS
-                    .iter()
-                    .map(|k| format!("{}-SC", k.name()))
-                    .collect();
-                let values: Vec<Vec<f64>> = r.rows.iter().map(|row| row.relative_times()).collect();
-                let chart = svg::grouped_bars(
-                    "Figure 3: execution time under SC relative to B-SC",
-                    &groups,
-                    &series,
-                    &values,
-                    1.0,
-                );
-                write_figure(path, chart)?;
-            }
-            if args.csv {
-                print!("{}", r.csv())
-            } else {
-                println!("{r}")
-            }
-        }
-        "table3" => {
-            let r = experiments::table3_with(&suite(args), &args.sweep_opts()?)?;
-            if args.csv {
-                print!("{}", r.csv())
-            } else {
-                println!("{r}")
-            }
-        }
-        "fig4" => {
-            let r = experiments::fig4_with(&suite(args), &args.sweep_opts()?)?;
-            if let Some(path) = &args.svg {
-                let groups: Vec<String> = r.rows.iter().map(|row| row.app.clone()).collect();
-                let series: Vec<String> = experiments::fig4::FIG4_PROTOCOLS
-                    .iter()
-                    .map(|k| k.name().to_owned())
-                    .collect();
-                let values: Vec<Vec<f64>> =
-                    r.rows.iter().map(|row| row.relative_traffic()).collect();
-                let chart = svg::grouped_bars(
-                    "Figure 4: network traffic normalized to BASIC (RC)",
-                    &groups,
-                    &series,
-                    &values,
-                    1.0,
-                );
-                write_figure(path, chart)?;
-            }
-            if args.csv {
-                print!("{}", r.csv())
-            } else {
-                println!("{r}")
-            }
-        }
         "table1" => println!("{}", experiments::table1(args.procs)),
-        "sens-buffers" => {
-            println!(
-                "{}",
-                experiments::sensitivity_with(
-                    &suite(args),
-                    sens::Constraint::SmallBuffers,
-                    &args.sweep_opts()?
-                )?
-            )
-        }
-        "sens-cache" => {
-            println!(
-                "{}",
-                experiments::sensitivity_with(
-                    &suite(args),
-                    sens::Constraint::SmallSlc,
-                    &args.sweep_opts()?
-                )?
-            )
-        }
-        "miss-latency" => println!(
-            "{}",
-            experiments::miss_latency_with(&suite(args), &args.sweep_opts()?)?
-        ),
-        "topology" => println!(
-            "{}",
-            experiments::topology_with(&suite(args), &args.sweep_opts()?)?
-        ),
         "stress" => {
             use dirext_sim::NetworkKind;
             use dirext_workloads::random::{random_workload, RandomParams};
-            use experiments::pool::run_ordered;
+            use experiments::pool::run_collect;
             let params = RandomParams {
                 procs: args.procs.min(32),
                 ..RandomParams::default()
@@ -1050,7 +1016,7 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             // rest of the matrix. Slots come back in index order, so the
             // failure list is deterministic for any --jobs value.
             let runs = workloads.len() * combos.len();
-            let results = run_ordered::<_, dirext_sim::SimError, _>(args.jobs(), runs, |i| {
+            let results = run_collect(args.jobs(), runs, &|| false, |i| {
                 let (seed, c) = (i / combos.len(), i % combos.len());
                 let (kind, consistency, net) = combos[c];
                 let cfg = args.harden(
@@ -1059,21 +1025,20 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                 let t0 = std::time::Instant::now();
                 let outcome = Machine::new(cfg).run(&workloads[seed]);
                 let secs = t0.elapsed().as_secs_f64();
-                Ok((
-                    secs,
-                    outcome.err().map(|e| {
-                        let label = match net {
-                            NetworkKind::Uniform => format!("seed={seed} {kind} {consistency:?}"),
-                            _ => format!("seed={seed} {kind} {net:?}"),
-                        };
-                        eprintln!("FAIL {label}: {e}");
-                        format!("{label}: {e}")
-                    }),
-                ))
-            })?;
+                let fail = outcome.err().map(|e| {
+                    let label = match net {
+                        NetworkKind::Uniform => format!("seed={seed} {kind} {consistency:?}"),
+                        _ => format!("seed={seed} {kind} {net:?}"),
+                    };
+                    eprintln!("FAIL {label}: {e}");
+                    format!("{label}: {e}")
+                });
+                (secs, fail)
+            });
             let mut per_seed = vec![0.0f64; workloads.len()];
             let mut failures: Vec<String> = Vec::new();
-            for (i, (secs, fail)) in results.into_iter().enumerate() {
+            for (i, slot) in results.into_iter().enumerate() {
+                let (secs, fail) = slot.expect("nothing stops the pool, so it claims every run");
                 per_seed[i / combos.len()] += secs;
                 failures.extend(fail);
             }
@@ -1117,55 +1082,16 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             let opts = args.sweep_opts()?;
             let mut acc = quarantine_acc();
             println!("{}", experiments::table1(args.procs));
-            eprintln!("run-all: figure 2...");
-            if let Some(r) = quarantine_step(experiments::fig2_with(&s, &opts), &mut acc)? {
-                println!("{r}");
-            }
-            eprintln!("run-all: table 2...");
-            if let Some(r) = quarantine_step(experiments::table2_with(&s, &opts), &mut acc)? {
-                println!("{r}");
-            }
-            eprintln!("run-all: figure 3...");
-            if let Some(r) = quarantine_step(experiments::fig3_with(&s, &opts), &mut acc)? {
-                println!("{r}");
-            }
-            eprintln!("run-all: table 3...");
-            if let Some(r) = quarantine_step(experiments::table3_with(&s, &opts), &mut acc)? {
-                println!("{r}");
-            }
-            eprintln!("run-all: figure 4...");
-            if let Some(r) = quarantine_step(experiments::fig4_with(&s, &opts), &mut acc)? {
-                println!("{r}");
-            }
-            eprintln!("run-all: sensitivity...");
-            if let Some(r) = quarantine_step(
-                experiments::sensitivity_with(&s, sens::Constraint::SmallBuffers, &opts),
-                &mut acc,
-            )? {
-                println!("{r}");
-            }
-            if let Some(r) = quarantine_step(
-                experiments::sensitivity_with(&s, sens::Constraint::SmallSlc, &opts),
-                &mut acc,
-            )? {
-                println!("{r}");
-            }
-            eprintln!("run-all: miss latency...");
-            if let Some(r) = quarantine_step(experiments::miss_latency_with(&s, &opts), &mut acc)? {
-                println!("{r}");
-            }
-            eprintln!("run-all: topology...");
-            if let Some(r) = quarantine_step(experiments::topology_with(&s, &opts), &mut acc)? {
-                println!("{r}");
+            for sweep in &PAPER_SWEEPS {
+                eprintln!("run-all: {}...", sweep.command);
+                if let Some(r) = quarantine_step((sweep.run)(&s, &opts), &mut acc)? {
+                    println!("{}", r.text);
+                }
             }
             eprintln!("run-all: scaling...");
             let app = args.app.unwrap_or(App::Mp3d);
             if let Some(r) = quarantine_step(
-                experiments::scaling_with(
-                    app.name(),
-                    |procs| app.workload(procs, args.scale),
-                    &opts,
-                ),
+                experiments::scaling(app.name(), |procs| app.workload(procs, args.scale), &opts),
                 &mut acc,
             )? {
                 println!("{r}");
@@ -1179,7 +1105,7 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         }
         "scaling" => {
             let app = args.app.unwrap_or(App::Mp3d);
-            let result = experiments::scaling_with(
+            let result = experiments::scaling(
                 app.name(),
                 |procs| app.workload(procs, args.scale),
                 &args.sweep_opts()?,
@@ -1188,7 +1114,7 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         }
         "dirscale" => {
             let app = args.app.unwrap_or(App::Mp3d);
-            let result = experiments::dirscale_with(
+            let result = experiments::dirscale(
                 app.name(),
                 |procs| app.workload(procs, args.scale),
                 &args.sweep_opts()?,
@@ -1202,7 +1128,7 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                 seed: args.node_fault_seed.unwrap_or(1),
                 detect_delay: args.node_fault_detect.unwrap_or(500),
             };
-            let result = experiments::degrade_with(app.name(), &w, params, &args.sweep_opts()?)?;
+            let result = experiments::degrade(app.name(), &w, params, &args.sweep_opts()?)?;
             println!("{result}");
         }
         "run" => {
@@ -1324,95 +1250,22 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             let mut section = |title: &str, body: String| {
                 doc.push_str(&format!("## {title}\n\n```text\n{body}\n```\n\n"));
             };
-            // Under --keep-going a quarantined sweep still gets a section,
-            // with the failure report as its body, so the document shape is
-            // stable for downstream tooling.
-            let render = |r: Result<String, SweepError>,
-                          acc: &mut experiments::Quarantine|
-             -> Result<String, Box<dyn std::error::Error>> {
+            section("Table 1 — hardware cost", experiments::table1(args.procs));
+            for sweep in &PAPER_SWEEPS {
+                eprintln!("report: {}...", sweep.command);
+                // Under --keep-going a quarantined sweep still gets a
+                // section, with the failure report as its body, so the
+                // document shape is stable for downstream tooling.
                 let failed_at = acc.failures.len();
-                match quarantine_step(r, acc)? {
-                    Some(body) => Ok(body),
-                    None => Ok(format!(
+                let body = match quarantine_step((sweep.run)(&s, &opts), &mut acc)? {
+                    Some(r) => r.text,
+                    None => format!(
                         "QUARANTINED — {} cell(s) failed; see the failure report",
                         acc.failures.len() - failed_at
-                    )),
-                }
-            };
-            section("Table 1 — hardware cost", experiments::table1(args.procs));
-            eprintln!("report: figure 2...");
-            section(
-                "Figure 2 — relative execution times (RC)",
-                render(
-                    experiments::fig2_with(&s, &opts).map(|r| r.to_string()),
-                    &mut acc,
-                )?,
-            );
-            eprintln!("report: table 2...");
-            section(
-                "Table 2 — miss-rate components",
-                render(
-                    experiments::table2_with(&s, &opts).map(|r| r.to_string()),
-                    &mut acc,
-                )?,
-            );
-            eprintln!("report: figure 3...");
-            section(
-                "Figure 3 — sequential consistency",
-                render(
-                    experiments::fig3_with(&s, &opts).map(|r| r.to_string()),
-                    &mut acc,
-                )?,
-            );
-            eprintln!("report: table 3...");
-            section(
-                "Table 3 — mesh link widths",
-                render(
-                    experiments::table3_with(&s, &opts).map(|r| r.to_string()),
-                    &mut acc,
-                )?,
-            );
-            eprintln!("report: figure 4...");
-            section(
-                "Figure 4 — network traffic",
-                render(
-                    experiments::fig4_with(&s, &opts).map(|r| r.to_string()),
-                    &mut acc,
-                )?,
-            );
-            eprintln!("report: sensitivity...");
-            section(
-                "Sensitivity — small buffers (5.4)",
-                render(
-                    experiments::sensitivity_with(&s, sens::Constraint::SmallBuffers, &opts)
-                        .map(|r| r.to_string()),
-                    &mut acc,
-                )?,
-            );
-            section(
-                "Sensitivity — 16-KB SLC (5.4)",
-                render(
-                    experiments::sensitivity_with(&s, sens::Constraint::SmallSlc, &opts)
-                        .map(|r| r.to_string()),
-                    &mut acc,
-                )?,
-            );
-            eprintln!("report: miss latency...");
-            section(
-                "Read-miss latency — BASIC vs CW (5.1)",
-                render(
-                    experiments::miss_latency_with(&s, &opts).map(|r| r.to_string()),
-                    &mut acc,
-                )?,
-            );
-            eprintln!("report: topology (extension)...");
-            section(
-                "Topology sweep (extension)",
-                render(
-                    experiments::topology_with(&s, &opts).map(|r| r.to_string()),
-                    &mut acc,
-                )?,
-            );
+                    ),
+                };
+                section(sweep.heading, body);
+            }
             match &args.out {
                 Some(path) => {
                     std::fs::write(path, &doc)

@@ -455,70 +455,35 @@ fn resume_refuses_to_overwrite_without_the_flag() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn chaos_panic_quarantines_with_exit_code_2() {
-    let out = Command::new(env!("CARGO_BIN_EXE_dirext"))
-        .args(["fig2", "--scale", "tiny", "--keep-going", "--jobs", "2"])
-        .env("DIREXT_CHAOS_PANIC", "Water")
+/// Runs fig2 on Water with every message dropped and no retransmission:
+/// each cell wedges and its watchdog fires, on every retry.
+fn failing_fig2(extra: &[&str]) -> Output {
+    bin()
+        .args(["fig2", "--scale", "tiny", "--app", "water"])
+        .args(["--fault-drop", "1000", "--fault-retries", "0"])
+        .args(extra)
         .output()
-        .expect("failed to launch dirext");
+        .expect("failed to launch dirext")
+}
+
+#[test]
+fn failing_cells_quarantine_with_exit_code_2() {
+    let out = failing_fig2(&["--keep-going", "--jobs", "2"]);
     assert_eq!(out.status.code(), Some(2), "quarantine exit code");
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("quarantined"), "{err}");
+    assert!(err.contains("8 of 8 cells quarantined"), "{err}");
     assert!(err.contains("Water"), "{err}");
 }
 
 #[test]
-fn chaos_panic_without_keep_going_fails_fast() {
-    let out = Command::new(env!("CARGO_BIN_EXE_dirext"))
-        .args(["fig2", "--scale", "tiny", "--app", "water"])
-        .env("DIREXT_CHAOS_PANIC", "Water")
-        .output()
-        .expect("failed to launch dirext");
+fn failing_cell_without_keep_going_exits_1() {
+    let out = failing_fig2(&[]);
     assert_eq!(out.status.code(), Some(1), "plain failure exit code");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("panicked"));
-}
-
-#[test]
-fn pending_journal_write_error_fails_the_exit_code() {
-    // "early": the error is pending when the sweep starts; run_cells
-    // surfaces it as a journal failure.
-    let j1 = tmp("chaos-early.jsonl");
-    let early = bin()
-        .args(["fig2", "--scale", "tiny", "--app", "water"])
-        .arg("--journal")
-        .arg(&j1)
-        .env("DIREXT_CHAOS_JOURNAL_ERROR", "early")
-        .output()
-        .expect("run early");
-    assert_eq!(early.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
     assert!(
-        String::from_utf8_lossy(&early.stderr).contains("journal"),
-        "early write error surfaces"
+        err.contains("failed after 3 attempt(s): watchdog fired"),
+        "{err}"
     );
-
-    // "late": the sweep itself succeeds, but a write error is pending at
-    // exit — the run must still fail rather than hand --resume a journal
-    // that silently lost cells.
-    let j2 = tmp("chaos-late.jsonl");
-    let late = bin()
-        .args(["fig2", "--scale", "tiny", "--app", "water"])
-        .arg("--journal")
-        .arg(&j2)
-        .env("DIREXT_CHAOS_JOURNAL_ERROR", "late")
-        .output()
-        .expect("run late");
-    assert_eq!(
-        late.status.code(),
-        Some(1),
-        "clean sweep + pending write error = exit 1"
-    );
-    let err = String::from_utf8_lossy(&late.stderr);
-    assert!(err.contains("journal write failure"), "{err}");
-    assert!(err.contains("do not trust this journal"), "{err}");
-
-    let _ = std::fs::remove_file(&j1);
-    let _ = std::fs::remove_file(&j2);
 }
 
 #[test]

@@ -16,6 +16,14 @@ use crate::machine::{Ev, Machine};
 use crate::node::{FlwbEntry, ProcState, SlwbEntry, SlwbOp, SyncOut, SyncWait};
 use dirext_core::ProtocolError;
 
+/// How many times a NACKed request is retried before the run aborts with
+/// [`ProtocolError::RetryBudgetExhausted`].
+const NACK_RETRY_BUDGET: u32 = 16;
+
+/// Backoff in pclocks before the first retry of a NACKed request; it
+/// doubles with each further attempt (capped at 2^10 times this).
+const NACK_RETRY_BASE: u64 = 64;
+
 impl Machine {
     fn sc(&self) -> bool {
         self.cfg.protocol.consistency == Consistency::Sc
@@ -1542,7 +1550,7 @@ impl Machine {
         let attempts = self.retry_attempts[nid.idx()].get_or_insert_with(block, || 0);
         *attempts += 1;
         let attempts = *attempts;
-        if attempts > self.cfg.nack_retry_budget {
+        if attempts > NACK_RETRY_BUDGET {
             self.fatal = Some(SimError::Protocol(ProtocolError::RetryBudgetExhausted {
                 node: nid,
                 block,
@@ -1551,7 +1559,7 @@ impl Machine {
             return;
         }
         self.nack_retries += 1;
-        let backoff = self.cfg.nack_retry_base << (attempts - 1).min(10);
+        let backoff = NACK_RETRY_BASE << (attempts - 1).min(10);
         let home = self.home_of(block);
         // Stamp the requester's incarnation epoch in the sender half: a
         // retry scheduled by a since-crashed incarnation must not fire a

@@ -98,12 +98,6 @@ pub struct MachineConfig {
     pub timing: Timing,
     /// Interconnection network.
     pub network: NetworkKind,
-    /// Check coherence invariants at the end of the run (cheap; on by
-    /// default).
-    pub check_invariants: bool,
-    /// Safety valve: abort the run after this many simulation events
-    /// (guards against protocol deadlocks during development).
-    pub max_events: u64,
     /// Fault-injection plan applied on top of the network (`None` or an
     /// inactive plan leaves the topology untouched).
     pub fault_plan: Option<FaultPlan>,
@@ -119,12 +113,6 @@ pub struct MachineConfig {
     /// Sampled mid-run invariant audit: check structural invariants every
     /// this many simulation events (0 disables).
     pub audit_every: u64,
-    /// How many times a NACKed request is retried before the run aborts
-    /// with a structured error.
-    pub nack_retry_budget: u32,
-    /// Base backoff in pclocks for the first NACK retry (doubles per
-    /// attempt, capped).
-    pub nack_retry_base: u64,
     /// Transition-trace ring capacity per controller (0 disables tracing).
     /// When on, every directory and cache state transition is recorded and
     /// replayed through the conformance checker at quiescence.
@@ -165,14 +153,10 @@ impl MachineConfig {
             dir_org: DirOrg::FullMap,
             timing,
             network: NetworkKind::Uniform,
-            check_invariants: true,
-            max_events: 2_000_000_000,
             fault_plan: None,
             node_fault_plan: None,
             watchdog_pclocks: 1_000_000,
             audit_every: 0,
-            nack_retry_budget: 16,
-            nack_retry_base: 64,
             trace_capacity: 0,
         }
     }
@@ -217,13 +201,6 @@ impl MachineConfig {
     /// (0 disables).
     pub fn with_audit_every(mut self, events: u64) -> Self {
         self.audit_every = events;
-        self
-    }
-
-    /// Sets the NACK retry budget and base backoff.
-    pub fn with_nack_retry(mut self, budget: u32, base_pclocks: u64) -> Self {
-        self.nack_retry_budget = budget;
-        self.nack_retry_base = base_pclocks;
         self
     }
 

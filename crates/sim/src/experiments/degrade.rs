@@ -14,7 +14,7 @@
 //!
 //! Crash schedules come from [`NodeFaultPlan::seeded`], so every cell is
 //! deterministic and the whole sweep is journaled, resumable and
-//! parallel across `--jobs` through [`run_cells`] like every paper
+//! parallel across `--jobs` through [`super::run_cells`] like every paper
 //! artifact; the crash windows are part of each cell's journal key. Like
 //! `dirscale`, every cell runs on the two-level mesh
 //! ([`DIRSCALE_NETWORK`]) — the one modelled topology that reaches the
@@ -29,7 +29,7 @@ use dirext_stats::{Metrics, TextTable};
 use dirext_trace::Workload;
 
 use super::dirscale::DIRSCALE_NETWORK;
-use super::runner::{check_len, run_cells, Cell, SweepError, SweepOpts};
+use super::runner::{run_rows, Cell, SweepError, SweepOpts};
 use crate::NodeFaultPlan;
 
 /// The crash-count axis: 0 is the crash-free baseline row the inflation
@@ -134,63 +134,46 @@ fn grid(procs: usize) -> Vec<(usize, DirOrg)> {
         .collect()
 }
 
-/// Runs the degradation sweep on `workload` with default schedule
-/// parameters.
-///
-/// # Errors
-///
-/// Propagates the first [`SweepError`].
-pub fn degrade(app_name: &str, workload: &Workload) -> Result<Degrade, SweepError> {
-    degrade_with(
-        app_name,
-        workload,
-        DegradeParams::default(),
-        &SweepOpts::default(),
-    )
-}
-
-/// [`degrade`] with explicit schedule parameters and sweep options
-/// (worker threads, link-fault overlay, journal, quarantine,
-/// cancellation).
+/// Runs the degradation sweep on `workload` with the crash schedules
+/// shaped by `params`.
 ///
 /// # Errors
 ///
 /// Propagates the sweep's [`SweepError`].
-pub fn degrade_with(
+pub fn degrade(
     app_name: &str,
     workload: &Workload,
     params: DegradeParams,
     opts: &SweepOpts,
 ) -> Result<Degrade, SweepError> {
     let procs = workload.procs();
-    let grid = grid(procs);
-    let nk = DEGRADE_PROTOCOLS.len();
-    let cells: Vec<Cell<'_>> = grid
-        .iter()
-        .flat_map(|&(crashes, org)| {
-            DEGRADE_PROTOCOLS.iter().map(move |&kind| {
-                let mut cell =
-                    Cell::on(workload, kind, Consistency::Rc, DIRSCALE_NETWORK).with_dir(org);
-                if crashes > 0 {
-                    let mut plan = NodeFaultPlan::seeded(params.seed, procs, crashes);
-                    plan.detect_delay = params.detect_delay;
-                    cell = cell.with_node_faults(plan);
-                }
-                cell
-            })
-        })
-        .collect();
-    let all = run_cells("degrade", &cells, opts)?;
-    check_len("degrade", all.len(), grid.len() * nk)?;
-    let rows = grid
-        .into_iter()
-        .zip(all.chunks_exact(nk))
-        .map(|((crashes, org), chunk)| DegradeRow {
-            crashes,
-            org,
-            metrics: chunk.to_vec(),
-        })
-        .collect();
+    let rows = run_rows(
+        "degrade",
+        grid(procs),
+        |&(crashes, org)| {
+            DEGRADE_PROTOCOLS
+                .iter()
+                .map(|&kind| {
+                    let mut cell =
+                        Cell::on(workload, kind, Consistency::Rc, DIRSCALE_NETWORK).with_dir(org);
+                    if crashes > 0 {
+                        let mut plan = NodeFaultPlan::seeded(params.seed, procs, crashes);
+                        plan.detect_delay = params.detect_delay;
+                        cell = cell.with_node_faults(plan);
+                    }
+                    cell
+                })
+                .collect()
+        },
+        opts,
+    )?
+    .into_iter()
+    .map(|((crashes, org), metrics)| DegradeRow {
+        crashes,
+        org,
+        metrics,
+    })
+    .collect();
     Ok(Degrade {
         app: app_name.to_owned(),
         rows,
@@ -256,13 +239,8 @@ mod tests {
     #[test]
     fn degrade_sweep_runs_and_shows_recovery_activity() {
         let w = dirext_workloads::micro::producer_consumer(8, 2, 40);
-        let r = degrade_with(
-            "micro",
-            &w,
-            DegradeParams::default(),
-            &SweepOpts::default(),
-        )
-        .expect("degrade sweep must run");
+        let r = degrade("micro", &w, DegradeParams::default(), &SweepOpts::default())
+            .expect("degrade sweep must run");
         assert_eq!(r.rows.len(), grid(8).len());
         // The crash-free rows report no failure activity; a faulted row
         // reports exactly its scheduled recoveries per protocol.

@@ -14,9 +14,9 @@
 //!
 //! Organizations that cannot serve a machine size (the full map past 64
 //! nodes) are skipped rather than failed — the point of the sweep is the
-//! feasible frontier. Cells run through [`run_cells`], so the sweep is
-//! journaled, resumable, parallel across `--jobs` and fault-injectable
-//! like every paper artifact.
+//! feasible frontier. Cells run through [`super::run_cells`], so the
+//! sweep is journaled, resumable, parallel across `--jobs` and
+//! fault-injectable like every paper artifact.
 
 use std::fmt;
 
@@ -26,7 +26,7 @@ use dirext_core::ProtocolKind;
 use dirext_stats::{Metrics, TextTable};
 use dirext_trace::Workload;
 
-use super::runner::{check_len, run_cells, Cell, SweepError, SweepOpts};
+use super::runner::{run_rows, Cell, SweepError, SweepOpts};
 use crate::NetworkKind;
 
 /// The node counts swept (the full map is only feasible at the first).
@@ -111,57 +111,43 @@ fn grid() -> Vec<(usize, DirOrg)> {
 ///
 /// # Errors
 ///
-/// Propagates the first [`SweepError`].
-pub fn dirscale<F>(app_name: &str, make_workload: F) -> Result<Dirscale, SweepError>
-where
-    F: FnMut(usize) -> Workload,
-{
-    dirscale_with(app_name, make_workload, &SweepOpts::default())
-}
-
-/// [`dirscale`] with explicit sweep options (worker threads, fault plan,
-/// journal, quarantine, cancellation).
-///
-/// # Errors
-///
 /// Propagates the sweep's [`SweepError`].
-pub fn dirscale_with<F>(
+pub fn dirscale<F>(
     app_name: &str,
-    mut make_workload: F,
+    make_workload: F,
     opts: &SweepOpts,
 ) -> Result<Dirscale, SweepError>
 where
     F: FnMut(usize) -> Workload,
 {
-    let workloads: Vec<Workload> = DIRSCALE_PROCS.into_iter().map(&mut make_workload).collect();
+    let workloads: Vec<Workload> = DIRSCALE_PROCS.into_iter().map(make_workload).collect();
     let workload_for = |procs: usize| {
         &workloads[DIRSCALE_PROCS
             .iter()
             .position(|&p| p == procs)
             .expect("grid procs come from DIRSCALE_PROCS")]
     };
-    let grid = grid();
-    let nk = DIRSCALE_PROTOCOLS.len();
-    let cells: Vec<Cell<'_>> = grid
-        .iter()
-        .flat_map(|&(procs, org)| {
-            DIRSCALE_PROTOCOLS.iter().map(move |&kind| {
-                Cell::on(workload_for(procs), kind, Consistency::Rc, DIRSCALE_NETWORK)
-                    .with_dir(org)
-            })
-        })
-        .collect();
-    let all = run_cells("dirscale", &cells, opts)?;
-    check_len("dirscale", all.len(), grid.len() * nk)?;
-    let rows = grid
-        .into_iter()
-        .zip(all.chunks_exact(nk))
-        .map(|((procs, org), chunk)| DirscaleRow {
-            procs,
-            org,
-            metrics: chunk.to_vec(),
-        })
-        .collect();
+    let rows = run_rows(
+        "dirscale",
+        grid(),
+        |&(procs, org)| {
+            DIRSCALE_PROTOCOLS
+                .iter()
+                .map(|&kind| {
+                    Cell::on(workload_for(procs), kind, Consistency::Rc, DIRSCALE_NETWORK)
+                        .with_dir(org)
+                })
+                .collect()
+        },
+        opts,
+    )?
+    .into_iter()
+    .map(|((procs, org), metrics)| DirscaleRow {
+        procs,
+        org,
+        metrics,
+    })
+    .collect();
     Ok(Dirscale {
         app: app_name.to_owned(),
         rows,

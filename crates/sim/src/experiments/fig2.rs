@@ -7,7 +7,7 @@ use dirext_core::ProtocolKind;
 use dirext_stats::{Metrics, TextTable};
 use dirext_trace::Workload;
 
-use super::runner::{check_len, run_cells, Cell, SweepError, SweepOpts};
+use super::runner::{run_rows, Cell, SweepError, SweepOpts};
 
 /// The protocols of Figure 2, in the paper's bar order.
 pub const FIG2_PROTOCOLS: [ProtocolKind; 8] = ProtocolKind::ALL;
@@ -49,38 +49,26 @@ impl Fig2Row {
 ///
 /// # Errors
 ///
-/// Propagates the first [`SweepError`].
-pub fn fig2(suite: &[Workload]) -> Result<Fig2, SweepError> {
-    fig2_with(suite, &SweepOpts::default())
-}
-
-/// [`fig2`] with explicit sweep options (worker threads, fault plan,
-/// journal, quarantine, cancellation).
-///
-/// # Errors
-///
 /// Propagates the sweep's [`SweepError`] (lowest-indexed failure, or the
 /// full quarantine under `keep_going`).
-pub fn fig2_with(suite: &[Workload], opts: &SweepOpts) -> Result<Fig2, SweepError> {
-    let nk = FIG2_PROTOCOLS.len();
-    let cells: Vec<Cell<'_>> = suite
-        .iter()
-        .flat_map(|w| {
+pub fn fig2(suite: &[Workload], opts: &SweepOpts) -> Result<Fig2, SweepError> {
+    let rows = run_rows(
+        "fig2",
+        suite,
+        |&w| {
             FIG2_PROTOCOLS
                 .iter()
-                .map(move |&kind| Cell::new(w, kind, Consistency::Rc))
-        })
-        .collect();
-    let all = run_cells("fig2", &cells, opts)?;
-    check_len("fig2", all.len(), suite.len() * nk)?;
-    let rows = suite
-        .iter()
-        .zip(all.chunks_exact(nk))
-        .map(|(w, chunk)| Fig2Row {
-            app: w.name().to_owned(),
-            metrics: chunk.to_vec(),
-        })
-        .collect();
+                .map(|&kind| Cell::new(w, kind, Consistency::Rc))
+                .collect()
+        },
+        opts,
+    )?
+    .into_iter()
+    .map(|(w, metrics)| Fig2Row {
+        app: w.name().to_owned(),
+        metrics,
+    })
+    .collect();
     Ok(Fig2 { rows })
 }
 

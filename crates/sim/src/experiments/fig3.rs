@@ -7,7 +7,7 @@ use dirext_core::ProtocolKind;
 use dirext_stats::{Metrics, TextTable};
 use dirext_trace::Workload;
 
-use super::runner::{check_len, run_cells, Cell, SweepError, SweepOpts};
+use super::runner::{run_rows, Cell, SweepError, SweepOpts};
 
 /// The protocols of Figure 3 (all under SC; CW is infeasible under SC).
 pub const FIG3_PROTOCOLS: [ProtocolKind; 4] = [
@@ -57,49 +57,28 @@ impl Fig3Row {
 ///
 /// # Errors
 ///
-/// Propagates the first [`SweepError`].
-pub fn fig3(suite: &[Workload]) -> Result<Fig3, SweepError> {
-    fig3_with(suite, &SweepOpts::default())
-}
-
-/// [`fig3`] with explicit sweep options (worker threads, fault plan,
-/// journal, quarantine, cancellation).
-///
-/// # Errors
-///
 /// Propagates the sweep's [`SweepError`].
-pub fn fig3_with(suite: &[Workload], opts: &SweepOpts) -> Result<Fig3, SweepError> {
+pub fn fig3(suite: &[Workload], opts: &SweepOpts) -> Result<Fig3, SweepError> {
     // Per app: the four SC protocols, then the BASIC-RC reference run.
-    let per_app = FIG3_PROTOCOLS.len() + 1;
-    let cells: Vec<Cell<'_>> = suite
-        .iter()
-        .flat_map(|w| {
+    let rows = run_rows(
+        "fig3",
+        suite,
+        |&w| {
             FIG3_PROTOCOLS
                 .iter()
-                .map(move |&kind| Cell::new(w, kind, Consistency::Sc))
-                .chain(std::iter::once(Cell::new(
-                    w,
-                    ProtocolKind::Basic,
-                    Consistency::Rc,
-                )))
-        })
-        .collect();
-    let all = run_cells("fig3", &cells, opts)?;
-    check_len("fig3", all.len(), suite.len() * per_app)?;
-    let rows = suite
-        .iter()
-        .zip(all.chunks_exact(per_app))
-        .map(|(w, chunk)| {
-            let (basic_rc, sc) = chunk
-                .split_last()
-                .ok_or_else(|| SweepError::Assembly("fig3: empty per-app chunk".into()))?;
-            Ok(Fig3Row {
-                app: w.name().to_owned(),
-                metrics: sc.to_vec(),
-                basic_rc: basic_rc.clone(),
-            })
-        })
-        .collect::<Result<Vec<_>, SweepError>>()?;
+                .map(|&kind| Cell::new(w, kind, Consistency::Sc))
+                .chain([Cell::new(w, ProtocolKind::Basic, Consistency::Rc)])
+                .collect()
+        },
+        opts,
+    )?
+    .into_iter()
+    .map(|(w, mut metrics)| Fig3Row {
+        app: w.name().to_owned(),
+        basic_rc: metrics.remove(FIG3_PROTOCOLS.len()),
+        metrics,
+    })
+    .collect();
     Ok(Fig3 { rows })
 }
 

@@ -7,7 +7,7 @@ use dirext_core::ProtocolKind;
 use dirext_stats::{Metrics, TextTable};
 use dirext_trace::Workload;
 
-use super::runner::{check_len, run_cells, Cell, SweepError, SweepOpts};
+use super::runner::{run_rows, Cell, SweepError, SweepOpts};
 
 /// The protocols of Figure 4, in the paper's x-axis order.
 pub const FIG4_PROTOCOLS: [ProtocolKind; 6] = [
@@ -50,37 +50,25 @@ impl Fig4Row {
 ///
 /// # Errors
 ///
-/// Propagates the first [`SweepError`].
-pub fn fig4(suite: &[Workload]) -> Result<Fig4, SweepError> {
-    fig4_with(suite, &SweepOpts::default())
-}
-
-/// [`fig4`] with explicit sweep options (worker threads, fault plan,
-/// journal, quarantine, cancellation).
-///
-/// # Errors
-///
 /// Propagates the sweep's [`SweepError`].
-pub fn fig4_with(suite: &[Workload], opts: &SweepOpts) -> Result<Fig4, SweepError> {
-    let nk = FIG4_PROTOCOLS.len();
-    let cells: Vec<Cell<'_>> = suite
-        .iter()
-        .flat_map(|w| {
+pub fn fig4(suite: &[Workload], opts: &SweepOpts) -> Result<Fig4, SweepError> {
+    let rows = run_rows(
+        "fig4",
+        suite,
+        |&w| {
             FIG4_PROTOCOLS
                 .iter()
-                .map(move |&kind| Cell::new(w, kind, Consistency::Rc))
-        })
-        .collect();
-    let all = run_cells("fig4", &cells, opts)?;
-    check_len("fig4", all.len(), suite.len() * nk)?;
-    let rows = suite
-        .iter()
-        .zip(all.chunks_exact(nk))
-        .map(|(w, chunk)| Fig4Row {
-            app: w.name().to_owned(),
-            metrics: chunk.to_vec(),
-        })
-        .collect();
+                .map(|&kind| Cell::new(w, kind, Consistency::Rc))
+                .collect()
+        },
+        opts,
+    )?
+    .into_iter()
+    .map(|(w, metrics)| Fig4Row {
+        app: w.name().to_owned(),
+        metrics,
+    })
+    .collect();
     Ok(Fig4 { rows })
 }
 

@@ -417,15 +417,6 @@ impl Journal {
         self.inner.lock().expect("journal lock").write_error.take()
     }
 
-    /// Whether an append error is pending (without consuming it).
-    pub fn has_write_error(&self) -> bool {
-        self.inner
-            .lock()
-            .expect("journal lock")
-            .write_error
-            .is_some()
-    }
-
     /// Injects a pending write error, exactly as a failed append would.
     /// Test hook for the must-fail-the-run contract; not for production
     /// use.
@@ -801,13 +792,12 @@ mod tests {
         let path = tmp("werr");
         let _ = std::fs::remove_file(&path);
         let j = Journal::create(&path).unwrap();
-        assert!(!j.has_write_error());
+        assert!(j.take_write_error().is_none());
         j.inject_write_error("disk full (simulated)");
         j.inject_write_error("second error must not overwrite the first");
-        assert!(j.has_write_error());
         let msg = j.take_write_error().expect("pending error");
         assert!(msg.contains("disk full"));
-        assert!(!j.has_write_error());
+        assert!(j.take_write_error().is_none());
         std::fs::remove_file(&path).ok();
     }
 

@@ -13,7 +13,7 @@ use dirext_core::ProtocolKind;
 use dirext_stats::{Metrics, TextTable};
 use dirext_trace::Workload;
 
-use super::runner::{check_len, run_cells, Cell, SweepError, SweepOpts};
+use super::runner::{run_rows, Cell, SweepError, SweepOpts};
 
 /// Result of the read-miss-latency comparison.
 #[derive(Debug)]
@@ -48,42 +48,26 @@ impl MissLatencyRow {
 ///
 /// # Errors
 ///
-/// Propagates the first [`SweepError`].
-pub fn miss_latency(suite: &[Workload]) -> Result<MissLatency, SweepError> {
-    miss_latency_with(suite, &SweepOpts::default())
-}
-
-/// [`miss_latency`] with explicit sweep options (worker threads, fault
-/// plan, journal, quarantine, cancellation).
-///
-/// # Errors
-///
 /// Propagates the sweep's [`SweepError`].
-pub fn miss_latency_with(suite: &[Workload], opts: &SweepOpts) -> Result<MissLatency, SweepError> {
-    let cells: Vec<Cell<'_>> = suite
-        .iter()
-        .flat_map(|w| {
+pub fn miss_latency(suite: &[Workload], opts: &SweepOpts) -> Result<MissLatency, SweepError> {
+    let rows = run_rows(
+        "miss-latency",
+        suite,
+        |&w| {
             [ProtocolKind::Basic, ProtocolKind::Cw]
                 .into_iter()
-                .map(move |kind| Cell::new(w, kind, Consistency::Rc))
-        })
-        .collect();
-    let all = run_cells("miss-latency", &cells, opts)?;
-    check_len("miss-latency", all.len(), suite.len() * 2)?;
-    let rows = suite
-        .iter()
-        .zip(all.chunks_exact(2))
-        .map(|(w, chunk)| match chunk {
-            [basic, cw] => Ok(MissLatencyRow {
-                app: w.name().to_owned(),
-                basic: basic.clone(),
-                cw: cw.clone(),
-            }),
-            _ => Err(SweepError::Assembly(
-                "miss-latency: expected BASIC+CW pair per app".into(),
-            )),
-        })
-        .collect::<Result<Vec<_>, SweepError>>()?;
+                .map(|kind| Cell::new(w, kind, Consistency::Rc))
+                .collect()
+        },
+        opts,
+    )?
+    .into_iter()
+    .map(|(w, metrics)| MissLatencyRow {
+        app: w.name().to_owned(),
+        basic: metrics[0].clone(),
+        cw: metrics[1].clone(),
+    })
+    .collect();
     Ok(MissLatency { rows })
 }
 

@@ -75,72 +75,28 @@ where
         .collect()
 }
 
-/// Runs `f(0..n)` across `jobs` worker threads and returns the results in
-/// index order.
-///
-/// With `jobs <= 1` (or fewer than two tasks) the loop runs inline on the
-/// caller's thread with no pool setup at all, so serial sweeps pay nothing
-/// for the parallel capability.
-///
-/// # Errors
-///
-/// Returns the error of the lowest-indexed failing task — the same one the
-/// serial loop would have hit first. (Unlike the serial loop, later tasks
-/// still run; their results are discarded.)
-///
-/// # Panics
-///
-/// Propagates a panic from any worker thread.
-pub fn run_ordered<T, E, F>(jobs: usize, n: usize, f: F) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    if jobs <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    run_collect(jobs, n, &|| false, f)
-        .into_iter()
-        .map(|slot| slot.expect("every index claimed by exactly one worker"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn serial_and_parallel_agree() {
-        let f = |i: usize| -> Result<usize, ()> { Ok(i * i) };
-        let serial = run_ordered(1, 100, f).unwrap();
-        let parallel = run_ordered(8, 100, f).unwrap();
+        let f = |i: usize| i * i;
+        let serial = run_collect(1, 100, &|| false, f);
+        let parallel = run_collect(8, 100, &|| false, f);
         assert_eq!(serial, parallel);
-        assert_eq!(parallel[7], 49);
-    }
-
-    #[test]
-    fn lowest_index_error_wins() {
-        let f = |i: usize| -> Result<usize, usize> {
-            if i % 3 == 2 {
-                Err(i)
-            } else {
-                Ok(i)
-            }
-        };
-        assert_eq!(run_ordered(4, 50, f), Err(2));
-        assert_eq!(run_ordered(1, 50, f), Err(2));
+        assert_eq!(parallel[7], Some(49));
     }
 
     #[test]
     fn more_workers_than_tasks() {
-        let r = run_ordered(16, 3, |i| -> Result<usize, ()> { Ok(i + 1) }).unwrap();
-        assert_eq!(r, vec![1, 2, 3]);
+        let r = run_collect(16, 3, &|| false, |i| i + 1);
+        assert_eq!(r, vec![Some(1), Some(2), Some(3)]);
     }
 
     #[test]
     fn empty_task_list() {
-        let r: Vec<usize> = run_ordered(4, 0, |_| -> Result<usize, ()> { unreachable!() }).unwrap();
+        let r = run_collect(4, 0, &|| false, |_| -> usize { unreachable!() });
         assert!(r.is_empty());
     }
 

@@ -1,8 +1,8 @@
 //! Shared run helpers and the crash-safe sweep orchestrator.
 //!
-//! Every experiment driver flattens its configuration grid into a list of
-//! [`Cell`]s and hands it to [`run_cells`], which layers the robustness
-//! machinery over the raw [`super::pool`] fan-out:
+//! Every experiment driver lists its rows' [`Cell`]s through [`run_rows`],
+//! which hands them to [`run_cells`] as one flat list; `run_cells` layers
+//! the robustness machinery over the raw [`super::pool`] fan-out:
 //!
 //! * **Journaling** — with [`SweepOpts::journal`] set, each completed cell
 //!   is appended to the write-ahead [`Journal`](super::journal::Journal)
@@ -42,7 +42,7 @@ use super::journal::{cell_key, Journal};
 use super::pool;
 use crate::{Machine, MachineConfig, NetworkKind, NodeFaultPlan, SimError};
 
-/// Options shared by every sweep driver's `*_with` variant.
+/// Options shared by every sweep driver.
 ///
 /// `jobs` sets the worker-thread count for the sweep pool (0 or 1 = run
 /// inline); `fault` optionally overlays a fault-injection plan on every
@@ -467,18 +467,32 @@ pub fn run_cells(
     Ok(metrics)
 }
 
-/// Guards a driver's row assembly: verifies the per-cell result count
-/// matches the configuration grid before slicing it into rows, so a shape
-/// bug surfaces as a structured [`SweepError::Assembly`] flowing through
-/// the quarantine path instead of a worker panic.
-pub(super) fn check_len(driver: &str, got: usize, want: usize) -> Result<(), SweepError> {
-    if got == want {
-        Ok(())
-    } else {
-        Err(SweepError::Assembly(format!(
-            "{driver}: expected {want} cell results, got {got}"
-        )))
+/// Runs a sweep laid out in rows: `per_row` lists each row's cells, every
+/// row's cells run through one [`run_cells`] call in row order, and each
+/// row comes back with its own metrics, in the order `per_row` listed its
+/// cells.
+///
+/// # Errors
+///
+/// As [`run_cells`].
+pub(super) fn run_rows<'w, R>(
+    driver: &str,
+    rows: impl IntoIterator<Item = R>,
+    per_row: impl Fn(&R) -> Vec<Cell<'w>>,
+    opts: &SweepOpts,
+) -> Result<Vec<(R, Vec<Metrics>)>, SweepError> {
+    let mut sized = Vec::new();
+    let mut cells = Vec::new();
+    for row in rows {
+        let row_cells = per_row(&row);
+        sized.push((row, row_cells.len()));
+        cells.extend(row_cells);
     }
+    let mut metrics = run_cells(driver, &cells, opts)?.into_iter();
+    Ok(sized
+        .into_iter()
+        .map(|(row, n)| (row, metrics.by_ref().take(n).collect()))
+        .collect())
 }
 
 /// Runs one cell: journal lookup, chaos hook, `catch_unwind`, bounded

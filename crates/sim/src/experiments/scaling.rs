@@ -15,7 +15,7 @@ use dirext_core::ProtocolKind;
 use dirext_stats::{Metrics, TextTable};
 use dirext_trace::Workload;
 
-use super::runner::{check_len, run_cells, Cell, SweepError, SweepOpts};
+use super::runner::{run_rows, Cell, SweepError, SweepOpts};
 
 /// The node counts swept.
 pub const SCALING_PROCS: [usize; 5] = [4, 8, 16, 32, 64];
@@ -60,55 +60,33 @@ impl ScalingRow {
 /// given processor count (workload sizes are per-machine, so the generator
 /// is a callback instead of a fixed [`Workload`]).
 ///
-/// # Errors
-///
-/// Propagates the first [`SweepError`].
-pub fn scaling<F>(app_name: &str, make_workload: F) -> Result<Scaling, SweepError>
-where
-    F: FnMut(usize) -> Workload,
-{
-    scaling_with(app_name, make_workload, &SweepOpts::default())
-}
-
-/// [`scaling`] with explicit sweep options (worker threads, fault plan,
-/// journal, quarantine, cancellation).
-///
-/// The workloads for all machine sizes are generated up front (in
-/// [`SCALING_PROCS`] order, so generation sees the same call sequence as
-/// the serial sweep) and the runs fan out over the worker pool; cloning is
-/// avoided because [`Workload`] shares its programs by reference count.
+/// The workloads for all machine sizes are generated up front, in
+/// [`SCALING_PROCS`] order, and the runs fan out over the worker pool;
+/// cloning is avoided because [`Workload`] shares its programs by
+/// reference count.
 ///
 /// # Errors
 ///
 /// Propagates the sweep's [`SweepError`].
-pub fn scaling_with<F>(
-    app_name: &str,
-    mut make_workload: F,
-    opts: &SweepOpts,
-) -> Result<Scaling, SweepError>
+pub fn scaling<F>(app_name: &str, make_workload: F, opts: &SweepOpts) -> Result<Scaling, SweepError>
 where
     F: FnMut(usize) -> Workload,
 {
-    let workloads: Vec<Workload> = SCALING_PROCS.into_iter().map(&mut make_workload).collect();
-    let nk = SCALING_PROTOCOLS.len();
-    let cells: Vec<Cell<'_>> = workloads
-        .iter()
-        .flat_map(|w| {
+    let workloads: Vec<Workload> = SCALING_PROCS.into_iter().map(make_workload).collect();
+    let rows = run_rows(
+        "scaling",
+        SCALING_PROCS.into_iter().zip(&workloads),
+        |&(_, w)| {
             SCALING_PROTOCOLS
                 .iter()
-                .map(move |&kind| Cell::new(w, kind, Consistency::Rc))
-        })
-        .collect();
-    let all = run_cells("scaling", &cells, opts)?;
-    check_len("scaling", all.len(), workloads.len() * nk)?;
-    let rows = SCALING_PROCS
-        .into_iter()
-        .zip(all.chunks_exact(nk))
-        .map(|(procs, chunk)| ScalingRow {
-            procs,
-            metrics: chunk.to_vec(),
-        })
-        .collect();
+                .map(|&kind| Cell::new(w, kind, Consistency::Rc))
+                .collect()
+        },
+        opts,
+    )?
+    .into_iter()
+    .map(|((procs, _), metrics)| ScalingRow { procs, metrics })
+    .collect();
     Ok(Scaling {
         app: app_name.to_owned(),
         rows,

@@ -8,7 +8,7 @@ use dirext_memsys::Timing;
 use dirext_stats::{Metrics, TextTable};
 use dirext_trace::Workload;
 
-use super::runner::{check_len, run_cells, Cell, SweepError, SweepOpts};
+use super::runner::{run_rows, Cell, SweepError, SweepOpts};
 
 /// The protocols compared in the sensitivity study.
 pub const SENS_PROTOCOLS: [ProtocolKind; 6] = [
@@ -66,18 +66,8 @@ pub enum Constraint {
 ///
 /// # Errors
 ///
-/// Propagates the first [`SweepError`].
-pub fn sensitivity(suite: &[Workload], constraint: Constraint) -> Result<Sensitivity, SweepError> {
-    sensitivity_with(suite, constraint, &SweepOpts::default())
-}
-
-/// [`sensitivity`] with explicit sweep options (worker threads, fault
-/// plan, journal, quarantine, cancellation).
-///
-/// # Errors
-///
 /// Propagates the sweep's [`SweepError`].
-pub fn sensitivity_with(
+pub fn sensitivity(
     suite: &[Workload],
     constraint: Constraint,
     opts: &SweepOpts,
@@ -98,38 +88,35 @@ pub fn sensitivity_with(
     // default-timing cells share journal keys across the two constraint
     // sweeps on purpose: they are the same configuration, so a resumed
     // `run-all` simulates them once.
-    let per_app = 2 * SENS_PROTOCOLS.len();
-    let cells: Vec<Cell<'_>> = suite
-        .iter()
-        .flat_map(|w| {
-            let timing = &timing;
-            SENS_PROTOCOLS.iter().flat_map(move |&kind| {
-                [
-                    Cell::new(w, kind, Consistency::Rc),
-                    Cell::new(w, kind, Consistency::Rc).timed(timing.clone(), tag),
-                ]
-            })
-        })
-        .collect();
-    let all = run_cells("sens", &cells, opts)?;
-    check_len("sens", all.len(), suite.len() * per_app)?;
-    let rows = suite
-        .iter()
-        .zip(all.chunks_exact(per_app))
-        .map(|(w, chunk)| {
-            let mut default_metrics = Vec::with_capacity(SENS_PROTOCOLS.len());
-            let mut constrained_metrics = Vec::with_capacity(SENS_PROTOCOLS.len());
-            for pair in chunk.chunks_exact(2) {
-                default_metrics.push(pair[0].clone());
-                constrained_metrics.push(pair[1].clone());
-            }
-            SensRow {
-                app: w.name().to_owned(),
-                default_metrics,
-                constrained_metrics,
-            }
-        })
-        .collect();
+    let rows = run_rows(
+        "sens",
+        suite,
+        |&w| {
+            SENS_PROTOCOLS
+                .iter()
+                .flat_map(|&kind| {
+                    [
+                        Cell::new(w, kind, Consistency::Rc),
+                        Cell::new(w, kind, Consistency::Rc).timed(timing.clone(), tag),
+                    ]
+                })
+                .collect()
+        },
+        opts,
+    )?
+    .into_iter()
+    .map(|(w, metrics)| {
+        let (default_metrics, constrained_metrics) = metrics
+            .chunks_exact(2)
+            .map(|pair| (pair[0].clone(), pair[1].clone()))
+            .unzip();
+        SensRow {
+            app: w.name().to_owned(),
+            default_metrics,
+            constrained_metrics,
+        }
+    })
+    .collect();
     Ok(Sensitivity { variant, rows })
 }
 

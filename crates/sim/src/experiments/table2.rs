@@ -7,7 +7,7 @@ use dirext_core::ProtocolKind;
 use dirext_stats::{Metrics, TextTable};
 use dirext_trace::Workload;
 
-use super::runner::{check_len, run_cells, Cell, SweepError, SweepOpts};
+use super::runner::{run_rows, Cell, SweepError, SweepOpts};
 
 /// The protocols of Table 2, in the paper's column order.
 pub const TABLE2_PROTOCOLS: [ProtocolKind; 4] = [
@@ -55,37 +55,25 @@ impl Table2Row {
 ///
 /// # Errors
 ///
-/// Propagates the first [`SweepError`].
-pub fn table2(suite: &[Workload]) -> Result<Table2, SweepError> {
-    table2_with(suite, &SweepOpts::default())
-}
-
-/// [`table2`] with explicit sweep options (worker threads, fault plan,
-/// journal, quarantine, cancellation).
-///
-/// # Errors
-///
 /// Propagates the sweep's [`SweepError`].
-pub fn table2_with(suite: &[Workload], opts: &SweepOpts) -> Result<Table2, SweepError> {
-    let nk = TABLE2_PROTOCOLS.len();
-    let cells: Vec<Cell<'_>> = suite
-        .iter()
-        .flat_map(|w| {
+pub fn table2(suite: &[Workload], opts: &SweepOpts) -> Result<Table2, SweepError> {
+    let rows = run_rows(
+        "table2",
+        suite,
+        |&w| {
             TABLE2_PROTOCOLS
                 .iter()
-                .map(move |&kind| Cell::new(w, kind, Consistency::Rc))
-        })
-        .collect();
-    let all = run_cells("table2", &cells, opts)?;
-    check_len("table2", all.len(), suite.len() * nk)?;
-    let rows = suite
-        .iter()
-        .zip(all.chunks_exact(nk))
-        .map(|(w, chunk)| Table2Row {
-            app: w.name().to_owned(),
-            metrics: chunk.to_vec(),
-        })
-        .collect();
+                .map(|&kind| Cell::new(w, kind, Consistency::Rc))
+                .collect()
+        },
+        opts,
+    )?
+    .into_iter()
+    .map(|(w, metrics)| Table2Row {
+        app: w.name().to_owned(),
+        metrics,
+    })
+    .collect();
     Ok(Table2 { rows })
 }
 

@@ -7,7 +7,7 @@ use dirext_core::ProtocolKind;
 use dirext_stats::TextTable;
 use dirext_trace::Workload;
 
-use super::runner::{check_len, run_cells, Cell, SweepError, SweepOpts};
+use super::runner::{run_rows, Cell, SweepError, SweepOpts};
 use crate::NetworkKind;
 
 /// The link widths of Section 5.3, in bits.
@@ -41,59 +41,49 @@ impl Table3Row {
     }
 }
 
+/// The protocols run at each link width (BASIC is the per-mesh baseline).
+const TABLE3_PROTOCOLS: [ProtocolKind; 3] =
+    [ProtocolKind::Basic, ProtocolKind::PCw, ProtocolKind::PM];
+
 /// Runs the Table-3 sweep: {BASIC, P+CW, P+M} × {64, 32, 16}-bit meshes
 /// under RC.
 ///
 /// # Errors
 ///
-/// Propagates the first [`SweepError`].
-pub fn table3(suite: &[Workload]) -> Result<Table3, SweepError> {
-    table3_with(suite, &SweepOpts::default())
-}
-
-/// The protocols run at each link width (BASIC is the per-mesh baseline).
-const TABLE3_PROTOCOLS: [ProtocolKind; 3] =
-    [ProtocolKind::Basic, ProtocolKind::PCw, ProtocolKind::PM];
-
-/// [`table3`] with explicit sweep options (worker threads, fault plan,
-/// journal, quarantine, cancellation).
-///
-/// # Errors
-///
 /// Propagates the sweep's [`SweepError`].
-pub fn table3_with(suite: &[Workload], opts: &SweepOpts) -> Result<Table3, SweepError> {
+pub fn table3(suite: &[Workload], opts: &SweepOpts) -> Result<Table3, SweepError> {
     // Per app: LINK_WIDTHS × {BASIC, P+CW, P+M}.
-    let per_app = LINK_WIDTHS.len() * TABLE3_PROTOCOLS.len();
-    let cells: Vec<Cell<'_>> = suite
-        .iter()
-        .flat_map(|w| {
-            LINK_WIDTHS.iter().flat_map(move |&link_bits| {
-                TABLE3_PROTOCOLS.iter().map(move |&kind| {
-                    Cell::on(w, kind, Consistency::Rc, NetworkKind::Mesh { link_bits })
+    let rows = run_rows(
+        "table3",
+        suite,
+        |&w| {
+            LINK_WIDTHS
+                .iter()
+                .flat_map(|&link_bits| {
+                    TABLE3_PROTOCOLS.iter().map(move |&kind| {
+                        Cell::on(w, kind, Consistency::Rc, NetworkKind::Mesh { link_bits })
+                    })
                 })
-            })
-        })
-        .collect();
-    let all = run_cells("table3", &cells, opts)?;
-    check_len("table3", all.len(), suite.len() * per_app)?;
-    let rows = suite
-        .iter()
-        .zip(all.chunks_exact(per_app))
-        .map(|(w, chunk)| {
-            let mut pcw = [0.0; 3];
-            let mut pm = [0.0; 3];
-            for (i, width) in chunk.chunks_exact(TABLE3_PROTOCOLS.len()).enumerate() {
-                let base = &width[0];
-                pcw[i] = width[1].relative_time(base);
-                pm[i] = width[2].relative_time(base);
-            }
-            Table3Row {
-                app: w.name().to_owned(),
-                pcw,
-                pm,
-            }
-        })
-        .collect();
+                .collect()
+        },
+        opts,
+    )?
+    .into_iter()
+    .map(|(w, metrics)| {
+        let mut pcw = [0.0; 3];
+        let mut pm = [0.0; 3];
+        for (i, width) in metrics.chunks_exact(TABLE3_PROTOCOLS.len()).enumerate() {
+            let base = &width[0];
+            pcw[i] = width[1].relative_time(base);
+            pm[i] = width[2].relative_time(base);
+        }
+        Table3Row {
+            app: w.name().to_owned(),
+            pcw,
+            pm,
+        }
+    })
+    .collect();
     Ok(Table3 { rows })
 }
 

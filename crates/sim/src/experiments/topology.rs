@@ -14,7 +14,7 @@ use dirext_core::ProtocolKind;
 use dirext_stats::TextTable;
 use dirext_trace::Workload;
 
-use super::runner::{check_len, run_cells, Cell, SweepError, SweepOpts};
+use super::runner::{run_rows, Cell, SweepError, SweepOpts};
 use crate::NetworkKind;
 
 /// The topologies swept (at 32-bit links for the contended ones).
@@ -42,58 +42,48 @@ pub struct TopologyRow {
     pub pm: [f64; 3],
 }
 
-/// Runs the topology sweep under RC.
-///
-/// # Errors
-///
-/// Propagates the first [`SweepError`].
-pub fn topology(suite: &[Workload]) -> Result<Topology, SweepError> {
-    topology_with(suite, &SweepOpts::default())
-}
-
 /// The protocols run on each topology (BASIC is the per-network baseline).
 const TOPOLOGY_PROTOCOLS: [ProtocolKind; 3] =
     [ProtocolKind::Basic, ProtocolKind::PCw, ProtocolKind::PM];
 
-/// [`topology`] with explicit sweep options (worker threads, fault plan,
-/// journal, quarantine, cancellation).
+/// Runs the topology sweep under RC.
 ///
 /// # Errors
 ///
 /// Propagates the sweep's [`SweepError`].
-pub fn topology_with(suite: &[Workload], opts: &SweepOpts) -> Result<Topology, SweepError> {
+pub fn topology(suite: &[Workload], opts: &SweepOpts) -> Result<Topology, SweepError> {
     // Per app: TOPOLOGIES × {BASIC, P+CW, P+M}.
-    let per_app = TOPOLOGIES.len() * TOPOLOGY_PROTOCOLS.len();
-    let cells: Vec<Cell<'_>> = suite
-        .iter()
-        .flat_map(|w| {
-            TOPOLOGIES.iter().flat_map(move |&network| {
-                TOPOLOGY_PROTOCOLS
-                    .iter()
-                    .map(move |&kind| Cell::on(w, kind, Consistency::Rc, network))
-            })
-        })
-        .collect();
-    let all = run_cells("topology", &cells, opts)?;
-    check_len("topology", all.len(), suite.len() * per_app)?;
-    let rows = suite
-        .iter()
-        .zip(all.chunks_exact(per_app))
-        .map(|(w, chunk)| {
-            let mut pcw = [0.0; 3];
-            let mut pm = [0.0; 3];
-            for (i, net) in chunk.chunks_exact(TOPOLOGY_PROTOCOLS.len()).enumerate() {
-                let base = &net[0];
-                pcw[i] = net[1].relative_time(base);
-                pm[i] = net[2].relative_time(base);
-            }
-            TopologyRow {
-                app: w.name().to_owned(),
-                pcw,
-                pm,
-            }
-        })
-        .collect();
+    let rows = run_rows(
+        "topology",
+        suite,
+        |&w| {
+            TOPOLOGIES
+                .iter()
+                .flat_map(|&network| {
+                    TOPOLOGY_PROTOCOLS
+                        .iter()
+                        .map(move |&kind| Cell::on(w, kind, Consistency::Rc, network))
+                })
+                .collect()
+        },
+        opts,
+    )?
+    .into_iter()
+    .map(|(w, metrics)| {
+        let mut pcw = [0.0; 3];
+        let mut pm = [0.0; 3];
+        for (i, net) in metrics.chunks_exact(TOPOLOGY_PROTOCOLS.len()).enumerate() {
+            let base = &net[0];
+            pcw[i] = net[1].relative_time(base);
+            pm[i] = net[2].relative_time(base);
+        }
+        TopologyRow {
+            app: w.name().to_owned(),
+            pcw,
+            pm,
+        }
+    })
+    .collect();
     Ok(Topology { rows })
 }
 

@@ -20,6 +20,10 @@ use crate::invariants;
 use crate::node::{Nodes, ProcState, SlwbOp, SyncWait};
 use crate::{MachineConfig, NetworkKind, NodeFaultPlan};
 
+/// Safety valve: a run aborts with [`SimError::EventBudgetExceeded`] after
+/// this many simulation events.
+const MAX_EVENTS: u64 = 2_000_000_000;
+
 /// Simulation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
@@ -30,7 +34,7 @@ pub enum SimError {
         /// Human-readable diagnostic of the stuck processors.
         detail: String,
     },
-    /// The `max_events` safety valve fired.
+    /// The run exceeded the simulator's event budget (two billion events).
     EventBudgetExceeded,
     /// A coherence invariant failed at quiescence (simulator bug).
     CoherenceViolation(String),
@@ -139,6 +143,9 @@ pub(crate) enum Ev {
     Retry(Msg),
     /// Periodic progress-watchdog check.
     Watchdog,
+    /// A scheduled node-fault tick. All ticks are pushed before the first
+    /// `ProcStep`, so each pops before every other event of its cycle.
+    Fault(FaultOp, NodeId),
 }
 
 /// Whether a message kind is processed by the home (directory/memory) side
@@ -162,18 +169,10 @@ pub(crate) fn is_home_bound(kind: MsgKind) -> bool {
     )
 }
 
-/// One scheduled node-fault operation on the machine's fault timeline.
-#[derive(Debug, Clone, Copy)]
-struct FaultTick {
-    at: Time,
-    op: FaultOp,
-    node: NodeId,
-}
-
 /// The three phases of a node-fault window, in application order for
 /// same-cycle ties.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum FaultOp {
+pub(crate) enum FaultOp {
     /// The node dies: caches wiped, traffic fenced.
     Crash,
     /// The homes detect the silence and purge the node.
@@ -249,11 +248,6 @@ pub struct Machine {
     /// Events and messages dropped because they were stamped by a previous
     /// incarnation of a since-recovered node.
     stale_epoch_drops: u64,
-    /// Scheduled node-fault operations, sorted by (time, node, phase);
-    /// built from the config's plan at run start.
-    fault_timeline: Vec<FaultTick>,
-    /// Next unapplied entry of `fault_timeline`.
-    fault_cursor: usize,
     /// What each crashed node was doing, for re-admission.
     crash_ctx: Vec<Option<CrashCtx>>,
     /// Blocks whose most recent written value died with a crashed node:
@@ -339,8 +333,6 @@ impl Machine {
             epoch: vec![0; cfg.procs],
             crash_drops: 0,
             stale_epoch_drops: 0,
-            fault_timeline: Vec::new(),
-            fault_cursor: 0,
             crash_ctx: Vec::new(),
             data_lost: BlockMap::new(),
             data_loss: 0,
@@ -468,8 +460,6 @@ impl Machine {
                 workload: workload.procs(),
             });
         }
-        self.fault_timeline.clear();
-        self.fault_cursor = 0;
         self.crash_ctx = vec![None; self.cfg.procs];
         if let Some(plan) = self.cfg.node_fault_plan.clone().filter(|p| p.is_active()) {
             if let Err(e) = plan.validate(self.cfg.procs) {
@@ -477,24 +467,26 @@ impl Machine {
                     detail: format!("node-fault plan: {e}"),
                 });
             }
-            for ev in &plan.events {
-                self.fault_timeline.push(FaultTick {
-                    at: Time::from_cycles(ev.crash_at),
-                    op: FaultOp::Crash,
-                    node: ev.node,
-                });
-                self.fault_timeline.push(FaultTick {
-                    at: Time::from_cycles(ev.crash_at + plan.detect_delay),
-                    op: FaultOp::Reconstruct,
-                    node: ev.node,
-                });
-                self.fault_timeline.push(FaultTick {
-                    at: Time::from_cycles(ev.recover_at),
-                    op: FaultOp::Recover,
-                    node: ev.node,
-                });
+            let mut ticks: Vec<(u64, NodeId, FaultOp)> = plan
+                .events
+                .iter()
+                .flat_map(|ev| {
+                    let detected = ev.crash_at + plan.detect_delay;
+                    [
+                        (ev.crash_at, ev.node, FaultOp::Crash),
+                        (detected, ev.node, FaultOp::Reconstruct),
+                        (ev.recover_at, ev.node, FaultOp::Recover),
+                    ]
+                })
+                .collect();
+            ticks.sort_by_key(|&(at, node, op)| (at, node.0, op));
+            // Pushed ahead of every other event, the ticks hold the lowest
+            // sequence numbers of their cycles: a tick applies before any
+            // event of its cycle, and inline retirement (`proc_step`) sees
+            // a pending tick through `peek_time`.
+            for (at, node, op) in ticks {
+                self.queue.push(Time::from_cycles(at), Ev::Fault(op, node));
             }
-            self.fault_timeline.sort_by_key(|f| (f.at, f.node.0, f.op));
         }
         self.nodes = Nodes::new(
             (0..self.cfg.procs)
@@ -520,9 +512,7 @@ impl Machine {
                 detail: self.snapshot(self.now),
             });
         }
-        if self.cfg.check_invariants {
-            invariants::check(self).map_err(SimError::CoherenceViolation)?;
-        }
+        invariants::check(self).map_err(SimError::CoherenceViolation)?;
         if self.cfg.trace_capacity > 0 {
             let violations = invariants::check_conformance(self);
             if !violations.is_empty() {
@@ -543,25 +533,19 @@ impl Machine {
     /// Pops and executes events in time order until the queue drains.
     fn run_events(&mut self) -> Result<(), SimError> {
         loop {
-            // The fault timeline interleaves with the event queue: a fault
-            // tick at time T applies between events, before any event at T
-            // (the crash kills the node before its same-cycle activity),
-            // and fires even when the queue is momentarily empty (a
-            // recovery can be the only thing left that un-wedges the
-            // machine).
-            if let Some(ft) = self.fault_timeline.get(self.fault_cursor).map(|f| f.at) {
-                if self.queue.peek_time().is_none_or(|q| ft <= q) {
-                    self.apply_next_fault()?;
-                    continue;
-                }
-            }
             let Some((t, ev)) = self.queue.pop() else {
                 return Ok(());
             };
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
+            // A fault tick is not a simulation event: it counts toward
+            // neither the event budget nor the audit cadence.
+            if let Ev::Fault(op, node) = ev {
+                self.apply_fault(t, op, node)?;
+                continue;
+            }
             self.events += 1;
-            if self.events > self.cfg.max_events {
+            if self.events > MAX_EVENTS {
                 return Err(SimError::EventBudgetExceeded);
             }
             if self.trace_events {
@@ -603,6 +587,7 @@ impl Machine {
                     self.watchdog_tick(t)?;
                     continue;
                 }
+                Ev::Fault(..) => unreachable!("fault ticks apply before dispatch"),
             }
             if let Some(e) = self.fatal.take() {
                 return Err(e);
@@ -911,21 +896,17 @@ impl Machine {
         }
     }
 
-    /// Applies the next fault-timeline entry. Fault operations execute
-    /// between events, so liveness and epochs change atomically with
-    /// respect to event dispatch.
-    fn apply_next_fault(&mut self) -> Result<(), SimError> {
-        let f = self.fault_timeline[self.fault_cursor];
-        self.fault_cursor += 1;
-        debug_assert!(f.at >= self.now, "fault time went backwards");
-        self.now = f.at;
+    /// Applies the node-fault tick `op` of `node` at `at`. Fault ticks
+    /// execute between events, so liveness and epochs change atomically
+    /// with respect to event dispatch.
+    fn apply_fault(&mut self, at: Time, op: FaultOp, node: NodeId) -> Result<(), SimError> {
         // A scheduled outage is not a hang: the machine may be legitimately
         // quiet while a crashed node's peers wait out the detection delay.
-        self.last_progress = f.at;
-        match f.op {
-            FaultOp::Crash => self.apply_crash(f.at, f.node),
-            FaultOp::Reconstruct => self.apply_reconstruct(f.at, f.node)?,
-            FaultOp::Recover => self.apply_recover(f.at, f.node),
+        self.last_progress = at;
+        match op {
+            FaultOp::Crash => self.apply_crash(at, node),
+            FaultOp::Reconstruct => self.apply_reconstruct(at, node)?,
+            FaultOp::Recover => self.apply_recover(at, node),
         }
         Ok(())
     }

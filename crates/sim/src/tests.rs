@@ -833,6 +833,38 @@ fn invalid_node_fault_plan_is_a_config_error() {
     }
 }
 
+/// A crash stops a compute burst that would otherwise retire inline: node
+/// 1 crashes at cycle 5 000, inside its 10 000-cycle burst, so it cannot
+/// finish before it recovers at cycle 20 000.
+#[test]
+fn compute_burst_does_not_outrun_its_nodes_crash() {
+    let w = Workload::new(
+        "burst",
+        vec![
+            Program::from_events(vec![MemEvent::Compute(1)]),
+            Program::from_events(vec![MemEvent::Compute(1), MemEvent::Compute(10_000)]),
+        ],
+    );
+    let plan = NodeFaultPlan {
+        events: vec![NodeFaultEvent {
+            node: NodeId(1),
+            crash_at: 5_000,
+            recover_at: 20_000,
+        }],
+        detect_delay: 100,
+    };
+    let m = run(
+        uni(ProtocolKind::Basic, Consistency::Rc, 2).with_node_faults(plan),
+        &w,
+    );
+    assert_eq!(m.node_crashes, 1);
+    assert!(
+        m.exec_cycles >= 20_000,
+        "node 1 finished at {} inside its outage",
+        m.exec_cycles
+    );
+}
+
 #[test]
 fn exclusive_clean_extension_silences_private_writes() {
     let proto = ProtocolConfig {

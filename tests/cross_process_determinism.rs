@@ -24,7 +24,7 @@ use dirext_core::sharer::DirOrg;
 use dirext_core::{DirCtrl, MsgKind};
 use dirext_sim::core::config::Consistency;
 use dirext_sim::core::ProtocolKind;
-use dirext_sim::experiments::{fig2_with, SweepOpts};
+use dirext_sim::experiments::{fig2, SweepOpts};
 use dirext_sim::{FaultPlan, Machine, MachineConfig, NetworkKind};
 use dirext_trace::{BlockAddr, NodeId, Workload};
 use dirext_workloads::{App, Scale};
@@ -109,7 +109,7 @@ fn sweep_artifact() -> String {
         jitter_cycles: 9,
         ..FaultPlan::seeded(1234)
     };
-    fig2_with(&suite, &SweepOpts::jobs(1).with_fault(fault))
+    fig2(&suite, &SweepOpts::jobs(1).with_fault(fault))
         .expect("fig2 sweep")
         .csv()
 }

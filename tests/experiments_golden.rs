@@ -13,7 +13,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use dirext_sim::core::{Consistency, DirOrg, ProtocolKind};
-use dirext_sim::experiments;
+use dirext_sim::experiments::{self, SweepOpts};
 use dirext_sim::trace::Workload;
 use dirext_sim::{Machine, MachineConfig, NetworkKind};
 use dirext_workloads::{App, Scale};
@@ -48,19 +48,19 @@ fn check(name: &str, rendered: String) {
 
 #[test]
 fn fig2_bit_identical_to_pre_refactor() {
-    let fig = experiments::fig2(&tiny_suite()).unwrap();
+    let fig = experiments::fig2(&tiny_suite(), &SweepOpts::default()).unwrap();
     check("fig2_tiny.txt", fig.to_string());
 }
 
 #[test]
 fn table2_bit_identical_to_pre_refactor() {
-    let t = experiments::table2(&tiny_suite()).unwrap();
+    let t = experiments::table2(&tiny_suite(), &SweepOpts::default()).unwrap();
     check("table2_tiny.txt", t.to_string());
 }
 
 #[test]
 fn table3_bit_identical_to_pre_refactor() {
-    let t = experiments::table3(&tiny_suite()).unwrap();
+    let t = experiments::table3(&tiny_suite(), &SweepOpts::default()).unwrap();
     check("table3_tiny.txt", t.to_string());
 }
 

@@ -1,7 +1,7 @@
 //! Smoke tests for every experiment driver: structure, baselines, and the
 //! invariants of the rendered artifacts (at `Scale::Tiny`).
 
-use dirext_sim::experiments::{self, sens::Constraint};
+use dirext_sim::experiments::{self, sens::Constraint, SweepOpts};
 use dirext_sim::trace::Workload;
 use dirext_workloads::{App, Scale};
 
@@ -14,7 +14,7 @@ fn tiny_suite() -> Vec<Workload> {
 
 #[test]
 fn fig2_covers_all_apps_and_protocols_with_unit_baseline() {
-    let fig = experiments::fig2(&tiny_suite()).unwrap();
+    let fig = experiments::fig2(&tiny_suite(), &SweepOpts::default()).unwrap();
     assert_eq!(fig.rows.len(), 5);
     for row in &fig.rows {
         assert_eq!(row.metrics.len(), 8);
@@ -34,7 +34,7 @@ fn fig2_covers_all_apps_and_protocols_with_unit_baseline() {
 
 #[test]
 fn table2_reports_components_for_four_protocols() {
-    let t = experiments::table2(&tiny_suite()).unwrap();
+    let t = experiments::table2(&tiny_suite(), &SweepOpts::default()).unwrap();
     assert_eq!(t.rows.len(), 5);
     for row in &t.rows {
         assert_eq!(row.components().len(), 4);
@@ -48,7 +48,7 @@ fn table2_reports_components_for_four_protocols() {
 
 #[test]
 fn fig3_includes_the_basic_rc_reference() {
-    let fig = experiments::fig3(&tiny_suite()).unwrap();
+    let fig = experiments::fig3(&tiny_suite(), &SweepOpts::default()).unwrap();
     for row in &fig.rows {
         assert_eq!(row.metrics.len(), 4);
         assert_eq!(row.basic_rc.consistency, "RC");
@@ -61,7 +61,7 @@ fn fig3_includes_the_basic_rc_reference() {
 #[test]
 fn table3_sweeps_three_link_widths() {
     let suite: Vec<Workload> = vec![App::Mp3d.workload(16, Scale::Tiny)];
-    let t = experiments::table3(&suite).unwrap();
+    let t = experiments::table3(&suite, &SweepOpts::default()).unwrap();
     assert_eq!(t.rows.len(), 1);
     let row = &t.rows[0];
     assert!(row.pcw.iter().chain(row.pm.iter()).all(|r| *r > 0.0));
@@ -70,7 +70,7 @@ fn table3_sweeps_three_link_widths() {
 
 #[test]
 fn fig4_normalizes_to_basic() {
-    let fig = experiments::fig4(&tiny_suite()).unwrap();
+    let fig = experiments::fig4(&tiny_suite(), &SweepOpts::default()).unwrap();
     for row in &fig.rows {
         let rel = row.relative_traffic();
         assert!(
@@ -101,7 +101,7 @@ fn table1_reproduces_the_paper_cost_summary() {
 fn sensitivity_runs_both_constraints() {
     let suite: Vec<Workload> = vec![App::Lu.workload(16, Scale::Tiny)];
     for c in [Constraint::SmallBuffers, Constraint::SmallSlc] {
-        let s = experiments::sensitivity(&suite, c).unwrap();
+        let s = experiments::sensitivity(&suite, c, &SweepOpts::default()).unwrap();
         assert_eq!(s.rows.len(), 1);
         let slow = s.rows[0].slowdowns();
         assert_eq!(slow.len(), 6);
@@ -112,7 +112,7 @@ fn sensitivity_runs_both_constraints() {
 #[test]
 fn miss_latency_reports_reduction() {
     let suite: Vec<Workload> = vec![App::Mp3d.workload(16, Scale::Tiny)];
-    let ml = experiments::miss_latency(&suite).unwrap();
+    let ml = experiments::miss_latency(&suite, &SweepOpts::default()).unwrap();
     assert_eq!(ml.rows.len(), 1);
     assert!(ml.rows[0].basic.avg_read_miss_latency() > 0.0);
     assert!(ml.to_string().contains("reduction %"));
@@ -120,7 +120,12 @@ fn miss_latency_reports_reduction() {
 
 #[test]
 fn scaling_sweeps_five_machine_sizes() {
-    let s = experiments::scaling("MP3D", |procs| App::Mp3d.workload(procs, Scale::Tiny)).unwrap();
+    let s = experiments::scaling(
+        "MP3D",
+        |procs| App::Mp3d.workload(procs, Scale::Tiny),
+        &SweepOpts::default(),
+    )
+    .unwrap();
     assert_eq!(s.rows.len(), 5);
     for row in &s.rows {
         assert_eq!(row.metrics.len(), 4);

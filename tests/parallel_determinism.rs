@@ -9,7 +9,7 @@
 //! irregular, which is exactly what would expose cross-run state leaking
 //! through the pool).
 
-use dirext_sim::experiments::{fig2_with, scaling_with, table2_with, SweepOpts};
+use dirext_sim::experiments::{fig2, scaling, table2, SweepOpts};
 use dirext_sim::FaultPlan;
 use dirext_trace::Workload;
 use dirext_workloads::{App, Scale};
@@ -34,30 +34,29 @@ fn rough_weather() -> FaultPlan {
 #[test]
 fn fig2_parallel_matches_serial() {
     let s = suite();
-    let serial = fig2_with(&s, &SweepOpts::jobs(1)).expect("serial fig2");
-    let parallel = fig2_with(&s, &SweepOpts::jobs(8)).expect("parallel fig2");
+    let serial = fig2(&s, &SweepOpts::jobs(1)).expect("serial fig2");
+    let parallel = fig2(&s, &SweepOpts::jobs(8)).expect("parallel fig2");
     assert_eq!(serial.csv(), parallel.csv());
 }
 
 #[test]
 fn table2_parallel_matches_serial() {
     let s = suite();
-    let serial = table2_with(&s, &SweepOpts::jobs(1)).expect("serial table2");
-    let parallel = table2_with(&s, &SweepOpts::jobs(8)).expect("parallel table2");
+    let serial = table2(&s, &SweepOpts::jobs(1)).expect("serial table2");
+    let parallel = table2(&s, &SweepOpts::jobs(8)).expect("parallel table2");
     assert_eq!(serial.csv(), parallel.csv());
 }
 
 #[test]
 fn fig2_parallel_matches_serial_under_faults() {
     let s = suite();
-    let serial =
-        fig2_with(&s, &SweepOpts::jobs(1).with_fault(rough_weather())).expect("serial fig2");
+    let serial = fig2(&s, &SweepOpts::jobs(1).with_fault(rough_weather())).expect("serial fig2");
     let parallel =
-        fig2_with(&s, &SweepOpts::jobs(8).with_fault(rough_weather())).expect("parallel fig2");
+        fig2(&s, &SweepOpts::jobs(8).with_fault(rough_weather())).expect("parallel fig2");
     assert_eq!(serial.csv(), parallel.csv());
     // And the faults must actually change the machine's behaviour, or the
     // assertion above proves nothing about the faulty path.
-    let clean = fig2_with(&s, &SweepOpts::jobs(1)).expect("clean fig2");
+    let clean = fig2(&s, &SweepOpts::jobs(1)).expect("clean fig2");
     assert_ne!(
         clean.rows[0].metrics[0].exec_cycles, serial.rows[0].metrics[0].exec_cycles,
         "fault plan had no effect — the faulty-path determinism check is vacuous"
@@ -68,9 +67,9 @@ fn fig2_parallel_matches_serial_under_faults() {
 fn table2_parallel_matches_serial_under_faults() {
     let s = suite();
     let serial =
-        table2_with(&s, &SweepOpts::jobs(1).with_fault(rough_weather())).expect("serial table2");
+        table2(&s, &SweepOpts::jobs(1).with_fault(rough_weather())).expect("serial table2");
     let parallel =
-        table2_with(&s, &SweepOpts::jobs(8).with_fault(rough_weather())).expect("parallel table2");
+        table2(&s, &SweepOpts::jobs(8).with_fault(rough_weather())).expect("parallel table2");
     assert_eq!(serial.csv(), parallel.csv());
 }
 
@@ -78,7 +77,7 @@ fn table2_parallel_matches_serial_under_faults() {
 fn scaling_parallel_matches_serial() {
     let app = App::Lu;
     let mk = |procs| app.workload(procs, Scale::Tiny);
-    let serial = scaling_with(app.name(), mk, &SweepOpts::jobs(1)).expect("serial scaling");
-    let parallel = scaling_with(app.name(), mk, &SweepOpts::jobs(8)).expect("parallel scaling");
+    let serial = scaling(app.name(), mk, &SweepOpts::jobs(1)).expect("serial scaling");
+    let parallel = scaling(app.name(), mk, &SweepOpts::jobs(8)).expect("parallel scaling");
     assert_eq!(serial.to_string(), parallel.to_string());
 }

@@ -13,9 +13,7 @@ use std::sync::Arc;
 
 use dirext_core::config::Consistency;
 use dirext_core::ProtocolKind;
-use dirext_sim::experiments::{
-    fig2_with, journal::Journal, miss_latency_with, SweepError, SweepOpts,
-};
+use dirext_sim::experiments::{fig2, journal::Journal, miss_latency, SweepError, SweepOpts};
 use dirext_sim::stats::Metrics;
 use dirext_sim::{FaultPlan, Machine, MachineConfig, SimError};
 use dirext_trace::Workload;
@@ -45,7 +43,7 @@ fn tmp_journal(name: &str) -> std::path::PathBuf {
 fn panicking_cell_is_quarantined_and_siblings_complete() {
     let s = suite();
     let opts = SweepOpts::jobs(4).keep_going().with_chaos_panic("MP3D");
-    let err = fig2_with(&s, &opts).expect_err("MP3D cells must be quarantined");
+    let err = fig2(&s, &opts).expect_err("MP3D cells must be quarantined");
     let q = err.quarantine().expect("keep-going yields a quarantine");
     // Every MP3D cell panicked; every other app's cell completed. Nothing
     // was left unclaimed: the panic did not block sibling cells.
@@ -64,7 +62,7 @@ fn panicking_cell_is_quarantined_and_siblings_complete() {
 fn panicking_cell_fails_fast_without_keep_going() {
     let s = suite();
     let opts = SweepOpts::jobs(2).with_chaos_panic("Water");
-    match fig2_with(&s, &opts) {
+    match fig2(&s, &opts) {
         Err(SweepError::CellPanicked { key, detail }) => {
             assert!(key.contains("Water"));
             assert!(detail.contains("chaos hook"));
@@ -80,13 +78,13 @@ fn panicking_cell_fails_fast_without_keep_going() {
 #[test]
 fn interrupted_journal_resumes_to_byte_identical_artifacts() {
     let s = suite();
-    let reference = fig2_with(&s, &SweepOpts::jobs(1)).expect("reference run");
+    let reference = fig2(&s, &SweepOpts::jobs(1)).expect("reference run");
 
     // A full journaled run stands in for the uninterrupted sweep.
     let full_path = tmp_journal("full");
     let journal = Arc::new(Journal::create(&full_path).expect("create journal"));
-    let journaled = fig2_with(&s, &SweepOpts::jobs(1).with_journal(Arc::clone(&journal)))
-        .expect("journaled run");
+    let journaled =
+        fig2(&s, &SweepOpts::jobs(1).with_journal(Arc::clone(&journal))).expect("journaled run");
     assert_eq!(reference.csv(), journaled.csv());
 
     // Simulate a SIGKILL partway through: keep the header and the first
@@ -100,8 +98,7 @@ fn interrupted_journal_resumes_to_byte_identical_artifacts() {
     let resumed_journal = Arc::new(Journal::resume(&partial_path).expect("resume journal"));
     assert_eq!(resumed_journal.loaded_records(), 5);
     assert_eq!(resumed_journal.recovered_lines(), 1, "torn tail dropped");
-    let resumed =
-        fig2_with(&s, &SweepOpts::jobs(8).with_journal(resumed_journal)).expect("resumed run");
+    let resumed = fig2(&s, &SweepOpts::jobs(8).with_journal(resumed_journal)).expect("resumed run");
     assert_eq!(
         reference.csv(),
         resumed.csv(),
@@ -118,7 +115,7 @@ fn completed_journal_serves_every_cell_without_resimulating() {
     let path = tmp_journal("noresim");
     let journal = Arc::new(Journal::create(&path).expect("create journal"));
     let first =
-        fig2_with(&s, &SweepOpts::jobs(2).with_journal(Arc::clone(&journal))).expect("first run");
+        fig2(&s, &SweepOpts::jobs(2).with_journal(Arc::clone(&journal))).expect("first run");
 
     // Re-run over the same journal with a chaos hook that would panic in
     // *every* cell: the journal lookup happens before the hook, so a pass
@@ -127,7 +124,7 @@ fn completed_journal_serves_every_cell_without_resimulating() {
     let opts = SweepOpts::jobs(2)
         .with_journal(reloaded)
         .with_chaos_panic("fig2");
-    let second = fig2_with(&s, &opts).expect("fully-cached run must not execute any cell");
+    let second = fig2(&s, &opts).expect("fully-cached run must not execute any cell");
     assert_eq!(first.csv(), second.csv());
     std::fs::remove_file(&path).ok();
 }
@@ -135,20 +132,20 @@ fn completed_journal_serves_every_cell_without_resimulating() {
 #[test]
 fn journal_replay_is_deterministic_across_jobs_1_and_8() {
     let s = suite();
-    let reference = fig2_with(&s, &SweepOpts::jobs(1)).expect("reference");
+    let reference = fig2(&s, &SweepOpts::jobs(1)).expect("reference");
 
     let serial_path = tmp_journal("serial");
     let parallel_path = tmp_journal("parallel");
     let serial_journal = Arc::new(Journal::create(&serial_path).expect("serial journal"));
     let parallel_journal = Arc::new(Journal::create(&parallel_path).expect("parallel journal"));
-    fig2_with(&s, &SweepOpts::jobs(1).with_journal(serial_journal)).expect("serial journaled");
-    fig2_with(&s, &SweepOpts::jobs(8).with_journal(parallel_journal)).expect("parallel journaled");
+    fig2(&s, &SweepOpts::jobs(1).with_journal(serial_journal)).expect("serial journaled");
+    fig2(&s, &SweepOpts::jobs(8).with_journal(parallel_journal)).expect("parallel journaled");
 
     // Replays of either journal — at either worker count — agree with the
     // journal-free reference byte for byte.
     for (path, jobs) in [(&serial_path, 8), (&parallel_path, 1)] {
         let journal = Arc::new(Journal::resume(path).expect("resume"));
-        let replay = fig2_with(&s, &SweepOpts::jobs(jobs).with_journal(journal)).expect("replay");
+        let replay = fig2(&s, &SweepOpts::jobs(jobs).with_journal(journal)).expect("replay");
         assert_eq!(reference.csv(), replay.csv());
     }
     std::fs::remove_file(&serial_path).ok();
@@ -201,7 +198,7 @@ fn transient_failure_is_retried_with_rotated_seed() {
         find_transient_seed(&w).expect("a lossy seed that wedges the run must exist in 0..120");
 
     let one_app = vec![w.clone()];
-    let no_retry = miss_latency_with(
+    let no_retry = miss_latency(
         &one_app,
         &SweepOpts::jobs(1).with_fault(lossy(seed)).retries(0),
     );
@@ -212,7 +209,7 @@ fn transient_failure_is_retried_with_rotated_seed() {
 
     if retry_clears {
         // With the retry budget the rotated seed completes the cell.
-        let retried = miss_latency_with(
+        let retried = miss_latency(
             &one_app,
             &SweepOpts::jobs(1).with_fault(lossy(seed)).retries(2),
         );
@@ -225,7 +222,7 @@ fn transient_failure_is_retried_with_rotated_seed() {
     // Exhausted retries land in quarantine with the attempt count, and the
     // sibling cells still get an outcome (completed or quarantined — never
     // silently skipped).
-    let quarantined = miss_latency_with(
+    let quarantined = miss_latency(
         &one_app,
         &SweepOpts::jobs(1)
             .with_fault(lossy(seed))
@@ -263,7 +260,7 @@ fn retry_attempts_are_recorded_in_the_quarantine() {
     }
     let seed = found.expect("two consecutive wedging seeds must exist in 0..200");
     let one_app = vec![w];
-    let err = miss_latency_with(
+    let err = miss_latency(
         &one_app,
         &SweepOpts::jobs(1)
             .with_fault(lossy(seed))
@@ -287,12 +284,12 @@ fn retry_attempts_are_recorded_in_the_quarantine() {
 #[test]
 fn cancellation_drains_and_resume_completes_byte_identical() {
     let s = suite();
-    let reference = fig2_with(&s, &SweepOpts::jobs(1)).expect("reference");
+    let reference = fig2(&s, &SweepOpts::jobs(1)).expect("reference");
 
     let path = tmp_journal("cancel");
     let cancel = Arc::new(AtomicBool::new(true)); // armed before the sweep
     let journal = Arc::new(Journal::create(&path).expect("create journal"));
-    let err = fig2_with(
+    let err = fig2(
         &s,
         &SweepOpts::jobs(2)
             .with_journal(Arc::clone(&journal))
@@ -311,7 +308,7 @@ fn cancellation_drains_and_resume_completes_byte_identical() {
     // sweep with artifacts identical to the uninterrupted reference.
     cancel.store(false, Ordering::SeqCst);
     let resumed_journal = Arc::new(Journal::resume(&path).expect("resume journal"));
-    let resumed = fig2_with(
+    let resumed = fig2(
         &s,
         &SweepOpts::jobs(2)
             .with_journal(resumed_journal)
@@ -331,7 +328,7 @@ fn retries_account_attempts_in_the_journal() {
     // retry loop is accountable.
     let path = tmp_journal("retry-attempts");
     let journal = Arc::new(Journal::create(&path).expect("journal"));
-    let r = miss_latency_with(
+    let r = miss_latency(
         &[w],
         &SweepOpts::jobs(1)
             .with_fault(lossy(seed))
@@ -378,7 +375,7 @@ fn pending_journal_write_error_fails_the_sweep() {
     let path = tmp_journal("write-error");
     let journal = Arc::new(Journal::create(&path).expect("journal"));
     journal.inject_write_error("disk full (simulated)");
-    let err = fig2_with(&s, &SweepOpts::jobs(2).with_journal(Arc::clone(&journal)))
+    let err = fig2(&s, &SweepOpts::jobs(2).with_journal(Arc::clone(&journal)))
         .expect_err("a pending write error must fail the sweep");
     match err {
         SweepError::Journal(detail) => assert!(detail.contains("disk full"), "{detail}"),
