@@ -27,10 +27,10 @@ use crate::blockmap::BlockMap;
 use crate::config::{CompetitiveConfig, Consistency, ProtocolConfig};
 use crate::error::ProtocolError;
 use crate::msg::MsgKind;
-use crate::sharer::{AckMask, AddOutcome, DirOrg, DirOrgError, FanoutClass, SharerSet};
 use crate::proto::hooks::{Exts, ReadFetch, UpdateRoute};
 use crate::proto::table::ExtKind;
-use crate::proto::trace::{DirTag, MsgTag, StateTag, TraceInput, TraceRing, TransitionRecord};
+use crate::proto::trace::{DirTag, StateTag, TraceInput, TraceRing, TransitionRecord};
+use crate::sharer::{AckMask, AddOutcome, DirOrg, DirOrgError, FanoutClass, SharerSet};
 
 /// A message the home node must send in response to an input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,6 +106,22 @@ struct Pending {
     /// is sticky: it outlives the node's recovery, because it describes the
     /// dead *incarnation's* operation, not the node.
     abort: bool,
+}
+
+impl Pending {
+    /// A fetch-style operation (a read of a dirty block, `FetchOwn`,
+    /// `RecallForUpdate`): one target, no acknowledgment mask.
+    fn fetch(kind: PendingKind, requester: NodeId, target: NodeId) -> Self {
+        Self {
+            kind,
+            requester,
+            target: Some(target),
+            awaiting: AckMask::Inline(0),
+            keep_votes: false,
+            fanout: FanoutClass::Exact,
+            abort: false,
+        }
+    }
 }
 
 /// One directory entry — the per-block state the extension hooks inspect
@@ -511,7 +527,7 @@ impl DirCtrl {
                         // The owner replaced the block: it keeps no copy.
                         let pre = self.pre_tag(block);
                         self.complete_fetch(src, block, None, written, false, actions)?;
-                        self.trace_dir(src, block, pre, kind);
+                        self.trace_dir(src, block, pre, TraceInput::Msg(kind.into()));
                         self.drain_queue(block, actions)?;
                         return Ok(());
                     }
@@ -541,12 +557,13 @@ impl DirCtrl {
 
     fn entry(&mut self, block: BlockAddr) -> &mut DirEntry {
         let org = self.org;
-        self.entries.get_or_insert_with(block, || DirEntry::new(org))
+        self.entries
+            .get_or_insert_with(block, || DirEntry::new(org))
     }
 
-    /// Takes down `block`'s pending operation, returning its wide ack-mask
-    /// storage (if any) to the recycle pool.
-    fn clear_pending(&mut self, block: BlockAddr) {
+    /// Retires `block`'s pending operation and hands it back, its wide
+    /// ack-mask storage (if any) already returned to the recycle pool.
+    fn take_pending(&mut self, block: BlockAddr) -> Option<Pending> {
         let DirCtrl {
             entries,
             mask_pool,
@@ -554,9 +571,9 @@ impl DirCtrl {
             ..
         } = self;
         let e = entries.get_or_insert_with(block, || DirEntry::new(*org));
-        if let Some(p) = e.pending.take() {
-            p.awaiting.recycle(mask_pool);
-        }
+        let mut p = e.pending.take()?;
+        std::mem::replace(&mut p.awaiting, AckMask::Inline(0)).recycle(mask_pool);
+        Some(p)
     }
 
     /// Runs a hook with the entry, the extensions and the stats borrowed
@@ -621,10 +638,18 @@ impl DirCtrl {
         }
     }
 
-    /// Records the state transition caused by one input message. Always
+    /// Records the state transition caused by one input: a message from
+    /// `node`, or the recovery layer's Crash input for dead `node`. Always
     /// drains the extension-attribution slot (even with tracing off) so a
-    /// hook firing can never be misattributed to a later request.
-    fn trace_dir(&mut self, src: NodeId, block: BlockAddr, pre: Option<DirTag>, kind: MsgKind) {
+    /// hook firing can never be misattributed to a later request; a Crash
+    /// record is never attributed (its completions are synthesized).
+    fn trace_dir(
+        &mut self,
+        node: NodeId,
+        block: BlockAddr,
+        pre: Option<DirTag>,
+        input: TraceInput,
+    ) {
         let fired = self.exts.take_fired();
         let Some(pre) = pre else { return };
         let post = self.dir_tag(block);
@@ -634,12 +659,12 @@ impl DirCtrl {
         let time = self.trace.now();
         self.trace.push(TransitionRecord {
             time,
-            node: src,
+            node,
             block,
             from: StateTag::Dir(pre),
             to: StateTag::Dir(post),
-            input: TraceInput::Msg(MsgTag::from(kind)),
-            ext: fired,
+            input,
+            ext: fired.filter(|_| input != TraceInput::Crash),
         });
     }
 
@@ -679,7 +704,7 @@ impl DirCtrl {
     ) -> Result<(), ProtocolError> {
         let pre = self.pre_tag(block);
         let r = self.dispatch_request(src, block, kind, actions);
-        self.trace_dir(src, block, pre, kind);
+        self.trace_dir(src, block, pre, TraceInput::Msg(kind.into()));
         r
     }
 
@@ -773,15 +798,7 @@ impl DirCtrl {
                     dst: owner,
                     kind: fetch,
                 });
-                self.entry(block).pending = Some(Pending {
-                    kind: pkind,
-                    requester: src,
-                    target: Some(owner),
-                    awaiting: AckMask::Inline(0),
-                    keep_votes: false,
-                    fanout: FanoutClass::Exact,
-                    abort: false,
-                });
+                self.entry(block).pending = Some(Pending::fetch(pkind, src, owner));
             }
         }
     }
@@ -850,55 +867,27 @@ impl DirCtrl {
                 // grant must carry data.
                 let had_copy = self.entry(block).sharers.certainly_contains(src);
                 let with_data = !had_copy || need_data;
-                let DirCtrl {
-                    nprocs,
-                    entries,
-                    stats,
-                    mask_pool,
-                    org,
-                    dead,
-                    ..
-                } = self;
-                let e = entries.get_or_insert_with(block, || DirEntry::new(*org));
-                let fanout = e.sharers.fanout_class();
-                let mut awaiting = AckMask::empty(*nprocs, mask_pool);
-                let mut sent = 0u64;
-                e.sharers.for_each_target(*nprocs, Some(src), |t| {
-                    // A purged node holds no copy and would never ack.
-                    if dead[t.idx()] {
-                        return;
-                    }
-                    actions.push(DirAction {
-                        dst: t,
-                        kind: MsgKind::Inval,
-                    });
-                    awaiting.set(t);
-                    sent += 1;
-                });
+                let invalidating = PendingKind::Invalidating { with_data };
+                let (sent, fanout) = self.fan_out(
+                    block,
+                    Some(src),
+                    MsgKind::Inval,
+                    invalidating,
+                    src,
+                    false,
+                    actions,
+                );
                 if sent == 0 {
-                    awaiting.recycle(mask_pool);
-                    e.sharers.clear();
-                    let _ = e.sharers.add(src);
-                    e.state = DirState::Modified(src);
-                    e.last_writer = Some(src);
+                    self.grant_exclusive(block, src);
                     actions.push(DirAction {
                         dst: src,
                         kind: MsgKind::OwnAck { with_data },
                     });
                 } else {
-                    stats.invals_sent += sent;
+                    self.stats.invals_sent += sent;
                     if fanout == FanoutClass::Broadcast {
-                        stats.dir_broadcasts += 1;
+                        self.stats.dir_broadcasts += 1;
                     }
-                    e.pending = Some(Pending {
-                        kind: PendingKind::Invalidating { with_data },
-                        requester: src,
-                        target: None,
-                        awaiting,
-                        keep_votes: false,
-                        fanout,
-                        abort: false,
-                    });
                 }
             }
             DirState::Modified(owner) if owner == src => {
@@ -915,15 +904,7 @@ impl DirCtrl {
                     dst: owner,
                     kind: MsgKind::FetchInval,
                 });
-                self.entry(block).pending = Some(Pending {
-                    kind: PendingKind::FetchOwn,
-                    requester: src,
-                    target: Some(owner),
-                    awaiting: AckMask::Inline(0),
-                    keep_votes: false,
-                    fanout: FanoutClass::Exact,
-                    abort: false,
-                });
+                self.entry(block).pending = Some(Pending::fetch(PendingKind::FetchOwn, src, owner));
             }
         }
     }
@@ -952,15 +933,8 @@ impl DirCtrl {
                     dst: owner,
                     kind: MsgKind::FetchInval,
                 });
-                self.entry(block).pending = Some(Pending {
-                    kind: PendingKind::RecallForUpdate { dirty_words },
-                    requester: src,
-                    target: Some(owner),
-                    awaiting: AckMask::Inline(0),
-                    keep_votes: false,
-                    fanout: FanoutClass::Exact,
-                    abort: false,
-                });
+                let recall = PendingKind::RecallForUpdate { dirty_words };
+                self.entry(block).pending = Some(Pending::fetch(recall, src, owner));
             }
             DirState::Clean => {
                 // BASIC-CW fans the update out; the migratory extension
@@ -970,52 +944,23 @@ impl DirCtrl {
                     // The M hook only routes here when the sharer count is
                     // exactly known (> 1), so this fan-out is always exact.
                     self.stats.interrogations += 1;
-                    let sent = {
-                        let DirCtrl {
-                            nprocs,
-                            entries,
-                            mask_pool,
-                            org,
-                            dead,
-                            ..
-                        } = self;
-                        let e = entries.get_or_insert_with(block, || DirEntry::new(*org));
-                        let mut awaiting = AckMask::empty(*nprocs, mask_pool);
-                        let mut sent = 0u64;
-                        e.sharers.for_each_target(*nprocs, None, |t| {
-                            if dead[t.idx()] {
-                                return;
-                            }
-                            actions.push(DirAction {
-                                dst: t,
-                                kind: MsgKind::Interrogate,
-                            });
-                            awaiting.set(t);
-                            sent += 1;
-                        });
-                        if sent == 0 {
-                            awaiting.recycle(mask_pool);
-                        } else {
-                            e.pending = Some(Pending {
-                                kind: PendingKind::Interrogating { dirty_words },
-                                requester: src,
-                                target: None,
-                                awaiting,
-                                keep_votes: false,
-                                fanout: FanoutClass::Exact,
-                                abort: false,
-                            });
-                        }
-                        sent
-                    };
+                    let interrogating = PendingKind::Interrogating { dirty_words };
+                    let (sent, _) = self.fan_out(
+                        block,
+                        None,
+                        MsgKind::Interrogate,
+                        interrogating,
+                        src,
+                        false,
+                        actions,
+                    );
+                    if sent > 0 {
+                        return;
+                    }
                     // Every interrogation target was purged: nobody is left
                     // to vote, fall through to the plain fan-out.
-                    if sent == 0 {
-                        self.start_update_fanout(src, block, dirty_words, actions);
-                    }
-                } else {
-                    self.start_update_fanout(src, block, dirty_words, actions);
                 }
+                self.start_update_fanout(src, block, dirty_words, actions);
             }
         }
     }
@@ -1027,59 +972,93 @@ impl DirCtrl {
         dirty_words: u8,
         actions: &mut Vec<DirAction>,
     ) {
-        let fanned_out = {
-            let DirCtrl {
-                nprocs,
-                entries,
-                stats,
-                mask_pool,
-                org,
-                dead,
-                ..
-            } = self;
-            let e = entries.get_or_insert_with(block, || DirEntry::new(*org));
-            e.last_updater = Some(src);
-            e.last_writer = Some(src);
-            let fanout = e.sharers.fanout_class();
-            let mut awaiting = AckMask::empty(*nprocs, mask_pool);
-            let mut sent = 0u64;
-            e.sharers.for_each_target(*nprocs, Some(src), |t| {
-                if dead[t.idx()] {
-                    return;
-                }
-                actions.push(DirAction {
-                    dst: t,
-                    kind: MsgKind::Update { dirty_words },
-                });
-                awaiting.set(t);
-                sent += 1;
-            });
-            if sent == 0 {
-                awaiting.recycle(mask_pool);
-                false
-            } else {
-                stats.updates_sent += sent;
-                if fanout == FanoutClass::Broadcast {
-                    stats.dir_broadcasts += 1;
-                }
-                e.pending = Some(Pending {
-                    kind: PendingKind::Updating,
-                    requester: src,
-                    target: None,
-                    awaiting,
-                    keep_votes: false,
-                    fanout,
-                    abort: false,
-                });
-                true
-            }
-        };
-        if !fanned_out {
+        let e = self.entry(block);
+        e.last_updater = Some(src);
+        e.last_writer = Some(src);
+        let update = MsgKind::Update { dirty_words };
+        let (sent, fanout) = self.fan_out(
+            block,
+            Some(src),
+            update,
+            PendingKind::Updating,
+            src,
+            false,
+            actions,
+        );
+        if sent == 0 {
             actions.push(DirAction {
                 dst: src,
                 kind: self.finish_update(src, block),
             });
+        } else {
+            self.stats.updates_sent += sent;
+            if fanout == FanoutClass::Broadcast {
+                self.stats.dir_broadcasts += 1;
+            }
         }
+    }
+
+    /// Sends `msg` to every live node `block`'s sharer set covers, except
+    /// `except`, in ascending node order, and opens a `kind` operation for
+    /// `requester` on their acknowledgments — only when at least one target
+    /// was live. Returns the number of targets and how the fan-out related
+    /// to the true sharers; the callers keep their own counters.
+    #[allow(clippy::too_many_arguments)]
+    fn fan_out(
+        &mut self,
+        block: BlockAddr,
+        except: Option<NodeId>,
+        msg: MsgKind,
+        kind: PendingKind,
+        requester: NodeId,
+        abort: bool,
+        actions: &mut Vec<DirAction>,
+    ) -> (u64, FanoutClass) {
+        let DirCtrl {
+            nprocs,
+            entries,
+            mask_pool,
+            org,
+            dead,
+            ..
+        } = self;
+        let e = entries.get_or_insert_with(block, || DirEntry::new(*org));
+        let fanout = e.sharers.fanout_class();
+        let mut awaiting = AckMask::empty(*nprocs, mask_pool);
+        let mut sent = 0u64;
+        e.sharers.for_each_target(*nprocs, except, |t| {
+            // A purged node holds no copy and would never ack.
+            if dead[t.idx()] {
+                return;
+            }
+            actions.push(DirAction { dst: t, kind: msg });
+            awaiting.set(t);
+            sent += 1;
+        });
+        if sent == 0 {
+            awaiting.recycle(mask_pool);
+        } else {
+            e.pending = Some(Pending {
+                kind,
+                requester,
+                target: None,
+                awaiting,
+                keep_votes: false,
+                fanout,
+                abort,
+            });
+        }
+        (sent, fanout)
+    }
+
+    /// Makes `requester` the exclusive owner of `block`: the sharer set
+    /// collapses to exactly `{requester}`, and M records the writer.
+    fn grant_exclusive(&mut self, block: BlockAddr, requester: NodeId) {
+        let e = self.entry(block);
+        e.sharers.clear();
+        let _ = e.sharers.add(requester);
+        e.state = DirState::Modified(requester);
+        e.last_writer = Some(requester);
     }
 
     /// Completes an update with no remaining third-party copies. If the
@@ -1160,7 +1139,7 @@ impl DirCtrl {
                 let _ = e.sharers.add(from);
             }
             self.stats.aborted_grants += 1;
-            self.clear_pending(block);
+            self.take_pending(block);
             return Ok(());
         }
         // A deferred Dir_i_NB recall: the downgrade re-add below may
@@ -1204,11 +1183,7 @@ impl DirCtrl {
                     // Written (the usual hand-off) or reversion disabled
                     // (ablation): pass the block on exclusively,
                     // invalidations and all.
-                    let e = self.entry(block);
-                    e.state = DirState::Modified(requester);
-                    e.sharers.clear();
-                    let _ = e.sharers.add(requester);
-                    e.last_writer = Some(requester);
+                    self.grant_exclusive(block, requester);
                     self.stats.exclusive_grants += 1;
                     actions.push(DirAction {
                         dst: requester,
@@ -1217,11 +1192,7 @@ impl DirCtrl {
                 }
             }
             PendingKind::FetchOwn => {
-                let e = self.entry(block);
-                e.state = DirState::Modified(requester);
-                e.sharers.clear();
-                let _ = e.sharers.add(requester);
-                e.last_writer = Some(requester);
+                self.grant_exclusive(block, requester);
                 actions.push(DirAction {
                     dst: requester,
                     kind: MsgKind::OwnAck { with_data: true },
@@ -1235,7 +1206,7 @@ impl DirCtrl {
                     e.migratory = false;
                     self.stats.migratory_reverts += 1;
                 }
-                self.clear_pending(block);
+                self.take_pending(block);
                 self.start_update_fanout(requester, block, dirty_words, actions);
                 return Ok(());
             }
@@ -1249,23 +1220,43 @@ impl DirCtrl {
                 return Ok(());
             }
         }
-        self.clear_pending(block);
+        self.take_pending(block);
         self.note_add_outcome(block, deferred, actions);
         Ok(())
     }
 
-    /// Whether `src` has an outstanding-ack bit for a pending op of the
-    /// kind selected by `pred`. If not, the incoming ack is stale.
-    fn ack_expected(
+    /// Collects `src`'s acknowledgment for `block`'s pending operation of
+    /// a kind `pred` selects. Without such an operation, or without an
+    /// outstanding bit for `src`, the ack is stale: counted and dropped.
+    /// Otherwise `drops_copy` removes `src` from the sharer set, `keep`
+    /// records a CW+M keep vote and the bit clears; the last ack retires
+    /// the operation and hands it back, its wide mask already recycled.
+    fn collect_ack(
         &mut self,
         src: NodeId,
         block: BlockAddr,
         pred: fn(PendingKind) -> bool,
-    ) -> bool {
-        matches!(
-            self.entry(block).pending.as_ref(),
-            Some(p) if pred(p.kind) && p.awaiting.test(src)
-        )
+        drops_copy: bool,
+        keep: bool,
+    ) -> Option<Pending> {
+        let e = self.entry(block);
+        let Some(p) = e
+            .pending
+            .as_mut()
+            .filter(|p| pred(p.kind) && p.awaiting.test(src))
+        else {
+            self.stats.stale_drops += 1;
+            return None;
+        };
+        if drops_copy {
+            e.sharers.remove(src);
+        }
+        p.keep_votes |= keep;
+        p.awaiting.clear(src);
+        if !p.awaiting.is_empty() {
+            return None;
+        }
+        self.take_pending(block)
     }
 
     fn process_reply(
@@ -1277,7 +1268,7 @@ impl DirCtrl {
     ) -> Result<(), ProtocolError> {
         let pre = self.pre_tag(block);
         let r = self.dispatch_reply(src, block, kind, actions);
-        self.trace_dir(src, block, pre, kind);
+        self.trace_dir(src, block, pre, TraceInput::Msg(kind.into()));
         r
     }
 
@@ -1290,63 +1281,30 @@ impl DirCtrl {
     ) -> Result<(), ProtocolError> {
         match kind {
             MsgKind::InvalAck => {
-                // A recall ack retires a Dir_i_NB eviction silently.
-                if self.ack_expected(src, block, |k| matches!(k, PendingKind::Evicting)) {
-                    let done = {
-                        let e = self.entry(block);
-                        e.sharers.remove(src);
-                        let p = e.pending.as_mut().expect("checked by ack_expected");
-                        p.awaiting.clear(src);
-                        p.awaiting.is_empty()
-                    };
-                    if done {
-                        self.clear_pending(block);
-                    }
+                let pred =
+                    |k| matches!(k, PendingKind::Evicting | PendingKind::Invalidating { .. });
+                let Some(p) = self.collect_ack(src, block, pred, true, false) else {
                     return Ok(());
-                }
-                if !self.ack_expected(src, block, |k| {
-                    matches!(k, PendingKind::Invalidating { .. })
-                }) {
-                    self.stats.stale_drops += 1;
-                    return Ok(());
-                }
-                let (done, aborted) = {
-                    let e = self.entry(block);
-                    e.sharers.remove(src);
-                    let p = e.pending.as_mut().expect("checked by ack_expected");
-                    p.awaiting.clear(src);
-                    if p.awaiting.is_empty() {
-                        if p.abort {
-                            // Every covered copy is now invalidated but the
-                            // requester died (or this was a purge sweep):
-                            // the set collapses to exactly-empty and the
-                            // entry stays CLEAN with nothing granted.
-                            e.sharers.clear();
-                            (true, true)
-                        } else {
-                            let (requester, with_data) = match p.kind {
-                                PendingKind::Invalidating { with_data } => (p.requester, with_data),
-                                _ => unreachable!("checked by ack_expected"),
-                            };
-                            e.sharers.clear();
-                            let _ = e.sharers.add(requester);
-                            e.state = DirState::Modified(requester);
-                            e.last_writer = Some(requester);
-                            actions.push(DirAction {
-                                dst: requester,
-                                kind: MsgKind::OwnAck { with_data },
-                            });
-                            (true, false)
-                        }
-                    } else {
-                        (false, false)
-                    }
                 };
-                if done {
-                    if aborted {
+                match p.kind {
+                    // A recall ack retires a Dir_i_NB eviction silently.
+                    PendingKind::Evicting => {}
+                    // Every covered copy is now invalidated but the
+                    // requester died (or this was a purge sweep): the set
+                    // collapses to exactly-empty and the entry stays CLEAN
+                    // with nothing granted.
+                    _ if p.abort => {
+                        self.entry(block).sharers.clear();
                         self.stats.aborted_grants += 1;
                     }
-                    self.clear_pending(block);
+                    PendingKind::Invalidating { with_data } => {
+                        self.grant_exclusive(block, p.requester);
+                        actions.push(DirAction {
+                            dst: p.requester,
+                            kind: MsgKind::OwnAck { with_data },
+                        });
+                    }
+                    _ => unreachable!("selected by collect_ack"),
                 }
             }
             MsgKind::FetchReply { written } => {
@@ -1356,80 +1314,44 @@ impl DirCtrl {
                 self.complete_fetch(src, block, Some(kind), written, false, actions)?;
             }
             MsgKind::UpdateAck { invalidated } => {
-                if !self.ack_expected(src, block, |k| matches!(k, PendingKind::Updating)) {
-                    self.stats.stale_drops += 1;
+                let pred = |k| matches!(k, PendingKind::Updating);
+                let Some(p) = self.collect_ack(src, block, pred, invalidated, false) else {
                     return Ok(());
-                }
-                let finish = {
-                    let e = self.entry(block);
-                    if invalidated {
-                        e.sharers.remove(src);
-                    }
-                    let p = e.pending.as_mut().expect("checked by ack_expected");
-                    p.awaiting.clear(src);
-                    p.awaiting.is_empty().then_some((p.requester, p.abort))
                 };
-                if let Some((requester, aborted)) = finish {
-                    self.clear_pending(block);
-                    if aborted {
-                        // The writer died mid-fan-out: the updates were
-                        // applied (or the copies invalidated), nothing to
-                        // grant and nobody to tell.
-                        self.stats.aborted_grants += 1;
-                        return Ok(());
-                    }
-                    let done = self.finish_update(requester, block);
+                if p.abort {
+                    // The writer died mid-fan-out: the updates were
+                    // applied (or the copies invalidated), nothing to
+                    // grant and nobody to tell.
+                    self.stats.aborted_grants += 1;
+                } else {
+                    let done = self.finish_update(p.requester, block);
                     actions.push(DirAction {
-                        dst: requester,
+                        dst: p.requester,
                         kind: done,
                     });
                 }
             }
             MsgKind::InterrogateReply { keep } => {
-                if !self.ack_expected(src, block, |k| {
-                    matches!(k, PendingKind::Interrogating { .. })
-                }) {
-                    self.stats.stale_drops += 1;
+                let pred = |k| matches!(k, PendingKind::Interrogating { .. });
+                let Some(p) = self.collect_ack(src, block, pred, !keep, keep) else {
+                    return Ok(());
+                };
+                let PendingKind::Interrogating { dirty_words } = p.kind else {
+                    unreachable!("selected by collect_ack")
+                };
+                if p.abort {
+                    // The interrogating writer died: the votes are moot
+                    // and no update follows.
+                    self.stats.aborted_grants += 1;
                     return Ok(());
                 }
-                let finish = {
-                    let e = self.entry(block);
-                    if !keep {
-                        e.sharers.remove(src);
-                    }
-                    let p = e.pending.as_mut().expect("checked by ack_expected");
-                    if keep {
-                        p.keep_votes = true;
-                    }
-                    p.awaiting.clear(src);
-                    if p.awaiting.is_empty() {
-                        match p.kind {
-                            PendingKind::Interrogating { dirty_words } => {
-                                Some((p.requester, dirty_words, !p.keep_votes, p.abort))
-                            }
-                            _ => unreachable!("checked by ack_expected"),
-                        }
-                    } else {
-                        None
-                    }
-                };
-                if let Some((requester, dirty_words, all_gave_up, aborted)) = finish {
-                    self.clear_pending(block);
-                    if aborted {
-                        // The interrogating writer died: the votes are moot
-                        // and no update follows.
-                        self.stats.aborted_grants += 1;
-                        return Ok(());
-                    }
-                    if all_gave_up {
-                        // "For the block to be deemed migratory, all caches
-                        // must give up their copies."
-                        let e = self.entry(block);
-                        e.migratory = true;
-                        self.stats.migratory_detections += 1;
-                    }
-                    self.start_update_fanout(requester, block, dirty_words, actions);
+                if !p.keep_votes {
+                    // "For the block to be deemed migratory, all caches
+                    // must give up their copies."
+                    self.entry(block).migratory = true;
+                    self.stats.migratory_detections += 1;
                 }
+                self.start_update_fanout(p.requester, block, dirty_words, actions);
             }
             other => {
                 return Err(ProtocolError::UnexpectedMessage {
@@ -1457,29 +1379,6 @@ impl DirCtrl {
     /// acknowledgments.
     pub fn set_node_dead(&mut self, n: NodeId, dead: bool) {
         self.dead[n.idx()] = dead;
-    }
-
-    /// Records a Crash-input transition (the recovery layer's analogue of
-    /// [`DirCtrl::trace_dir`]). Drains the extension-attribution slot so a
-    /// hook that fired during a synthesized completion is not misattributed
-    /// to a later request.
-    fn trace_crash(&mut self, node: NodeId, block: BlockAddr, pre: Option<DirTag>) {
-        let _ = self.exts.take_fired();
-        let Some(pre) = pre else { return };
-        let post = self.dir_tag(block);
-        if pre == post {
-            return;
-        }
-        let time = self.trace.now();
-        self.trace.push(TransitionRecord {
-            time,
-            node,
-            block,
-            from: StateTag::Dir(pre),
-            to: StateTag::Dir(post),
-            input: TraceInput::Crash,
-            ext: None,
-        });
     }
 
     /// Epoch-fenced directory reconstruction after node `n` crashed.
@@ -1542,7 +1441,7 @@ impl DirCtrl {
             if target_died {
                 let pre = self.pre_tag(block);
                 self.complete_fetch(n, block, None, false, false, &mut actions)?;
-                self.trace_crash(n, block, pre);
+                self.trace_dir(n, block, pre, TraceInput::Crash);
             }
             // 4: synthesize the acknowledgment the dead node can no longer
             // send, so the fan-out completes (or aborts) normally.
@@ -1563,7 +1462,7 @@ impl DirCtrl {
             if let Some(kind) = synth {
                 let pre = self.pre_tag(block);
                 self.dispatch_reply(n, block, kind, &mut actions)?;
-                self.trace_crash(n, block, pre);
+                self.trace_dir(n, block, pre, TraceInput::Crash);
             }
             // 5: reclaim an orphaned dirty line.
             if self.owner_of(block) == Some(n)
@@ -1572,7 +1471,7 @@ impl DirCtrl {
                 let pre = self.pre_tag(block);
                 self.apply_writeback(n, block, false);
                 self.stats.orphan_reclaims += 1;
-                self.trace_crash(n, block, pre);
+                self.trace_dir(n, block, pre, TraceInput::Crash);
             }
             // 6: purge the sharer set.
             let needs_purge = self
@@ -1598,53 +1497,16 @@ impl DirCtrl {
                     // live copy. When the sweep drains, the set is exactly
                     // empty and no longer covers the dead node.
                     let pre = self.pre_tag(block);
-                    let swept = {
-                        let DirCtrl {
-                            nprocs,
-                            entries,
-                            stats,
-                            mask_pool,
-                            org,
-                            dead,
-                            ..
-                        } = self;
-                        let e = entries.get_or_insert_with(block, || DirEntry::new(*org));
-                        let fanout = e.sharers.fanout_class();
-                        let mut awaiting = AckMask::empty(*nprocs, mask_pool);
-                        let mut sent = 0u64;
-                        e.sharers.for_each_target(*nprocs, Some(n), |t| {
-                            if dead[t.idx()] {
-                                return;
-                            }
-                            actions.push(DirAction {
-                                dst: t,
-                                kind: MsgKind::Inval,
-                            });
-                            awaiting.set(t);
-                            sent += 1;
-                        });
-                        if sent == 0 {
-                            // Nothing live is covered: collapse directly.
-                            awaiting.recycle(mask_pool);
-                            e.sharers.clear();
-                            false
-                        } else {
-                            stats.invals_sent += sent;
-                            stats.purge_sweeps += 1;
-                            e.pending = Some(Pending {
-                                kind: PendingKind::Invalidating { with_data: false },
-                                requester: n,
-                                target: None,
-                                awaiting,
-                                keep_votes: false,
-                                fanout,
-                                abort: true,
-                            });
-                            true
-                        }
-                    };
-                    if swept {
-                        self.trace_crash(n, block, pre);
+                    let sweep = PendingKind::Invalidating { with_data: false };
+                    let (sent, _) =
+                        self.fan_out(block, Some(n), MsgKind::Inval, sweep, n, true, &mut actions);
+                    if sent == 0 {
+                        // Nothing live is covered: collapse directly.
+                        self.entry(block).sharers.clear();
+                    } else {
+                        self.stats.invals_sent += sent;
+                        self.stats.purge_sweeps += 1;
+                        self.trace_dir(n, block, pre, TraceInput::Crash);
                     }
                 }
                 // Inexact with a MODIFIED owner or an open operation: the
@@ -2436,6 +2298,9 @@ mod tests {
         assert!(a.iter().all(|x| x.kind == MsgKind::Inval));
         assert!(a.iter().all(|x| x.dst != n(2)));
         assert_eq!(dir.stats().purge_sweeps, 1);
+        // A purge sweep counts its invalidations but is no broadcast.
+        assert_eq!(dir.stats().invals_sent, (N - 1) as u64);
+        assert_eq!(dir.stats().dir_broadcasts, 0);
         // Live holders (and non-holders — the set cannot tell) ack.
         for i in 0..N as u16 {
             if i != 2 {
@@ -2443,8 +2308,64 @@ mod tests {
             }
         }
         assert!(!dir.has_pending());
-        assert!(!dir.covers(b(0), n(2)), "sweep left coverage of the dead node");
+        assert!(
+            !dir.covers(b(0), n(2)),
+            "sweep left coverage of the dead node"
+        );
         assert_eq!(dir.stats().aborted_grants, 1);
+    }
+
+    #[test]
+    fn fanouts_skip_dead_nodes_on_inexact_sets() {
+        let cw = ProtocolConfig {
+            competitive: Some(CompetitiveConfig::default()),
+            ..ProtocolConfig::basic(Consistency::Rc)
+        };
+        let mut dir =
+            DirCtrl::with_org(N, DirOrg::Directoryless, Exts::from_protocol(&cw)).unwrap();
+        for i in [1u16, 2, 3] {
+            for blk in [b(0), b(1)] {
+                dir.h(n(i), blk, MsgKind::ReadReq { prefetch: false });
+            }
+        }
+        // Node 2 dies; no purge has run yet, so both sets still cover it.
+        dir.set_node_dead(n(2), true);
+        let live_except = |me: u16| -> Vec<NodeId> {
+            (0..N as u16)
+                .filter(|&i| i != me && i != 2)
+                .map(n)
+                .collect()
+        };
+
+        // Ownership: a broadcast to every live node except the requester.
+        let a = dir.h(n(1), b(0), MsgKind::OwnReq { need_data: false });
+        assert!(a.iter().all(|x| x.kind == MsgKind::Inval));
+        let dsts: Vec<NodeId> = a.iter().map(|x| x.dst).collect();
+        assert_eq!(dsts, live_except(1));
+        assert_eq!(dir.stats().invals_sent, (N - 2) as u64);
+        assert_eq!(dir.stats().dir_broadcasts, 1);
+        let mut last = Vec::new();
+        for t in live_except(1) {
+            last = dir.h(t, b(0), MsgKind::InvalAck);
+        }
+        assert_single(&last, n(1), MsgKind::OwnAck { with_data: true });
+
+        // Update: the same skip, and the live acks alone complete it.
+        let a = dir.h(n(3), b(1), MsgKind::UpdateReq { dirty_words: 1 });
+        assert!(a
+            .iter()
+            .all(|x| x.kind == MsgKind::Update { dirty_words: 1 }));
+        let dsts: Vec<NodeId> = a.iter().map(|x| x.dst).collect();
+        assert_eq!(dsts, live_except(3));
+        assert_eq!(dir.stats().updates_sent, (N - 2) as u64);
+        assert_eq!(dir.stats().dir_broadcasts, 2);
+        let mut last = Vec::new();
+        for t in live_except(3) {
+            let invalidated = t != n(1);
+            last = dir.h(t, b(1), MsgKind::UpdateAck { invalidated });
+        }
+        assert_single(&last, n(3), MsgKind::UpdateDone { exclusive: false });
+        assert!(!dir.has_pending());
     }
 
     #[test]

@@ -208,13 +208,13 @@ pub struct Msg {
     /// Debug version stamp for data-carrying messages (the simulator's
     /// coherence-value check); zero for control messages.
     pub version: u64,
-    /// Packed incarnation stamp for crash/recovery fencing: the sender's
-    /// epoch in the high 16 bits, the receiver's in the low 16. The machine
-    /// layer stamps it at send time; a delivery whose stamp no longer
-    /// matches both endpoints' current epochs is from (or to) a dead
-    /// incarnation and is dropped. Zero everywhere when node faults are
-    /// off, so construction sites may leave it 0.
-    pub epoch: u32,
+    /// Incarnation stamp for crash/recovery fencing: the epoch of the one
+    /// endpoint the delivery fence checks — the sender of a home-bound
+    /// message, the receiver of a cache-bound one. The machine layer
+    /// stamps it at send time; a delivery whose stamp no longer matches
+    /// that endpoint's current epoch is from (or to) a dead incarnation
+    /// and is dropped. Zero everywhere when node faults are off.
+    pub epoch: u16,
 }
 
 impl Msg {

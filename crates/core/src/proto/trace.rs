@@ -3,6 +3,7 @@
 
 use dirext_trace::{BlockAddr, NodeId};
 
+use crate::line::CacheState;
 use crate::msg::MsgKind;
 
 /// Compact home-directory state: the two stable states plus the transient
@@ -87,6 +88,16 @@ impl CacheTag {
             CacheTag::Shared => "SHARED",
             CacheTag::Dirty => "DIRTY",
             CacheTag::MigClean => "MigClean",
+        }
+    }
+}
+
+impl From<CacheState> for CacheTag {
+    fn from(s: CacheState) -> Self {
+        match s {
+            CacheState::Shared => CacheTag::Shared,
+            CacheState::Dirty => CacheTag::Dirty,
+            CacheState::MigClean => CacheTag::MigClean,
         }
     }
 }

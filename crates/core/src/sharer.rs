@@ -135,17 +135,6 @@ impl DirOrg {
         Ok(())
     }
 
-    /// Whether the sharer set stays exact (no over-approximation) as long
-    /// as it never overflows.
-    pub fn is_exact(self) -> bool {
-        match self {
-            DirOrg::FullMap => true,
-            DirOrg::LimitedPtr { .. } => true, // until overflow
-            DirOrg::CoarseVector { region } => region == 1,
-            DirOrg::Directoryless => false,
-        }
-    }
-
     /// An empty sharer set of this organization.
     pub fn empty_set(self) -> SharerSet {
         match self {
@@ -364,39 +353,6 @@ impl SharerSet {
     /// upgrades; approximate organizations conservatively answer no).
     pub fn sole_sharer(&self, n: NodeId) -> bool {
         self.exact_count() == Some(1) && self.certainly_contains(n)
-    }
-
-    /// Number of nodes a full fan-out would cover (the upper bound the
-    /// `invals_sent` / `updates_sent` accounting uses).
-    pub fn covered_count(&self, nprocs: usize) -> u32 {
-        match self {
-            SharerSet::Full { bits } => bits.count_ones(),
-            SharerSet::Limited { len, overflow, .. } => {
-                if *overflow {
-                    nprocs as u32
-                } else {
-                    *len as u32
-                }
-            }
-            SharerSet::Coarse { words, region } => {
-                let mut covered = 0u32;
-                let nregions = nprocs.div_ceil(*region as usize);
-                for r in 0..nregions {
-                    if words[r / 64] & (1u64 << (r % 64)) != 0 {
-                        let base = r * *region as usize;
-                        covered += (nprocs - base).min(*region as usize) as u32;
-                    }
-                }
-                covered
-            }
-            SharerSet::Directoryless { present } => {
-                if *present {
-                    nprocs as u32
-                } else {
-                    0
-                }
-            }
-        }
     }
 
     /// How a fan-out over this set relates to the true sharers (recorded on
@@ -724,7 +680,9 @@ mod tests {
 
     #[test]
     fn parse_round_trips() {
-        for name in ["full", "ptr4b", "ptr4nb", "ptr1b", "coarse8", "coarse1", "none"] {
+        for name in [
+            "full", "ptr4b", "ptr4nb", "ptr1b", "coarse8", "coarse1", "none",
+        ] {
             let org = DirOrg::parse(name).expect(name);
             assert_eq!(org.cli_name(), name);
         }
@@ -819,7 +777,6 @@ mod tests {
         assert_eq!(s.fanout_class(), FanoutClass::Multicast);
         assert!(s.may_contain(n(6)) && !s.certainly_contains(n(6)));
         assert_eq!(s.exact_count(), None);
-        assert_eq!(s.covered_count(16), 4);
         assert_eq!(targets(&s, 16, Some(n(5))), vec![4, 6, 7]);
         // remove() cannot clear a region for one member.
         s.remove(n(5));
@@ -829,7 +786,6 @@ mod tests {
         // A truncated final region fans out only to real nodes.
         s.add(n(9));
         assert_eq!(targets(&s, 10, None), vec![8, 9]);
-        assert_eq!(s.covered_count(10), 2);
     }
 
     #[test]

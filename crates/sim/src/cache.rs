@@ -196,17 +196,7 @@ impl Machine {
                     self.nodes.next_lock_seq[i] += 1;
                     self.nodes.waiting_grant[i] = Some(SyncWait::Lock(block, seq));
                     let home = self.home_of(block);
-                    self.send_msg(
-                        now,
-                        Msg {
-                            src: nid,
-                            dst: home,
-                            block,
-                            kind: MsgKind::AcqReq,
-                            version: seq,
-                            epoch: 0,
-                        },
-                    );
+                    self.send(now, nid, home, block, MsgKind::AcqReq, seq);
                 }
                 MemEvent::Release(a) => {
                     self.nodes.pc[i] += 1;
@@ -221,17 +211,7 @@ impl Machine {
                         let seq = self.nodes.held_locks[i].remove(block).unwrap_or(0);
                         self.nodes.waiting_grant[i] = Some(SyncWait::ReleaseAck(block, seq));
                         let home = self.home_of(block);
-                        self.send_msg(
-                            now,
-                            Msg {
-                                src: nid,
-                                dst: home,
-                                block,
-                                kind: MsgKind::RelReq,
-                                version: seq,
-                                epoch: 0,
-                            },
-                        );
+                        self.send(now, nid, home, block, MsgKind::RelReq, seq);
                     } else {
                         // RC: the release enters the FLWB behind earlier writes;
                         // once it reaches the SLC it waits for all previously
@@ -262,17 +242,8 @@ impl Machine {
                     if self.sc() {
                         // Under SC all writes are already globally performed.
                         let home = self.barrier_home(id.0);
-                        self.send_msg(
-                            now,
-                            Msg {
-                                src: nid,
-                                dst: home,
-                                block: BlockAddr::from_index(0),
-                                kind: MsgKind::BarArrive { id: id.0 },
-                                version: 0,
-                                epoch: 0,
-                            },
-                        );
+                        let arrive = MsgKind::BarArrive { id: id.0 };
+                        self.send(now, nid, home, BlockAddr::from_index(0), arrive, 0);
                     } else {
                         // A barrier arrival includes release semantics: it
                         // follows earlier writes through the FLWB and waits for
@@ -323,44 +294,16 @@ impl Machine {
                 return;
             }
             if let Some((e, v)) = self.nodes.update_backlog[i].pop_front() {
-                self.nodes.slwb[i].push(SlwbEntry {
-                    block: e.block,
-                    op: SlwbOp::Update { version: v },
-                });
                 self.nodes.pending_writes[i] += 1;
-                let home = self.home_of(e.block);
-                self.send_msg(
-                    t,
-                    Msg {
-                        src: nid,
-                        dst: home,
-                        block: e.block,
-                        kind: MsgKind::UpdateReq {
-                            dirty_words: e.dirty_mask,
-                        },
-                        version: v,
-                        epoch: 0,
-                    },
-                );
+                let kind = MsgKind::UpdateReq {
+                    dirty_words: e.dirty_mask,
+                };
+                self.request(nid, e.block, SlwbOp::Update { version: v }, kind, v, t);
                 continue;
             }
             if let Some((block, written, v)) = self.nodes.wb_backlog[i].pop_front() {
-                self.nodes.slwb[i].push(SlwbEntry {
-                    block,
-                    op: SlwbOp::Writeback,
-                });
-                let home = self.home_of(block);
-                self.send_msg(
-                    t,
-                    Msg {
-                        src: nid,
-                        dst: home,
-                        block,
-                        kind: MsgKind::WritebackReq { written },
-                        version: v,
-                        epoch: 0,
-                    },
-                );
+                let kind = MsgKind::WritebackReq { written };
+                self.request(nid, block, SlwbOp::Writeback, kind, v, t);
                 continue;
             }
             return;
@@ -391,31 +334,12 @@ impl Machine {
                     let block = a.block();
                     let seq = self.nodes.held_locks[i].remove(block).unwrap_or(0);
                     let home = self.home_of(block);
-                    self.send_msg(
-                        t,
-                        Msg {
-                            src: nid,
-                            dst: home,
-                            block,
-                            kind: MsgKind::RelReq,
-                            version: seq,
-                            epoch: 0,
-                        },
-                    );
+                    self.send(t, nid, home, block, MsgKind::RelReq, seq);
                 }
                 SyncOut::Barrier(id) => {
                     let home = self.barrier_home(id);
-                    self.send_msg(
-                        t,
-                        Msg {
-                            src: nid,
-                            dst: home,
-                            block: BlockAddr::from_index(0),
-                            kind: MsgKind::BarArrive { id },
-                            version: 0,
-                            epoch: 0,
-                        },
-                    );
+                    let arrive = MsgKind::BarArrive { id };
+                    self.send(t, nid, home, BlockAddr::from_index(0), arrive, 0);
                 }
             }
         }
@@ -588,28 +512,15 @@ impl Machine {
         }
 
         // New outstanding read.
-        self.nodes.slwb[i].push(SlwbEntry {
-            block,
-            op: SlwbOp::Read {
-                prefetch: false,
-                demand_waiting: true,
-                demand_since: now,
-                upgrade_version: None,
-                upgrade_sc: false,
-            },
-        });
-        let home = self.home_of(block);
-        self.send_msg(
-            done,
-            Msg {
-                src: nid,
-                dst: home,
-                block,
-                kind: MsgKind::ReadReq { prefetch: false },
-                version: 0,
-                epoch: 0,
-            },
-        );
+        let op = SlwbOp::Read {
+            prefetch: false,
+            demand_waiting: true,
+            demand_since: now,
+            upgrade_version: None,
+            upgrade_sc: false,
+        };
+        let kind = MsgKind::ReadReq { prefetch: false };
+        self.request(nid, block, op, kind, 0, done);
         // Adaptive sequential prefetching triggers on demand misses.
         let pred_cached = block.pred().is_some_and(|p| self.nodes.slc[i].contains(p));
         let k = self.nodes.exts[i].on_demand_miss(pred_cached);
@@ -647,29 +558,15 @@ impl Machine {
                     break;
                 }
             }
-            self.nodes.slwb[i].push(SlwbEntry {
-                block: pb,
-                op: SlwbOp::Read {
-                    prefetch: true,
-                    demand_waiting: false,
-                    demand_since: t,
-                    upgrade_version: None,
-                    upgrade_sc: false,
-                },
-            });
             self.nodes.exts[i].on_prefetch_issued();
-            let home = self.home_of(pb);
-            self.send_msg(
-                t,
-                Msg {
-                    src: nid,
-                    dst: home,
-                    block: pb,
-                    kind: MsgKind::ReadReq { prefetch: true },
-                    version: 0,
-                    epoch: 0,
-                },
-            );
+            let op = SlwbOp::Read {
+                prefetch: true,
+                demand_waiting: false,
+                demand_since: t,
+                upgrade_version: None,
+                upgrade_sc: false,
+            };
+            self.request(nid, pb, op, MsgKind::ReadReq { prefetch: true }, 0, t);
         }
     }
 
@@ -695,52 +592,24 @@ impl Machine {
             // Read-exclusive prefetch: fetch ownership up front so the
             // later write needs no transaction (Mowry & Gupta's
             // exclusive-mode prefetch).
-            self.nodes.slwb[i].push(SlwbEntry {
-                block,
-                op: SlwbOp::Own {
-                    need_data: true,
-                    write_version: 0,
-                    sc_wait: false,
-                    demand_waiting: false,
-                    demand_since: done,
-                },
-            });
             self.nodes.pending_writes[i] += 1;
-            let home = self.home_of(block);
-            self.send_msg(
-                done,
-                Msg {
-                    src: nid,
-                    dst: home,
-                    block,
-                    kind: MsgKind::OwnReq { need_data: true },
-                    version: 0,
-                    epoch: 0,
-                },
-            );
+            let op = SlwbOp::Own {
+                need_data: true,
+                write_version: 0,
+                sc_wait: false,
+                demand_waiting: false,
+                demand_since: done,
+            };
+            self.request(nid, block, op, MsgKind::OwnReq { need_data: true }, 0, done);
         } else {
-            self.nodes.slwb[i].push(SlwbEntry {
-                block,
-                op: SlwbOp::Read {
-                    prefetch: true,
-                    demand_waiting: false,
-                    demand_since: done,
-                    upgrade_version: None,
-                    upgrade_sc: false,
-                },
-            });
-            let home = self.home_of(block);
-            self.send_msg(
-                done,
-                Msg {
-                    src: nid,
-                    dst: home,
-                    block,
-                    kind: MsgKind::ReadReq { prefetch: true },
-                    version: 0,
-                    epoch: 0,
-                },
-            );
+            let op = SlwbOp::Read {
+                prefetch: true,
+                demand_waiting: false,
+                demand_since: done,
+                upgrade_version: None,
+                upgrade_sc: false,
+            };
+            self.request(nid, block, op, MsgKind::ReadReq { prefetch: true }, 0, done);
         }
         done
     }
@@ -839,29 +708,16 @@ impl Machine {
                             .get_mut(block)
                             .expect("checked")
                             .own_pending = true;
-                        self.nodes.slwb[i].push(SlwbEntry {
-                            block,
-                            op: SlwbOp::Own {
-                                need_data: false,
-                                write_version: v,
-                                sc_wait: sc,
-                                demand_waiting: false,
-                                demand_since: done,
-                            },
-                        });
                         self.nodes.pending_writes[i] += 1;
-                        let home = self.home_of(block);
-                        self.send_msg(
-                            done,
-                            Msg {
-                                src: nid,
-                                dst: home,
-                                block,
-                                kind: MsgKind::OwnReq { need_data: false },
-                                version: 0,
-                                epoch: 0,
-                            },
-                        );
+                        let op = SlwbOp::Own {
+                            need_data: false,
+                            write_version: v,
+                            sc_wait: sc,
+                            demand_waiting: false,
+                            demand_since: done,
+                        };
+                        let kind = MsgKind::OwnReq { need_data: false };
+                        self.request(nid, block, op, kind, 0, done);
                     }
                 }
             }
@@ -900,29 +756,15 @@ impl Machine {
                     }
                 }
                 WriteMode::Invalidate => {
-                    self.nodes.slwb[i].push(SlwbEntry {
-                        block,
-                        op: SlwbOp::Own {
-                            need_data: true,
-                            write_version: v,
-                            sc_wait: sc,
-                            demand_waiting: false,
-                            demand_since: done,
-                        },
-                    });
                     self.nodes.pending_writes[i] += 1;
-                    let home = self.home_of(block);
-                    self.send_msg(
-                        done,
-                        Msg {
-                            src: nid,
-                            dst: home,
-                            block,
-                            kind: MsgKind::OwnReq { need_data: true },
-                            version: 0,
-                            epoch: 0,
-                        },
-                    );
+                    let op = SlwbOp::Own {
+                        need_data: true,
+                        write_version: v,
+                        sc_wait: sc,
+                        demand_waiting: false,
+                        demand_since: done,
+                    };
+                    self.request(nid, block, op, MsgKind::OwnReq { need_data: true }, 0, done);
                 }
             },
         }
@@ -932,26 +774,27 @@ impl Machine {
     /// Issues a single-word update request (competitive update without the
     /// write cache).
     fn issue_update_now(&mut self, nid: NodeId, a: Addr, v: u64, t: Time) {
-        let i = nid.idx();
-        let block = a.block();
-        self.nodes.slwb[i].push(SlwbEntry {
-            block,
-            op: SlwbOp::Update { version: v },
-        });
-        self.nodes.pending_writes[i] += 1;
+        self.nodes.pending_writes[nid.idx()] += 1;
+        let kind = MsgKind::UpdateReq {
+            dirty_words: 1u8 << a.word_in_block(),
+        };
+        self.request(nid, a.block(), SlwbOp::Update { version: v }, kind, v, t);
+    }
+
+    /// Opens an SLWB request for `block` and sends its `kind` message to
+    /// the block's home.
+    fn request(
+        &mut self,
+        nid: NodeId,
+        block: BlockAddr,
+        op: SlwbOp,
+        kind: MsgKind,
+        version: u64,
+        t: Time,
+    ) {
+        self.nodes.slwb[nid.idx()].push(SlwbEntry { block, op });
         let home = self.home_of(block);
-        let dirty_words = 1u8 << a.word_in_block();
-        self.send_msg(
-            t,
-            Msg {
-                src: nid,
-                dst: home,
-                block,
-                kind: MsgKind::UpdateReq { dirty_words },
-                version: v,
-                epoch: 0,
-            },
-        );
+        self.send(t, nid, home, block, kind, version);
     }
 
     fn merge_pending_write(&mut self, nid: NodeId, block: BlockAddr, v: u64) {
@@ -1014,16 +857,9 @@ impl Machine {
 
     fn evict(&mut self, nid: NodeId, block: BlockAddr, line: Line, t: Time) {
         let i = nid.idx();
-        if self.ctrace.enabled() {
-            let from = match line.state {
-                CacheState::Shared => CacheTag::Shared,
-                CacheState::Dirty => CacheTag::Dirty,
-                CacheState::MigClean => CacheTag::MigClean,
-            };
-            // The victim is already out of the SLC, so the post-state is
-            // INVALID by construction.
-            self.trace_cache_transition(nid, block, from, TraceInput::Replace, t);
-        }
+        // The victim is already out of the SLC, so the post-state is
+        // INVALID by construction.
+        self.trace_cache_transition(nid, block, line.state.into(), TraceInput::Replace, t);
         self.nodes.flc.invalidate(i, block);
         self.classifier
             .note_invalidation(nid, block, InvalReason::Replacement);
@@ -1034,17 +870,7 @@ impl Machine {
                 // directory is about to transfer ownership to us anyway.
                 if !line.own_pending {
                     let home = self.home_of(block);
-                    self.send_msg(
-                        t,
-                        Msg {
-                            src: nid,
-                            dst: home,
-                            block,
-                            kind: MsgKind::SharedReplHint,
-                            version: 0,
-                            epoch: 0,
-                        },
-                    );
+                    self.send(t, nid, home, block, MsgKind::SharedReplHint, 0);
                 }
             }
             CacheState::Dirty => {
@@ -1062,12 +888,9 @@ impl Machine {
 
     /// The transition-table tag of a node's cached copy of `block`.
     fn cache_tag(&self, nid: NodeId, block: BlockAddr) -> CacheTag {
-        match self.nodes.slc[nid.idx()].get(block).map(|l| l.state) {
-            None => CacheTag::Invalid,
-            Some(CacheState::Shared) => CacheTag::Shared,
-            Some(CacheState::Dirty) => CacheTag::Dirty,
-            Some(CacheState::MigClean) => CacheTag::MigClean,
-        }
+        self.nodes.slc[nid.idx()]
+            .get(block)
+            .map_or(CacheTag::Invalid, |l| l.state.into())
     }
 
     /// Records a cache-line transition out of `from` (if the tag changed
@@ -1116,7 +939,6 @@ impl Machine {
         let i = nid.idx();
         let block = msg.block;
         let slc_access = self.cfg.timing.slc_access;
-        let flc_fill = self.cfg.timing.flc_fill;
         let preset = self.nodes.comp_preset;
 
         match msg.kind {
@@ -1181,28 +1003,15 @@ impl Machine {
                 self.install_line(nid, block, line, done);
 
                 if let Some((uv, sc)) = follow_own {
-                    self.nodes.slwb[i].push(SlwbEntry {
-                        block,
-                        op: SlwbOp::Own {
-                            need_data: false,
-                            write_version: uv,
-                            sc_wait: sc,
-                            demand_waiting: false,
-                            demand_since: done,
-                        },
-                    });
-                    let home = self.home_of(block);
-                    self.send_msg(
-                        done,
-                        Msg {
-                            src: nid,
-                            dst: home,
-                            block,
-                            kind: MsgKind::OwnReq { need_data: false },
-                            version: 0,
-                            epoch: 0,
-                        },
-                    );
+                    let op = SlwbOp::Own {
+                        need_data: false,
+                        write_version: uv,
+                        sc_wait: sc,
+                        demand_waiting: false,
+                        demand_since: done,
+                    };
+                    let kind = MsgKind::OwnReq { need_data: false };
+                    self.request(nid, block, op, kind, 0, done);
                 } else if upgrade_version.is_some() && upgrade_sc {
                     // Exclusive grant completed the SC-stalled write.
                     self.resume(nid, done);
@@ -1211,12 +1020,7 @@ impl Machine {
                     self.nodes.exts[i].on_prefetch_arrived();
                 }
                 if demand_waiting {
-                    self.nodes.flc.fill(i, block);
-                    let resume_at = done + flc_fill;
-                    let latency = (resume_at.saturating_sub(demand_since)).cycles();
-                    self.nodes.counters[i].read_miss_cycles += latency;
-                    self.nodes.read_miss_hist[i].record(latency);
-                    self.resume(nid, resume_at);
+                    self.fill_demand(nid, block, demand_since, done);
                 }
                 self.after_slwb_free(nid, done);
             }
@@ -1268,12 +1072,7 @@ impl Machine {
                     self.resume(nid, done);
                 }
                 if demand_waiting {
-                    self.nodes.flc.fill(i, block);
-                    let resume_at = done + flc_fill;
-                    let latency = (resume_at.saturating_sub(demand_since)).cycles();
-                    self.nodes.counters[i].read_miss_cycles += latency;
-                    self.nodes.read_miss_hist[i].record(latency);
-                    self.resume(nid, resume_at);
+                    self.fill_demand(nid, block, demand_since, done);
                 }
                 self.after_slwb_free(nid, done);
             }
@@ -1317,22 +1116,8 @@ impl Machine {
             MsgKind::Inval => {
                 let start = self.nodes.slc_res[i].acquire(now, slc_access);
                 let done = start + slc_access;
-                if self.nodes.slc[i].remove(block).is_some() {
-                    self.nodes.flc.invalidate(i, block);
-                    self.classifier
-                        .note_invalidation(nid, block, InvalReason::Coherence);
-                }
-                self.send_msg(
-                    done,
-                    Msg {
-                        src: nid,
-                        dst: msg.src,
-                        block,
-                        kind: MsgKind::InvalAck,
-                        version: 0,
-                        epoch: 0,
-                    },
-                );
+                self.drop_copy(nid, block);
+                self.send(done, nid, msg.src, block, MsgKind::InvalAck, 0);
             }
             MsgKind::Fetch => {
                 let start = self.nodes.slc_res[i].acquire(now, slc_access);
@@ -1359,17 +1144,8 @@ impl Machine {
                     }
                 };
                 if let Some((written, version)) = reply {
-                    self.send_msg(
-                        done,
-                        Msg {
-                            src: nid,
-                            dst: msg.src,
-                            block,
-                            kind: MsgKind::FetchReply { written },
-                            version,
-                            epoch: 0,
-                        },
-                    );
+                    let kind = MsgKind::FetchReply { written };
+                    self.send(done, nid, msg.src, block, kind, version);
                 }
             }
             MsgKind::FetchInval => {
@@ -1383,22 +1159,11 @@ impl Machine {
                     .get(block)
                     .is_some_and(|l| l.state.exclusive());
                 if exclusive {
-                    let line = self.nodes.slc[i].remove(block).expect("checked present");
-                    self.nodes.flc.invalidate(i, block);
-                    self.classifier
-                        .note_invalidation(nid, block, InvalReason::Coherence);
-                    let written = line.state == CacheState::Dirty;
-                    self.send_msg(
-                        done,
-                        Msg {
-                            src: nid,
-                            dst: msg.src,
-                            block,
-                            kind: MsgKind::FetchInvalReply { written },
-                            version: line.version,
-                            epoch: 0,
-                        },
-                    );
+                    let line = self.drop_copy(nid, block).expect("checked present");
+                    let kind = MsgKind::FetchInvalReply {
+                        written: line.state == CacheState::Dirty,
+                    };
+                    self.send(done, nid, msg.src, block, kind, line.version);
                 } else if self.nodes.slc[i].contains(block) {
                     self.stale_drops += 1;
                 }
@@ -1422,10 +1187,7 @@ impl Machine {
                     .map(|line| line.apply_update(msg.version));
                 let invalidated = match countdown {
                     Some(true) => {
-                        self.nodes.slc[i].remove(block);
-                        self.nodes.flc.invalidate(i, block);
-                        self.classifier
-                            .note_invalidation(nid, block, InvalReason::Coherence);
+                        self.drop_copy(nid, block);
                         true
                     }
                     Some(false) => {
@@ -1438,17 +1200,8 @@ impl Machine {
                     }
                     None => true,
                 };
-                self.send_msg(
-                    done,
-                    Msg {
-                        src: nid,
-                        dst: msg.src,
-                        block,
-                        kind: MsgKind::UpdateAck { invalidated },
-                        version: 0,
-                        epoch: 0,
-                    },
-                );
+                let ack = MsgKind::UpdateAck { invalidated };
+                self.send(done, nid, msg.src, block, ack, 0);
             }
             MsgKind::Interrogate => {
                 let start = self.nodes.slc_res[i].acquire(now, slc_access);
@@ -1467,25 +1220,13 @@ impl Machine {
                 let keep = match verdict {
                     Some(true) => true,
                     Some(false) => {
-                        self.nodes.slc[i].remove(block);
-                        self.nodes.flc.invalidate(i, block);
-                        self.classifier
-                            .note_invalidation(nid, block, InvalReason::Coherence);
+                        self.drop_copy(nid, block);
                         false
                     }
                     None => false,
                 };
-                self.send_msg(
-                    done,
-                    Msg {
-                        src: nid,
-                        dst: msg.src,
-                        block,
-                        kind: MsgKind::InterrogateReply { keep },
-                        version: 0,
-                        epoch: 0,
-                    },
-                );
+                let reply = MsgKind::InterrogateReply { keep };
+                self.send(done, nid, msg.src, block, reply, 0);
             }
             MsgKind::AcqGrant => {
                 // The grant echoes the acquire sequence it answers; a
@@ -1517,6 +1258,30 @@ impl Machine {
             MsgKind::Nack => self.nack_retry(nid, block, now),
             other => unreachable!("not a cache-bound message: {other:?}"),
         }
+    }
+
+    /// Drops `nid`'s copy of `block` for a coherence action: the SLC line,
+    /// the FLC line (inclusion) and the miss classifier's coherence note.
+    /// Returns the dropped line; without an SLC copy nothing happens.
+    fn drop_copy(&mut self, nid: NodeId, block: BlockAddr) -> Option<Line> {
+        let line = self.nodes.slc[nid.idx()].remove(block)?;
+        self.nodes.flc.invalidate(nid.idx(), block);
+        self.classifier
+            .note_invalidation(nid, block, InvalReason::Coherence);
+        Some(line)
+    }
+
+    /// Completes a demand read that waited on an SLWB entry finishing at
+    /// `done`: fills the FLC, meters the miss latency from `since` and
+    /// resumes the processor.
+    fn fill_demand(&mut self, nid: NodeId, block: BlockAddr, since: Time, done: Time) {
+        let i = nid.idx();
+        self.nodes.flc.fill(i, block);
+        let resume_at = done + self.cfg.timing.flc_fill;
+        let latency = resume_at.saturating_sub(since).cycles();
+        self.nodes.counters[i].read_miss_cycles += latency;
+        self.nodes.read_miss_hist[i].record(latency);
+        self.resume(nid, resume_at);
     }
 
     /// Handles a NACK from the home: the request raced this node's own
@@ -1561,10 +1326,10 @@ impl Machine {
         self.nack_retries += 1;
         let backoff = NACK_RETRY_BASE << (attempts - 1).min(10);
         let home = self.home_of(block);
-        // Stamp the requester's incarnation epoch in the sender half: a
-        // retry scheduled by a since-crashed incarnation must not fire a
-        // phantom request after recovery (`send_msg` re-stamps on the
-        // actual send, but the fence checks this stored stamp first).
+        // Stamp the requester's incarnation epoch: a retry scheduled by a
+        // since-crashed incarnation must not fire a phantom request after
+        // recovery (`send` re-stamps on the actual send, but the fence
+        // checks this stored stamp first).
         self.queue.push(
             now + Time::from_cycles(backoff),
             Ev::Retry(Msg {
@@ -1573,7 +1338,7 @@ impl Machine {
                 block,
                 kind,
                 version: 0,
-                epoch: u32::from(self.epoch[nid.idx()]) << 16,
+                epoch: self.epoch[nid.idx()],
             }),
         );
     }

@@ -5,9 +5,10 @@ use std::fmt::Write as _;
 
 use dirext_core::blockmap::BlockMap;
 use dirext_core::config::Consistency;
+use dirext_core::dir::DirAction;
 use dirext_core::line::CacheState;
 use dirext_core::msg::{Msg, MsgKind};
-use dirext_core::proto::trace::{CacheTag, TraceInput};
+use dirext_core::proto::trace::TraceInput;
 use dirext_core::proto::{ExtSet, Exts, TraceRing, TransitionRecord};
 use dirext_core::ProtocolError;
 use dirext_kernel::{EventQueue, Time};
@@ -169,6 +170,26 @@ pub(crate) fn is_home_bound(kind: MsgKind) -> bool {
     )
 }
 
+/// The node whose liveness and incarnation epoch fence a message's
+/// delivery.
+///
+/// The home half of a node (memory, directory, lock and barrier
+/// controllers) survives its processor's crash, so home-bound traffic is
+/// fenced by its *source* under fail-stop semantics: everything a dead or
+/// previous incarnation put on the wire is lost. No pending directory
+/// operation relies on in-flight luck — the reconstruction sweep
+/// synthesizes every acknowledgment the dead node can no longer deliver,
+/// NACKs its queued requests, and hands its locks onward. Cache-bound
+/// traffic is fenced by its *destination*: a dead node receives nothing,
+/// and a recovered one receives nothing addressed to its previous life.
+fn fenced_endpoint(src: NodeId, dst: NodeId, kind: MsgKind) -> NodeId {
+    if is_home_bound(kind) {
+        src
+    } else {
+        dst
+    }
+}
+
 /// The three phases of a node-fault window, in application order for
 /// same-cycle ties.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -235,7 +256,7 @@ pub struct Machine {
     /// Recycled buffer for directory transaction records: taken before each
     /// `Directory::handle_into` call and returned after its actions are
     /// dispatched, so steady-state home processing never allocates.
-    action_pool: Vec<dirext_core::dir::DirAction>,
+    action_pool: Vec<DirAction>,
     /// Cache-side transition-trace ring (the directory side records into
     /// each home's own ring); disabled unless `cfg.trace_capacity > 0`.
     pub(crate) ctrace: TraceRing,
@@ -359,11 +380,11 @@ impl Machine {
         *c
     }
 
-    /// Sends `msg` from its source node at time `t` (plus local bus
-    /// occupancy), scheduling the delivery event(s). Under fault injection
-    /// a message may be delivered late (jitter, retransmission), twice
-    /// (duplication) or never (loss after the retransmission budget) — the
-    /// watchdog catches the latter.
+    /// Sends a `kind` message about `block` from `src` to `dst` at time
+    /// `t` (plus local bus occupancy), scheduling the delivery event(s).
+    /// Under fault injection a message may be delivered late (jitter,
+    /// retransmission), twice (duplication) or never (loss after the
+    /// retransmission budget) — the watchdog catches the latter.
     ///
     /// Duplicates are delivered to the protocol only for synchronization
     /// messages, which are sequence-tagged and replay-tolerant by design.
@@ -371,14 +392,27 @@ impl Machine {
     /// style machines, whose directory protocols ride reliable sequenced
     /// virtual channels): their duplicates occupy the wire but are absorbed
     /// by the receiving interface's link-layer sequence check.
-    pub(crate) fn send_msg(&mut self, t: Time, mut msg: Msg) {
-        // Stamp both endpoints' incarnation epochs (sender high half,
-        // receiver low half). The delivery fence compares these against the
-        // then-current epochs to recognize mail from a previous life.
-        msg.epoch =
-            (u32::from(self.epoch[msg.src.idx()]) << 16) | u32::from(self.epoch[msg.dst.idx()]);
+    pub(crate) fn send(
+        &mut self,
+        t: Time,
+        src: NodeId,
+        dst: NodeId,
+        block: BlockAddr,
+        kind: MsgKind,
+        version: u64,
+    ) {
+        // Stamp the incarnation epoch of the endpoint the delivery fence
+        // checks, so it recognizes mail from (or to) a previous life.
+        let msg = Msg {
+            src,
+            dst,
+            block,
+            kind,
+            version,
+            epoch: self.epoch[fenced_endpoint(src, dst, kind).idx()],
+        };
         let bus = self.cfg.bus_time();
-        let start = self.nodes.bus_res[msg.src.idx()].acquire(t, bus);
+        let start = self.nodes.bus_res[src.idx()].acquire(t, bus);
         let deliveries = self.net.send_all(start + bus, msg.envelope());
         if let Some(arrival) = deliveries.primary {
             self.queue.push(arrival, Ev::Deliver(msg));
@@ -428,17 +462,6 @@ impl Machine {
         }
         v.sort_by_key(|r| r.time);
         v
-    }
-
-    /// Transition records dropped because a ring overflowed (0 with ample
-    /// capacity; conformance still holds for everything retained).
-    pub fn trace_overwritten(&self) -> u64 {
-        self.ctrace.overwritten()
-            + self
-                .homes
-                .iter()
-                .map(|h| h.dir.trace().overwritten())
-                .sum::<u64>()
     }
 
     /// The transition-table layers enabled by this machine's protocol
@@ -568,7 +591,8 @@ impl Machine {
                     }
                 }
                 Ev::Deliver(msg) => {
-                    if !self.fence_msg(&msg) {
+                    let endpoint = fenced_endpoint(msg.src, msg.dst, msg.kind);
+                    if !self.fence_node_ev(endpoint.idx(), msg.epoch) {
                         if is_home_bound(msg.kind) {
                             self.home_deliver(msg, t);
                         } else {
@@ -578,9 +602,9 @@ impl Machine {
                 }
                 Ev::Retry(msg) => {
                     let i = msg.src.idx();
-                    if !self.fence_node_ev(i, (msg.epoch >> 16) as u16) {
+                    if !self.fence_node_ev(i, msg.epoch) {
                         self.retry_inflight[i].remove(msg.block);
-                        self.send_msg(t, msg);
+                        self.send(t, msg.src, msg.dst, msg.block, msg.kind, msg.version);
                     }
                 }
                 Ev::Watchdog => {
@@ -600,49 +624,16 @@ impl Machine {
         }
     }
 
-    /// Fences a node-local event (step chain, buffer drain, retry) against
-    /// the node's liveness and incarnation epoch. Returns `true` when the
-    /// event belongs to a dead or previous incarnation and must be dropped.
+    /// Fences an event stamped with node `i`'s epoch `e` (step chain,
+    /// buffer drain, retry, or a delivery through [`fenced_endpoint`])
+    /// against the node's liveness and incarnation epoch. Returns `true`
+    /// when the event belongs to a dead or previous incarnation and must
+    /// be dropped.
     fn fence_node_ev(&mut self, i: usize, e: u16) -> bool {
         if !self.alive[i] {
             self.crash_drops += 1;
             true
         } else if e != self.epoch[i] {
-            self.stale_epoch_drops += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The crash fence applied to every delivery; returns `true` when the
-    /// message must be dropped.
-    ///
-    /// The home half of a node (memory, directory, lock and barrier
-    /// controllers) survives its processor's crash, so home-bound traffic
-    /// is fenced by its *source* under fail-stop semantics: everything a
-    /// dead or previous incarnation put on the wire is lost. No pending
-    /// directory operation relies on in-flight luck — the reconstruction
-    /// sweep synthesizes every acknowledgment the dead node can no longer
-    /// deliver, NACKs its queued requests, and hands its locks onward.
-    /// Cache-bound traffic is fenced by its *destination*: a dead node
-    /// receives nothing, and a recovered one receives nothing addressed to
-    /// its previous life.
-    fn fence_msg(&mut self, msg: &Msg) -> bool {
-        let endpoint = if is_home_bound(msg.kind) {
-            msg.src.idx()
-        } else {
-            msg.dst.idx()
-        };
-        let stamped = if is_home_bound(msg.kind) {
-            (msg.epoch >> 16) as u16
-        } else {
-            (msg.epoch & 0xffff) as u16
-        };
-        if !self.alive[endpoint] {
-            self.crash_drops += 1;
-            true
-        } else if stamped != self.epoch[endpoint] {
             self.stale_epoch_drops += 1;
             true
         } else {
@@ -659,44 +650,26 @@ impl Machine {
         match msg.kind {
             MsgKind::AcqReq => {
                 if self.homes[h].locks.acquire(msg.src, msg.block, msg.version) {
-                    self.reply_from_home(
-                        t,
-                        msg.dst,
-                        msg.src,
-                        msg.block,
-                        MsgKind::AcqGrant,
-                        msg.version,
-                    );
+                    let grant = MsgKind::AcqGrant;
+                    self.send(t, msg.dst, msg.src, msg.block, grant, msg.version);
                 }
             }
             MsgKind::RelReq => {
                 let next = self.homes[h].locks.release(msg.src, msg.block, msg.version);
                 if let Some((next, seq)) = next {
-                    self.reply_from_home(t, msg.dst, next, msg.block, MsgKind::AcqGrant, seq);
+                    self.send(t, msg.dst, next, msg.block, MsgKind::AcqGrant, seq);
                 }
                 if self.cfg.protocol.consistency == Consistency::Sc {
-                    self.reply_from_home(
-                        t,
-                        msg.dst,
-                        msg.src,
-                        msg.block,
-                        MsgKind::RelAck,
-                        msg.version,
-                    );
+                    let ack = MsgKind::RelAck;
+                    self.send(t, msg.dst, msg.src, msg.block, ack, msg.version);
                 }
             }
             MsgKind::BarArrive { id } => {
                 if self.homes[h].barriers.arrive(msg.src, id) {
                     self.barrier_log.push(now);
                     for i in 0..self.cfg.procs {
-                        self.reply_from_home(
-                            t,
-                            msg.dst,
-                            NodeId(i as u16),
-                            msg.block,
-                            MsgKind::BarRelease { id },
-                            0,
-                        );
+                        let release = MsgKind::BarRelease { id };
+                        self.send(t, msg.dst, NodeId(i as u16), msg.block, release, 0);
                     }
                 }
             }
@@ -705,9 +678,9 @@ impl Machine {
                 if kind.carries_block() || matches!(kind, MsgKind::UpdateReq { .. }) {
                     self.homes[h].merge_version(msg.block, msg.version);
                 }
-                // Reuse the pooled transaction buffer; `send_msg` below
-                // needs `&mut self`, so the buffer is taken out for the
-                // duration of the dispatch and returned afterwards.
+                // Reuse the pooled transaction buffer; `send_from_home`
+                // below needs `&mut self`, so the buffer is taken out for
+                // the duration of the dispatch and returned afterwards.
                 let mut actions = std::mem::take(&mut self.action_pool);
                 actions.clear();
                 self.homes[h].dir.set_trace_now(now.cycles());
@@ -720,48 +693,25 @@ impl Machine {
                     return;
                 }
                 for act in actions.drain(..) {
-                    let carries_payload =
-                        act.kind.carries_block() || matches!(act.kind, MsgKind::Update { .. });
-                    let version = if carries_payload {
-                        self.homes[h].version_of(msg.block)
-                    } else {
-                        0
-                    };
-                    let out = Msg {
-                        src: msg.dst,
-                        dst: act.dst,
-                        block: msg.block,
-                        kind: act.kind,
-                        version,
-                        epoch: 0,
-                    };
-                    self.send_msg(t, out);
+                    self.send_from_home(h, t, msg.block, act);
                 }
                 self.action_pool = actions;
             }
         }
     }
 
-    fn reply_from_home(
-        &mut self,
-        t: Time,
-        home: NodeId,
-        dst: NodeId,
-        block: BlockAddr,
-        kind: MsgKind,
-        version: u64,
-    ) {
-        self.send_msg(
-            t,
-            Msg {
-                src: home,
-                dst,
-                block,
-                kind,
-                version,
-                epoch: 0,
-            },
-        );
+    /// Sends one directory action of home `h` about `block`. Data and
+    /// update messages carry the home's memory version of the block;
+    /// control messages carry 0.
+    fn send_from_home(&mut self, h: usize, t: Time, block: BlockAddr, act: DirAction) {
+        let carries_payload =
+            act.kind.carries_block() || matches!(act.kind, MsgKind::Update { .. });
+        let version = if carries_payload {
+            self.homes[h].version_of(block)
+        } else {
+            0
+        };
+        self.send(t, NodeId(h as u16), act.dst, block, act.kind, version);
     }
 
     // -------------------------------------------------------- node faults
@@ -821,12 +771,7 @@ impl Machine {
         }
         if self.ctrace.enabled() {
             for &(b, state) in &resident {
-                let from = match state {
-                    CacheState::Shared => CacheTag::Shared,
-                    CacheState::Dirty => CacheTag::Dirty,
-                    CacheState::MigClean => CacheTag::MigClean,
-                };
-                self.trace_cache_transition(n, b, from, TraceInput::Crash, t);
+                self.trace_cache_transition(n, b, state.into(), TraceInput::Crash, t);
             }
         }
         while self.nodes.flwb[i].pop().is_some() {}
@@ -866,33 +811,16 @@ impl Machine {
         let home = NodeId(h as u16);
         self.homes[h].dir.set_trace_now(now.cycles());
         self.homes[h].dir.set_node_dead(n, true);
-        let mut out: Vec<(BlockAddr, dirext_core::dir::DirAction)> = Vec::new();
+        let mut out: Vec<(BlockAddr, DirAction)> = Vec::new();
         if let Err(e) = self.homes[h].dir.purge_node(n, &mut out) {
             self.fatal = Some(SimError::Protocol(e));
             return;
         }
         for (block, act) in out {
-            let carries_payload =
-                act.kind.carries_block() || matches!(act.kind, MsgKind::Update { .. });
-            let version = if carries_payload {
-                self.homes[h].version_of(block)
-            } else {
-                0
-            };
-            self.send_msg(
-                t,
-                Msg {
-                    src: home,
-                    dst: act.dst,
-                    block,
-                    kind: act.kind,
-                    version,
-                    epoch: 0,
-                },
-            );
+            self.send_from_home(h, t, block, act);
         }
         for (lock, next, seq) in self.homes[h].locks.purge_node(n) {
-            self.reply_from_home(t, home, next, lock, MsgKind::AcqGrant, seq);
+            self.send(t, home, next, lock, MsgKind::AcqGrant, seq);
         }
     }
 

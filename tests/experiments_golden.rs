@@ -1,7 +1,8 @@
 //! Differential safety net for protocol-core refactors: the rendered
-//! Figure 2 / Table 2 / Table 3 artifacts (all 8 protocol configurations,
-//! `Scale::Tiny`) must stay bit-identical to the goldens captured from the
-//! pre-refactor controllers. Two 1024-node cells pin the schedules of the
+//! artifacts of the paper's sweeps (Figures 2-4, Tables 2-3, both §5.4
+//! sensitivity sweeps, miss latency, topology and MP3D scaling, all at
+//! `Scale::Tiny`) must stay bit-identical to the goldens captured before
+//! the refactor. Two 1024-node cells pin the schedules of the
 //! broadcast-heavy directory organizations on the hierarchical mesh.
 //!
 //! Regenerate the goldens with `DIREXT_BLESS=1 cargo test --test
@@ -13,7 +14,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use dirext_sim::core::{Consistency, DirOrg, ProtocolKind};
-use dirext_sim::experiments::{self, SweepOpts};
+use dirext_sim::experiments::{self, Constraint, SweepOpts};
 use dirext_sim::trace::Workload;
 use dirext_sim::{Machine, MachineConfig, NetworkKind};
 use dirext_workloads::{App, Scale};
@@ -62,6 +63,60 @@ fn table2_bit_identical_to_pre_refactor() {
 fn table3_bit_identical_to_pre_refactor() {
     let t = experiments::table3(&tiny_suite(), &SweepOpts::default()).unwrap();
     check("table3_tiny.txt", t.to_string());
+}
+
+#[test]
+fn fig3_bit_identical_to_parent() {
+    let fig = experiments::fig3(&tiny_suite(), &SweepOpts::default()).unwrap();
+    check("fig3_tiny.txt", fig.to_string());
+}
+
+#[test]
+fn fig4_bit_identical_to_parent() {
+    let fig = experiments::fig4(&tiny_suite(), &SweepOpts::default()).unwrap();
+    check("fig4_tiny.txt", fig.to_string());
+}
+
+#[test]
+fn sens_buffers_bit_identical_to_parent() {
+    let s = experiments::sensitivity(
+        &tiny_suite(),
+        Constraint::SmallBuffers,
+        &SweepOpts::default(),
+    )
+    .unwrap();
+    check("sens_buffers_tiny.txt", s.to_string());
+}
+
+#[test]
+fn sens_cache_bit_identical_to_parent() {
+    let s = experiments::sensitivity(&tiny_suite(), Constraint::SmallSlc, &SweepOpts::default())
+        .unwrap();
+    check("sens_cache_tiny.txt", s.to_string());
+}
+
+#[test]
+fn miss_latency_bit_identical_to_parent() {
+    let l = experiments::miss_latency(&tiny_suite(), &SweepOpts::default()).unwrap();
+    check("miss_latency_tiny.txt", l.to_string());
+}
+
+#[test]
+fn topology_bit_identical_to_parent() {
+    let t = experiments::topology(&tiny_suite(), &SweepOpts::default()).unwrap();
+    check("topology_tiny.txt", t.to_string());
+}
+
+#[test]
+fn scaling_bit_identical_to_parent() {
+    // MP3D, the CLI's default `scaling` app.
+    let s = experiments::scaling(
+        App::Mp3d.name(),
+        |procs| App::Mp3d.workload(procs, Scale::Tiny),
+        &SweepOpts::default(),
+    )
+    .unwrap();
+    check("scaling_tiny.txt", s.to_string());
 }
 
 #[test]
