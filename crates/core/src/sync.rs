@@ -399,7 +399,7 @@ mod tests {
         assert!(!locks.acquire(n(2), l(1), 1));
         assert!(locks.acquire(n(0), l(2), 1)); // held, nobody queued
         assert!(locks.acquire(n(3), l(3), 1)); // unrelated lock
-        // Node 0 crashes: lock 1 goes to node 1, lock 2 frees, lock 3 stays.
+                                               // Node 0 crashes: lock 1 goes to node 1, lock 2 frees, lock 3 stays.
         let grants = locks.purge_node(n(0));
         assert_eq!(grants, vec![(l(1), n(1), 1)]);
         assert_eq!(locks.holder(l(1)), Some((n(1), 1)));

@@ -569,8 +569,8 @@ mod tests {
         // Same cluster: purely local mesh hops.
         let near = hier.send(t(0), env(0, 15, 40));
         assert_eq!(near, t(17)); // 6 hops * 2 + 5 flits, as on the flat 4x4
-        // Node 0 is cluster 0's gateway: no ascent, 14 express hops
-        // (corner to corner of the 8x8 grid), 6-hop descent.
+                                 // Node 0 is cluster 0's gateway: no ascent, 14 express hops
+                                 // (corner to corner of the 8x8 grid), 6-hop descent.
         let gw = hier.send(t(0), env(0, 1023, 40));
         assert_eq!(gw, t(14 * 4 + 6 * 2 + 5));
         // Opposite corners of the machine (fresh network, so the gateway
@@ -597,7 +597,10 @@ mod tests {
         let mut b = HierMeshNetwork::new(256, 32);
         for i in 0..200u16 {
             let (s, d) = (i % 256, (i * 37 + 11) % 256);
-            assert_eq!(a.send(t(i as u64), env(s, d, 40)), b.send(t(i as u64), env(s, d, 40)));
+            assert_eq!(
+                a.send(t(i as u64), env(s, d, 40)),
+                b.send(t(i as u64), env(s, d, 40))
+            );
         }
     }
 

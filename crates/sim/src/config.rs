@@ -4,7 +4,9 @@ use dirext_core::config::{Consistency, ProtocolConfig};
 use dirext_core::sharer::DirOrg;
 use dirext_kernel::Time;
 use dirext_memsys::Timing;
-use dirext_network::{FaultPlan, HierMeshNetwork, MeshNetwork, Network, RingNetwork, UniformNetwork};
+use dirext_network::{
+    FaultPlan, HierMeshNetwork, MeshNetwork, Network, RingNetwork, UniformNetwork,
+};
 
 use crate::nodefault::NodeFaultPlan;
 

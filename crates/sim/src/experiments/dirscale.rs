@@ -83,11 +83,7 @@ impl DirscaleRow {
     /// `(overflows, broadcasts, recalls)`.
     pub fn dir_activity(&self) -> (u64, u64, u64) {
         self.metrics.iter().fold((0, 0, 0), |(o, b, r), m| {
-            (
-                o + m.dir_overflows,
-                b + m.dir_broadcasts,
-                r + m.dir_recalls,
-            )
+            (o + m.dir_overflows, b + m.dir_broadcasts, r + m.dir_recalls)
         })
     }
 }

@@ -246,7 +246,8 @@ fn check_header(text: &str) -> HeaderCheck {
         // A SIGKILL during `create` can leave a prefix of the header with
         // no newline; no record can follow it, so starting over is safe.
         Some(first)
-            if (HEADER_V2.starts_with(first.trim_end()) || HEADER.starts_with(first.trim_end()))
+            if (HEADER_V2.starts_with(first.trim_end())
+                || HEADER.starts_with(first.trim_end()))
                 && lines.next().is_none()
                 && !text.ends_with('\n') =>
         {

@@ -3,7 +3,9 @@
 use dirext_core::config::{CompetitiveConfig, Consistency, ProtocolConfig};
 use dirext_core::sharer::DirOrg;
 use dirext_core::ProtocolKind;
-use dirext_trace::{Addr, BarrierId, MemEvent, NodeId, Program, ProgramBuilder, Workload, BLOCK_BYTES};
+use dirext_trace::{
+    Addr, BarrierId, MemEvent, NodeId, Program, ProgramBuilder, Workload, BLOCK_BYTES,
+};
 
 use crate::{
     FaultPlan, Machine, MachineConfig, NetworkKind, NodeFaultEvent, NodeFaultPlan, SimError,
@@ -754,10 +756,7 @@ fn empty_node_fault_plan_is_identical_to_no_plan() {
     ];
     for kind in ProtocolKind::ALL {
         for org in orgs {
-            let base = run(
-                uni(kind, Consistency::Rc, 4).with_dir_org(org),
-                &w,
-            );
+            let base = run(uni(kind, Consistency::Rc, 4).with_dir_org(org), &w);
             let empty = run(
                 uni(kind, Consistency::Rc, 4)
                     .with_dir_org(org)
@@ -774,8 +773,7 @@ fn empty_node_fault_plan_is_identical_to_no_plan() {
 fn node_faults_are_deterministic_across_runs() {
     let w = producer_consumer(8, 200);
     let cfg = || {
-        uni(ProtocolKind::PCwM, Consistency::Rc, 8)
-            .with_node_faults(NodeFaultPlan::seeded(9, 8, 3))
+        uni(ProtocolKind::PCwM, Consistency::Rc, 8).with_node_faults(NodeFaultPlan::seeded(9, 8, 3))
     };
     let a = run(cfg(), &w);
     let b = run(cfg(), &w);
@@ -820,10 +818,8 @@ fn invalid_node_fault_plan_is_a_config_error() {
         }],
         detect_delay: 500,
     };
-    let err = Machine::new(
-        uni(ProtocolKind::Basic, Consistency::Rc, 4).with_node_faults(plan),
-    )
-    .run(&stream_workload(4, 4, false));
+    let err = Machine::new(uni(ProtocolKind::Basic, Consistency::Rc, 4).with_node_faults(plan))
+        .run(&stream_workload(4, 4, false));
     match err.unwrap_err() {
         SimError::Config { detail } => {
             assert!(detail.contains("node-fault plan"), "{detail}");

@@ -217,8 +217,8 @@ fn wide_sharing(procs: usize) -> Workload {
 fn overflow_counters_attribute_the_mechanism() {
     let w = wide_sharing(8);
     let run = |org: DirOrg| {
-        let cfg = MachineConfig::new(8, ProtocolKind::Basic.config(Consistency::Rc))
-            .with_dir_org(org);
+        let cfg =
+            MachineConfig::new(8, ProtocolKind::Basic.config(Consistency::Rc)).with_dir_org(org);
         Machine::new(cfg).run(&w).expect("wide-sharing run")
     };
 
