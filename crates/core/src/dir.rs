@@ -164,8 +164,6 @@ impl DirEntry {
 /// homed at one node; the machine sums them over nodes).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DirStats {
-    /// Read requests serviced (demand + prefetch).
-    pub read_reqs: u64,
     /// Ownership requests serviced.
     pub own_reqs: u64,
     /// Update requests serviced.
@@ -746,7 +744,6 @@ impl DirCtrl {
     }
 
     fn read_req(&mut self, src: NodeId, block: BlockAddr, actions: &mut Vec<DirAction>) {
-        self.stats.read_reqs += 1;
         let state = self.entry(block).state;
         match state {
             DirState::Clean => {

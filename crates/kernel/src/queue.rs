@@ -49,10 +49,10 @@ const KEEP_CAPACITY: usize = 64;
 /// slot and re-places that slot's events one level or more down. Because a
 /// cycle's events always share one slot, and a slot is only ever appended
 /// to or cascaded whole, same-cycle events keep their push order without
-/// any sorting. Events behind the cursor or beyond the wheel's 2^32-cycle
-/// span go to a binary heap; a global push sequence number orders them
-/// against wheel events of the same cycle, so placement is invisible to
-/// callers.
+/// any sorting or sequence numbers. Events behind the cursor or beyond the
+/// wheel's 2^32-cycle span go to a binary heap, ordered by time and then by
+/// a push counter of its own, and `pop` breaks a same-cycle tie between the
+/// tiers in push order, so placement is invisible to callers.
 ///
 /// # Example
 ///
@@ -68,9 +68,9 @@ const KEEP_CAPACITY: usize = 64;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Level 0: slot `c & 255` holds the `(seq, event)`s of cycle `c` of the
+    /// Level 0: slot `c & 255` holds the events of cycle `c` of the
     /// cursor's 256-cycle block, in push order. Slots keep their capacity.
-    near: Vec<VecDeque<(u64, E)>>,
+    near: Vec<VecDeque<E>>,
     /// Levels 1..LEVELS: slot `s` of level `k` is `far[(k - 1) * SLOTS + s]`.
     /// Its entries are in push order but not in time order. A cascade frees
     /// any buffer larger than `KEEP_CAPACITY` entries, so a broadcast burst
@@ -88,6 +88,7 @@ pub struct EventQueue<E> {
     cursor: u64,
     /// Events behind the cursor or beyond the wheel's span.
     heap: BinaryHeap<Reverse<Entry<E>>>,
+    /// Pushes into `heap` so far: its same-cycle FIFO tie-break.
     seq: u64,
     /// Memoized [`EventQueue::peek_time`] result: `None` means stale
     /// (recompute on next peek), `Some(t)` is the known current minimum
@@ -104,9 +105,11 @@ struct FarSlot<E> {
     /// Earliest cycle among `entries` (`u64::MAX` when empty), so peeking
     /// never scans or cascades a slot.
     min: u64,
-    entries: Vec<Entry<E>>,
+    /// `(cycle, event)` in push order.
+    entries: Vec<(u64, E)>,
 }
 
+/// A heap event, ordered by time and then push order.
 #[derive(Debug)]
 struct Entry<E> {
     time: Time,
@@ -169,17 +172,16 @@ impl<E> EventQueue<E> {
                 self.peeked = Some(Some(at));
             }
         }
-        let seq = self.seq;
-        self.seq += 1;
         let c = at.cycles();
         if c < self.cursor || (c ^ self.cursor) >> WHEEL_BITS != 0 {
             self.heap.push(Reverse(Entry {
                 time: at,
-                seq,
+                seq: self.seq,
                 event,
             }));
+            self.seq += 1;
         } else {
-            self.place(c, seq, event);
+            self.place(c, event);
             self.wheel_len += 1;
         }
     }
@@ -188,27 +190,18 @@ impl<E> EventQueue<E> {
     /// wheel's span) at the level of the highest digit in which `c` differs
     /// from the cursor.
     #[inline]
-    fn place(&mut self, c: u64, seq: u64, event: E) {
+    fn place(&mut self, c: u64, event: E) {
         let diff = c ^ self.cursor;
         if diff <= SLOT_MASK {
             let slot = (c & SLOT_MASK) as usize;
-            let bucket = &mut self.near[slot];
-            debug_assert!(
-                bucket.back().is_none_or(|&(s, _)| s < seq),
-                "bucket seq order violated"
-            );
-            bucket.push_back((seq, event));
+            self.near[slot].push_back(event);
             self.occ[0][slot / 64] |= 1 << (slot % 64);
         } else {
             let level = (63 - diff.leading_zeros()) / SLOT_BITS;
             let slot = ((c >> (level * SLOT_BITS)) & SLOT_MASK) as usize;
             let far = &mut self.far[(level as usize - 1) * SLOTS + slot];
             far.min = far.min.min(c);
-            far.entries.push(Entry {
-                time: Time::from_cycles(c),
-                seq,
-                event,
-            });
+            far.entries.push((c, event));
             self.occ[level as usize][slot / 64] |= 1 << (slot % 64);
         }
     }
@@ -257,8 +250,8 @@ impl<E> EventQueue<E> {
         let mut entries = std::mem::take(&mut far.entries);
         let above = SLOT_BITS * (level as u32 + 1);
         self.cursor = (self.cursor >> above << above) | ((slot as u64) << (above - SLOT_BITS));
-        for e in entries.drain(..) {
-            self.place(e.time.cycles(), e.seq, e.event);
+        for (c, event) in entries.drain(..) {
+            self.place(c, event);
         }
         // Every fill of a small slot would otherwise reallocate its way up
         // again; a broadcast's large buffer is freed instead of pinned.
@@ -280,23 +273,25 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, or `None` if empty.
     ///
-    /// When the wheel and the heap both hold events for the same cycle
-    /// (possible when an event was pushed beyond the wheel's span and the
-    /// cursor has since caught up with it), the global sequence number
-    /// decides, preserving cross-tier FIFO.
+    /// When the wheel and the heap both hold events for the same cycle, the
+    /// heap's pop first, which is push order. A heap event shares a cycle
+    /// with a wheel event only if it was pushed while that cycle lay beyond
+    /// the wheel's span, so before any wheel event of that cycle; an event
+    /// pushed behind the cursor precedes every wheel event in time.
     pub fn pop(&mut self) -> Option<(Time, E)> {
         self.peeked = None;
         loop {
             if let Some(slot) = Self::lowest_slot(&self.occ[0]) {
                 let c = (self.cursor & !SLOT_MASK) | slot as u64;
-                let bucket = &mut self.near[slot];
-                if let Some(Reverse(top)) = self.heap.peek() {
-                    let front = bucket.front().expect("occupied slot").0;
-                    if (top.time.cycles(), top.seq) < (c, front) {
-                        return self.pop_heap();
-                    }
+                if self
+                    .heap
+                    .peek()
+                    .is_some_and(|Reverse(top)| top.time.cycles() <= c)
+                {
+                    return self.pop_heap();
                 }
-                let (_, event) = bucket.pop_front().expect("occupied slot");
+                let bucket = &mut self.near[slot];
+                let event = bucket.pop_front().expect("occupied slot");
                 if bucket.is_empty() {
                     self.occ[0][slot / 64] &= !(1 << (slot % 64));
                 }
@@ -311,7 +306,7 @@ impl<E> EventQueue<E> {
             if self
                 .heap
                 .peek()
-                .is_some_and(|Reverse(top)| top.time.cycles() < self.far[i].min)
+                .is_some_and(|Reverse(top)| top.time.cycles() <= self.far[i].min)
             {
                 return self.pop_heap();
             }

@@ -2,14 +2,14 @@
 
 use crate::{Envelope, TrafficClass};
 
-/// Accumulated network traffic: message and byte counts, total and per
-/// [`TrafficClass`]. Local (same-node) messages are never recorded.
+/// Accumulated network traffic: the total message count, and byte counts
+/// total and per [`TrafficClass`]. Local (same-node) messages are never
+/// recorded.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrafficStats {
     msgs: u64,
     bytes: u64,
     class_bytes: [u64; 4],
-    class_msgs: [u64; 4],
 }
 
 impl TrafficStats {
@@ -24,7 +24,6 @@ impl TrafficStats {
         self.msgs += 1;
         self.bytes += u64::from(env.bytes);
         self.class_bytes[env.class.idx()] += u64::from(env.bytes);
-        self.class_msgs[env.class.idx()] += 1;
     }
 
     /// Total messages sent over the network.
@@ -40,11 +39,6 @@ impl TrafficStats {
     /// Bytes sent in a given class.
     pub fn bytes_in(&self, class: TrafficClass) -> u64 {
         self.class_bytes[class.idx()]
-    }
-
-    /// Messages sent in a given class.
-    pub fn msgs_in(&self, class: TrafficClass) -> u64 {
-        self.class_msgs[class.idx()]
     }
 }
 
@@ -67,7 +61,6 @@ mod tests {
         assert_eq!(t.msgs(), 3);
         assert_eq!(t.bytes(), 88);
         assert_eq!(t.bytes_in(TrafficClass::Data), 80);
-        assert_eq!(t.msgs_in(TrafficClass::Control), 1);
         assert_eq!(t.bytes_in(TrafficClass::Update), 0);
     }
 }

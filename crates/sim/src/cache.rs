@@ -673,7 +673,6 @@ impl Machine {
                 line.touch_write(preset);
                 line.version = v;
                 line.state = CacheState::Dirty;
-                self.mig_silent_writes += 1;
                 self.trace_cache_transition(
                     nid,
                     block,
@@ -985,7 +984,6 @@ impl Machine {
                         // Hardware read-exclusive prefetching: the pending
                         // write completes silently on the exclusive copy.
                         state = CacheState::Dirty;
-                        self.mig_silent_writes += 1;
                         self.nodes.pending_writes[i] -= 1;
                     } else {
                         follow_own = Some((uv, upgrade_sc));

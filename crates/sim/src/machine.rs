@@ -227,7 +227,6 @@ pub struct Machine {
     /// check compares cache versions against).
     pub(crate) wcount: BlockMap<u64>,
     pub(crate) classifier: MissClassifier,
-    pub(crate) mig_silent_writes: u64,
     /// Completion time of each barrier episode, in completion order.
     barrier_log: Vec<Time>,
     events: u64,
@@ -334,7 +333,6 @@ impl Machine {
             homes,
             net,
             wcount: BlockMap::new(),
-            mig_silent_writes: 0,
             barrier_log: Vec::new(),
             events: 0,
             trace_events: std::env::var_os("DIREXT_TRACE").is_some(),
@@ -438,13 +436,15 @@ impl Machine {
     /// Like [`Machine::run`], but also returns the recorded transition
     /// trace (time-ordered, cache and directory records merged) and the
     /// enabled table layers, for offline replay. Only meaningful with
-    /// `trace_capacity > 0` — otherwise the trace is empty.
+    /// `trace_capacity > 0` — otherwise the trace is empty. It borrows the
+    /// machine, so [`Machine::trace_overwritten`] stays readable; run a
+    /// machine once.
     ///
     /// # Errors
     ///
     /// As [`Machine::run`].
     pub fn run_traced(
-        mut self,
+        &mut self,
         workload: &Workload,
     ) -> Result<(Metrics, Vec<TransitionRecord>, ExtSet), SimError> {
         let m = self.run_inner(workload)?;
@@ -462,6 +462,13 @@ impl Machine {
         }
         v.sort_by_key(|r| r.time);
         v
+    }
+
+    /// Transitions the rings overwrote because they were full: recorded,
+    /// but missing from [`Machine::transition_trace`], so never checked.
+    pub fn trace_overwritten(&self) -> u64 {
+        let homes = self.homes.iter().map(|h| h.dir.trace().overwritten());
+        self.ctrace.overwritten() + homes.sum::<u64>()
     }
 
     /// The transition-table layers enabled by this machine's protocol
@@ -503,10 +510,10 @@ impl Machine {
                 })
                 .collect();
             ticks.sort_by_key(|&(at, node, op)| (at, node.0, op));
-            // Pushed ahead of every other event, the ticks hold the lowest
-            // sequence numbers of their cycles: a tick applies before any
-            // event of its cycle, and inline retirement (`proc_step`) sees
-            // a pending tick through `peek_time`.
+            // Pushed ahead of every other event, the ticks come first in
+            // push order among the events of their cycles: a tick applies
+            // before any event of its cycle, and inline retirement
+            // (`proc_step`) sees a pending tick through `peek_time`.
             for (at, node, op) in ticks {
                 self.queue.push(Time::from_cycles(at), Ev::Fault(op, node));
             }
