@@ -20,7 +20,7 @@ use dirext_sim::experiments::{self, Constraint, Journal, SweepError, SweepOpts};
 use dirext_sim::Machine;
 use dirext_sim::MachineConfig;
 use dirext_sim::{FaultPlan, NodeFaultEvent, NodeFaultPlan};
-use dirext_trace::Workload;
+use dirext_trace::{Workload, MAX_NODES};
 use dirext_workloads::{App, Scale};
 
 /// Default journal path when `--resume` is given without `--journal`.
@@ -650,9 +650,9 @@ fn parse_args() -> Result<Args, String> {
                 parsed.procs = value("--procs")?
                     .parse()
                     .map_err(|e| format!("bad --procs: {e}"))?;
-                if parsed.procs == 0 || parsed.procs > 1024 {
+                if parsed.procs == 0 || parsed.procs > MAX_NODES {
                     return Err(format!(
-                        "--procs must be between 1 and 1024, got {}",
+                        "--procs must be between 1 and {MAX_NODES}, got {}",
                         parsed.procs
                     ));
                 }

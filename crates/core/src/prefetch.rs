@@ -28,10 +28,6 @@ pub struct PrefetchStats {
     /// Prefetched blocks that were later referenced before invalidation or
     /// replacement.
     pub useful: u64,
-    /// Times the degree K was increased.
-    pub k_increases: u64,
-    /// Times the degree K was decreased.
-    pub k_decreases: u64,
 }
 
 /// The per-cache adaptive sequential prefetch controller.
@@ -109,7 +105,6 @@ impl Prefetcher {
             if self.restart_misses == 0 {
                 if self.restart_sequential >= self.cfg.restart_mark {
                     self.k = 1;
-                    self.stats.k_increases += 1;
                 }
                 self.restart_sequential = 0;
             }
@@ -144,17 +139,9 @@ impl Prefetcher {
         self.arrived = (self.arrived + 1) % 16;
         if self.arrived == 0 {
             if self.useful >= self.cfg.high_mark {
-                let new_k = (self.k * 2).clamp(1, self.cfg.max_k);
-                if new_k > self.k {
-                    self.stats.k_increases += 1;
-                }
-                self.k = new_k;
+                self.k = (self.k * 2).clamp(1, self.cfg.max_k);
             } else if self.useful < self.cfg.low_mark {
-                let new_k = self.k / 2;
-                if new_k < self.k {
-                    self.stats.k_decreases += 1;
-                }
-                self.k = new_k;
+                self.k /= 2;
             }
             self.useful = 0;
         }
@@ -202,7 +189,6 @@ mod tests {
         assert_eq!(p.k(), 1);
         run_window(&mut p, 0);
         assert_eq!(p.k(), 0, "prefetching turns itself off");
-        assert_eq!(p.stats().k_decreases, 3);
     }
 
     #[test]

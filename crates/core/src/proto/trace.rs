@@ -370,11 +370,6 @@ impl TraceRing {
         self.buf.is_empty()
     }
 
-    /// Transitions recorded over the whole run, including overwritten ones.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Records overwritten because the ring was full.
     pub fn overwritten(&self) -> u64 {
         self.total - self.buf.len() as u64
@@ -403,7 +398,7 @@ mod tests {
         assert!(!r.enabled());
         r.push(rec(1));
         assert!(r.is_empty());
-        assert_eq!(r.total(), 0);
+        assert_eq!(r.overwritten(), 0);
     }
 
     #[test]
@@ -413,7 +408,6 @@ mod tests {
             r.push(rec(t));
         }
         assert_eq!(r.len(), 3);
-        assert_eq!(r.total(), 5);
         assert_eq!(r.overwritten(), 2);
         let times: Vec<u64> = r.iter().map(|x| x.time).collect();
         assert_eq!(times, vec![2, 3, 4]);

@@ -36,9 +36,9 @@ use std::fmt;
 
 use dirext_trace::NodeId;
 
-/// The hard machine-size ceiling across all organizations (node ids are
-/// 16-bit; awaiting-acknowledgment masks are sized for this many nodes).
-pub const MAX_NODES: usize = 1024;
+/// The hard machine-size ceiling across all organizations
+/// (awaiting-acknowledgment masks are sized for this many nodes).
+pub use dirext_trace::MAX_NODES;
 
 /// Maximum pointers a limited-pointer directory entry can hold.
 pub const MAX_PTRS: usize = 8;

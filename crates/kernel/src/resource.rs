@@ -53,11 +53,6 @@ impl Resource {
     pub fn free_at(&self) -> Time {
         self.busy_until
     }
-
-    /// Whether the resource is idle at `now`.
-    pub fn is_idle(&self, now: Time) -> bool {
-        self.busy_until <= now
-    }
 }
 
 #[cfg(test)]
@@ -71,11 +66,9 @@ mod tests {
     #[test]
     fn idle_resource_starts_immediately() {
         let mut r = Resource::new();
-        assert!(r.is_idle(t(0)));
+        assert_eq!(r.free_at(), t(0));
         assert_eq!(r.acquire(t(5), t(10)), t(5));
         assert_eq!(r.free_at(), t(15));
-        assert!(!r.is_idle(t(10)));
-        assert!(r.is_idle(t(15)));
     }
 
     #[test]

@@ -43,8 +43,6 @@ impl WcEntry {
 #[derive(Debug, Clone)]
 pub struct WriteCache {
     entries: Vec<Option<WcEntry>>,
-    combined_writes: u64,
-    allocations: u64,
 }
 
 impl WriteCache {
@@ -57,8 +55,6 @@ impl WriteCache {
         assert!(blocks > 0, "write cache needs at least one block");
         WriteCache {
             entries: vec![None; blocks],
-            combined_writes: 0,
-            allocations: 0,
         }
     }
 
@@ -78,7 +74,6 @@ impl WriteCache {
         match self.entries[set] {
             Some(ref mut e) if e.block == block => {
                 e.dirty_mask |= word_bit;
-                self.combined_writes += 1;
                 None
             }
             other => {
@@ -86,7 +81,6 @@ impl WriteCache {
                     block,
                     dirty_mask: word_bit,
                 });
-                self.allocations += 1;
                 other
             }
         }
@@ -131,16 +125,6 @@ impl WriteCache {
     pub fn is_empty(&self) -> bool {
         self.entries.iter().all(Option::is_none)
     }
-
-    /// Writes that combined into an existing entry (traffic saved).
-    pub fn combined_writes(&self) -> u64 {
-        self.combined_writes
-    }
-
-    /// Entry allocations (each eventually costs one update message).
-    pub fn allocations(&self) -> u64 {
-        self.allocations
-    }
 }
 
 #[cfg(test)]
@@ -157,8 +141,15 @@ mod tests {
         let e = wc.probe(BlockAddr::from_index(0)).unwrap();
         assert_eq!(e.dirty_mask, 0b0000_0101);
         assert_eq!(e.dirty_words(), 2);
-        assert_eq!(wc.combined_writes(), 2);
-        assert_eq!(wc.allocations(), 1);
+        // Three writes leave one entry to flush, carrying both words.
+        let flushed = wc.flush_all();
+        assert_eq!(
+            flushed,
+            [WcEntry {
+                block: BlockAddr::from_index(0),
+                dirty_mask: 0b0000_0101,
+            }]
+        );
     }
 
     #[test]

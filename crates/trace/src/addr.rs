@@ -13,6 +13,10 @@ pub const PAGE_BYTES: u64 = 4096;
 
 /// A byte address in the shared address space.
 ///
+/// Stored as a `u32` byte offset, so the shared space spans 4 GiB, far
+/// past any layout the generators build. That keeps a [`crate::MemEvent`]
+/// at 8 bytes, and programs are most of what a sweep holds in memory.
+///
 /// # Example
 ///
 /// ```
@@ -21,45 +25,72 @@ pub const PAGE_BYTES: u64 = 4096;
 /// let a = Addr::new(100);
 /// assert_eq!(a.block().index(), 100 / BLOCK_BYTES);
 /// assert_eq!(a.word_in_block(), (100 % BLOCK_BYTES) / 4);
+/// assert_eq!(Addr::try_new(1 << 32), None); // past the 4 GiB space
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Addr(u64);
+pub struct Addr(u32);
+
+// Every program event carries one address.
+const _: () = assert!(size_of::<Addr>() == 4);
 
 impl Addr {
     /// Creates an address from a raw byte offset.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `byte` lies past the 4 GiB shared address space. Callers
+    /// holding outside input use [`Addr::try_new`] instead.
     #[inline]
     pub const fn new(byte: u64) -> Self {
-        Addr(byte)
+        match Addr::try_new(byte) {
+            Some(a) => a,
+            None => panic!("address lies past the 4 GiB shared address space"),
+        }
+    }
+
+    /// Creates an address from a raw byte offset, or `None` if `byte` lies
+    /// past the 4 GiB shared address space.
+    #[inline]
+    pub const fn try_new(byte: u64) -> Option<Self> {
+        if byte <= u32::MAX as u64 {
+            Some(Addr(byte as u32))
+        } else {
+            None
+        }
     }
 
     /// The raw byte offset.
     #[inline]
     pub const fn byte(self) -> u64 {
-        self.0
+        self.0 as u64
     }
 
     /// The cache block containing this address.
     #[inline]
     pub const fn block(self) -> BlockAddr {
-        BlockAddr::from_index(self.0 / BLOCK_BYTES)
+        BlockAddr(self.0 / BLOCK_BYTES as u32)
     }
 
     /// The page containing this address.
     #[inline]
     pub const fn page(self) -> PageId {
-        PageId(self.0 / PAGE_BYTES)
+        PageId(self.byte() / PAGE_BYTES)
     }
 
     /// Index of the word this address falls in within its block (0..8).
     #[inline]
     pub const fn word_in_block(self) -> u64 {
-        (self.0 % BLOCK_BYTES) / WORD_BYTES
+        (self.byte() % BLOCK_BYTES) / WORD_BYTES
     }
 
     /// Returns this address displaced by `bytes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the result lies past the 4 GiB shared address space.
     #[inline]
     pub const fn offset(self, bytes: u64) -> Addr {
-        Addr(self.0 + bytes)
+        Addr::new(self.byte() + bytes)
     }
 }
 
@@ -71,20 +102,19 @@ impl fmt::Display for Addr {
 
 /// A cache-block address (byte address divided by the 32-byte block size).
 ///
-/// Stored as a `u32` block index — 4 bytes instead of 8 on the hottest
-/// simulator paths ([`crate::NodeId`]-sized protocol messages, directory
-/// and cache hash-map keys). A `u32` index addresses 2³² × 32 B = 128 GB
-/// of simulated shared memory, orders of magnitude beyond any workload the
-/// paper (or this reproduction) runs; the public API stays `u64` for
-/// compatibility with [`Addr`] arithmetic.
+/// Stored as a `u32` block index, 4 bytes on the hottest simulator paths:
+/// protocol messages and the directory's and caches' block-indexed maps.
+/// Addresses reach 4 GiB, so the blocks a program names have indices below
+/// 2^27 (sequential prefetching may run a few blocks past them). The public
+/// API stays `u64` for [`Addr`] arithmetic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BlockAddr(u32);
 
 impl BlockAddr {
     /// Creates a block address from a block index.
     ///
-    /// Indices above `u32::MAX` (128 GB of simulated memory) are not
-    /// representable; debug builds assert, release builds truncate.
+    /// Indices above `u32::MAX` are not representable; debug builds
+    /// assert, release builds truncate.
     #[inline]
     pub const fn from_index(index: u64) -> Self {
         debug_assert!(index <= u32::MAX as u64, "block index exceeds u32 range");
@@ -98,9 +128,13 @@ impl BlockAddr {
     }
 
     /// The first byte address of this block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block lies past the 4 GiB shared address space.
     #[inline]
     pub const fn base_addr(self) -> Addr {
-        Addr(self.0 as u64 * BLOCK_BYTES)
+        Addr::new(self.0 as u64 * BLOCK_BYTES)
     }
 
     /// The block `n` blocks after this one (used by sequential prefetching).
@@ -154,6 +188,11 @@ impl PageId {
     }
 }
 
+/// The largest machine the simulator builds, in nodes: the limit of the
+/// trace reader, the command line, the machine configuration and the
+/// sharer sets.
+pub const MAX_NODES: usize = 1024;
+
 /// A processor-node identifier (0..N, N = 16 in the paper; the scalable
 /// directory organizations grow machines to 1024 nodes, so ids are 16-bit).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -195,6 +234,12 @@ mod tests {
         assert_eq!(a.block(), BlockAddr::from_index(3));
         assert_eq!(a.word_in_block(), 17 / WORD_BYTES);
         assert_eq!(a.block().base_addr(), Addr::new(96));
+    }
+
+    #[test]
+    #[should_panic(expected = "4 GiB")]
+    fn offset_past_four_gib_panics() {
+        let _ = Addr::new(u64::from(u32::MAX)).offset(1);
     }
 
     #[test]

@@ -54,13 +54,8 @@ impl ProgramBuilder {
         if cycles == 0 {
             return self;
         }
-        if let Some(MemEvent::Compute(prev)) = self.program.events().last().copied() {
-            let merged = prev.saturating_add(cycles);
-            let idx = self.program.len() - 1;
-            // Replace the tail event with the merged compute.
-            let mut events = std::mem::take(&mut self.program).events().to_vec();
-            events[idx] = MemEvent::Compute(merged);
-            self.program = Program::from_events(events);
+        if let Some(MemEvent::Compute(prev)) = self.program.last_mut() {
+            *prev = prev.saturating_add(cycles);
             return self;
         }
         self.program.push(MemEvent::Compute(cycles));

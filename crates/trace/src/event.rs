@@ -40,6 +40,9 @@ pub enum MemEvent {
     Barrier(BarrierId),
 }
 
+// A paper-scale sweep holds millions of these; see `Addr`.
+const _: () = assert!(size_of::<MemEvent>() == 8);
+
 impl MemEvent {
     /// Whether this event is a shared-data reference (read or write).
     pub fn is_data_ref(&self) -> bool {
@@ -114,6 +117,11 @@ impl Program {
     /// Appends an event.
     pub fn push(&mut self, e: MemEvent) {
         self.events.push(e);
+    }
+
+    /// The last event, for a builder to rewrite in place.
+    pub(crate) fn last_mut(&mut self) -> Option<&mut MemEvent> {
+        self.events.last_mut()
     }
 
     /// The sequence of barrier ids this program passes through, in order.

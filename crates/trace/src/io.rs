@@ -21,12 +21,13 @@
 //! ```
 //!
 //! Comments (`#` to end of line) and blank lines are ignored. Addresses
-//! accept decimal or `0x` hexadecimal.
+//! accept decimal or `0x` hexadecimal, up to `0xffffffff` (the 4 GiB shared
+//! address space); `procs` runs from 1 to [`MAX_NODES`].
 
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
-use crate::{Addr, BarrierId, MemEvent, Program, Workload};
+use crate::{Addr, BarrierId, MemEvent, Program, Workload, MAX_NODES};
 
 /// The header magic of trace files.
 pub const TRACE_MAGIC: &str = "# dirext trace v1";
@@ -171,10 +172,10 @@ pub fn read_text<R: BufRead>(input: R) -> Result<Workload, TraceReadError> {
                         let procs: usize = p
                             .parse()
                             .map_err(|_| err(lineno, format!("bad processor count '{p}'")))?;
-                        if procs == 0 || procs > 64 {
+                        if procs == 0 || procs > MAX_NODES {
                             return Err(err(
                                 lineno,
-                                format!("processor count {procs} out of range"),
+                                format!("processor count {procs} out of range 1..={MAX_NODES}"),
                             ));
                         }
                         programs = vec![Program::new(); procs];
@@ -206,24 +207,32 @@ pub fn read_text<R: BufRead>(input: R) -> Result<Workload, TraceReadError> {
                     .ok_or_else(|| err(lineno, format!("'{op}' needs an argument")))?;
                 let v = parse_u64(arg)
                     .ok_or_else(|| err(lineno, format!("bad numeric argument '{arg}'")))?;
+                let addr = || {
+                    Addr::try_new(v).ok_or_else(|| {
+                        err(
+                            lineno,
+                            format!("address {arg} lies past the 4 GiB shared address space"),
+                        )
+                    })
+                };
                 let event = match op {
                     "c" => {
                         let c = u32::try_from(v)
                             .map_err(|_| err(lineno, format!("compute count {v} too large")))?;
                         MemEvent::Compute(c)
                     }
-                    "r" => MemEvent::Read(Addr::new(v)),
-                    "w" => MemEvent::Write(Addr::new(v)),
+                    "r" => MemEvent::Read(addr()?),
+                    "w" => MemEvent::Write(addr()?),
                     "p" => MemEvent::Prefetch {
-                        addr: Addr::new(v),
+                        addr: addr()?,
                         exclusive: false,
                     },
                     "x" => MemEvent::Prefetch {
-                        addr: Addr::new(v),
+                        addr: addr()?,
                         exclusive: true,
                     },
-                    "a" => MemEvent::Acquire(Addr::new(v)),
-                    "l" => MemEvent::Release(Addr::new(v)),
+                    "a" => MemEvent::Acquire(addr()?),
+                    "l" => MemEvent::Release(addr()?),
                     "b" => {
                         let id = u32::try_from(v)
                             .map_err(|_| err(lineno, format!("barrier id {v} too large")))?;
@@ -328,6 +337,23 @@ mod tests {
             read_text(text.as_bytes()),
             Err(TraceReadError::Parse { line: 3, .. })
         ));
+    }
+
+    #[test]
+    fn addresses_stop_at_four_gib() {
+        let text = |a: &str| format!("# dirext trace v1\nworkload t procs 1\nproc 0\nr {a}\n");
+        let w = read_text(text("0xffffffff").as_bytes()).unwrap();
+        assert_eq!(
+            w.program(0).events(),
+            &[MemEvent::Read(Addr::new(0xffff_ffff))]
+        );
+        match read_text(text("0x100000000").as_bytes()) {
+            Err(TraceReadError::Parse { line, message }) => {
+                assert_eq!(line, 4);
+                assert!(message.contains("0x100000000"), "{message}");
+            }
+            other => panic!("expected parse error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -89,7 +89,9 @@ impl Region {
 ///
 /// Every allocation is block-aligned; `alloc_page_aligned` additionally
 /// aligns to a page so a structure's home-node distribution is predictable.
-/// Region names are recorded for debugging/pretty-printing only.
+/// Region names are recorded for debugging/pretty-printing only, and to
+/// name the region in the panic when an allocation would end past the
+/// 4 GiB that an [`Addr`] reaches.
 #[derive(Debug, Default)]
 pub struct Layout {
     next: u64,
@@ -127,6 +129,10 @@ impl Layout {
     fn alloc_aligned(&mut self, name: &str, bytes: u64, align: u64) -> Region {
         let base = self.next.div_ceil(align) * align;
         let bytes = bytes.max(1);
+        assert!(
+            Addr::try_new(base + bytes - 1).is_some(),
+            "region '{name}' ({bytes} B at {base:#x}) overflows the 4 GiB shared address space"
+        );
         self.next = base + bytes;
         let region = Region {
             base: Addr::new(base),
@@ -193,6 +199,14 @@ mod tests {
         let mut l = Layout::new();
         let arr = l.alloc_elems("arr", 10, 8);
         let _ = arr.elem(10, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "region 'past'")]
+    fn allocation_past_four_gib_names_its_region() {
+        let mut l = Layout::new();
+        l.alloc("all", 1 << 32); // ends exactly at the top
+        l.alloc("past", 1);
     }
 
     #[test]

@@ -31,7 +31,8 @@ mod layout;
 mod workload;
 
 pub use addr::{
-    Addr, BlockAddr, NodeId, PageId, BLOCK_BYTES, PAGE_BYTES, WORDS_PER_BLOCK, WORD_BYTES,
+    Addr, BlockAddr, NodeId, PageId, BLOCK_BYTES, MAX_NODES, PAGE_BYTES, WORDS_PER_BLOCK,
+    WORD_BYTES,
 };
 pub use builder::ProgramBuilder;
 pub use event::{BarrierId, MemEvent, Program};

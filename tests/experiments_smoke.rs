@@ -163,20 +163,36 @@ fn experiments_smoke_traces_conform() {
 
 #[test]
 fn traces_round_trip_through_the_simulator() {
+    use dirext_sim::core::sharer::DirOrg;
     use dirext_sim::core::{Consistency, ProtocolKind};
-    use dirext_sim::{Machine, MachineConfig};
+    use dirext_sim::{Machine, MachineConfig, NetworkKind};
 
-    let w = App::Water.workload(8, Scale::Tiny);
-    let mut buf = Vec::new();
-    dirext_sim::trace::io::write_text(&w, &mut buf).unwrap();
-    let reloaded = dirext_sim::trace::io::read_text(buf.as_slice()).unwrap();
+    let ptr4b = DirOrg::LimitedPtr {
+        ptrs: 4,
+        broadcast: true,
+    };
+    let hmesh64 = NetworkKind::HierMesh { link_bits: 64 };
+    // The paper's machine, and one past the full map's 64 nodes.
+    for (procs, dir, network) in [
+        (8, DirOrg::FullMap, NetworkKind::Uniform),
+        (256, ptr4b, hmesh64),
+    ] {
+        let w = App::Water.workload(procs, Scale::Tiny);
+        let mut buf = Vec::new();
+        dirext_sim::trace::io::write_text(&w, &mut buf).unwrap();
+        let reloaded = dirext_sim::trace::io::read_text(buf.as_slice()).unwrap();
 
-    let cfg = || MachineConfig::new(8, ProtocolKind::PCw.config(Consistency::Rc));
-    let direct = Machine::new(cfg()).run(&w).unwrap();
-    let via_trace = Machine::new(cfg()).run(&reloaded).unwrap();
-    assert_eq!(
-        direct.exec_cycles, via_trace.exec_cycles,
-        "trace must be lossless"
-    );
-    assert_eq!(direct.slc_misses, via_trace.slc_misses);
+        let cfg = || {
+            MachineConfig::new(procs, ProtocolKind::PCw.config(Consistency::Rc))
+                .with_dir_org(dir)
+                .with_network(network)
+        };
+        let direct = Machine::new(cfg()).run(&w).unwrap();
+        let via_trace = Machine::new(cfg()).run(&reloaded).unwrap();
+        assert_eq!(
+            direct.exec_cycles, via_trace.exec_cycles,
+            "{procs} nodes: trace must be lossless"
+        );
+        assert_eq!(direct.slc_misses, via_trace.slc_misses, "{procs} nodes");
+    }
 }
