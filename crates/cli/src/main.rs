@@ -21,6 +21,7 @@ use dirext_sim::Machine;
 use dirext_sim::MachineConfig;
 use dirext_sim::{FaultPlan, NodeFaultEvent, NodeFaultPlan};
 use dirext_trace::{Workload, MAX_NODES};
+use dirext_workloads::random::MAX_RANDOM_PROCS;
 use dirext_workloads::{App, Scale};
 
 /// Default journal path when `--resume` is given without `--journal`.
@@ -216,6 +217,9 @@ fn flag_commands(flag: &str) -> Option<Vec<&'static str>> {
         "--out" => vec!["report"],
         "--journal" | "--resume" | "--keep-going" => sweeps(),
         "--jobs" => [sweeps(), vec!["stress"]].concat(),
+        "--fault-drop" | "--fault-dup" | "--fault-jitter" | "--fault-seed" | "--fault-retries" => {
+            [vec!["run", "trace", "stress"], sweeps()].concat()
+        }
         _ => return None,
     })
 }
@@ -265,7 +269,8 @@ COMMANDS:
 OPTIONS:
     --scale     Problem scale (default: paper)
     --procs     Processor count (default: 16; up to 1024 with a scalable
-                --dir organization, 64 with the full-map directory)
+                --dir organization, 64 with the full-map directory and
+                for `stress`)
     --dir       Directory organization for run/trace/stress: full (default),
                 ptr4b, ptr4nb, coarse8, none (any ptrNb/ptrNnb/coarseN)
     --app       Restrict to one application (MP3D, Cholesky, Water, LU, Ocean)
@@ -311,7 +316,7 @@ topology/scaling/dirscale/degrade/run-all/report):
     130; a second Ctrl-C kills immediately. Exit codes: 0 success,
     1 error, 2 completed-with-quarantined-cells, 130 interrupted.
 
-FAULT INJECTION (for `run`, `stress` and the sweep commands):
+FAULT INJECTION (for `run`, `trace`, `stress` and the sweep commands):
     --fault-drop     Probability a message is dropped before link-layer
                      retransmission, in permille (0-1000)
     --fault-dup      Probability a message is duplicated, in permille
@@ -793,23 +798,18 @@ fn parse_args() -> Result<Args, String> {
             "--out" => parsed.out = Some(value("--out")?),
             "--svg" => parsed.svg = Some(value("--svg")?),
             "--network" => {
-                use dirext_sim::NetworkKind as Nk;
-                parsed.network = match value("--network")?.as_str() {
-                    "uniform" => Nk::Uniform,
-                    "mesh64" => Nk::Mesh { link_bits: 64 },
-                    "mesh32" => Nk::Mesh { link_bits: 32 },
-                    "mesh16" => Nk::Mesh { link_bits: 16 },
-                    "ring64" => Nk::Ring { link_bits: 64 },
-                    "ring32" => Nk::Ring { link_bits: 32 },
-                    "ring16" => Nk::Ring { link_bits: 16 },
-                    "hmesh64" => Nk::HierMesh { link_bits: 64 },
-                    "hmesh32" => Nk::HierMesh { link_bits: 32 },
-                    "hmesh16" => Nk::HierMesh { link_bits: 16 },
-                    other => return Err(format!("unknown network '{other}'")),
-                };
+                let v = value("--network")?;
+                parsed.network = dirext_sim::NetworkKind::parse(&v)
+                    .ok_or_else(|| format!("unknown network '{v}'"))?;
             }
             other => return Err(format!("unknown option '{other}'")),
         }
+    }
+    if parsed.command == "stress" && parsed.procs > MAX_RANDOM_PROCS {
+        return Err(format!(
+            "stress fuzzes machines of at most {MAX_RANDOM_PROCS} processors, got --procs {}",
+            parsed.procs
+        ));
     }
     // Node-fault flags are validated here, at parse time, so a
     // contradictory or out-of-range crash schedule fails before any
@@ -845,13 +845,8 @@ fn parse_args() -> Result<Args, String> {
         // (seeded plans are valid by construction). A trace file decides
         // its own processor count, so defer to the simulator there.
         if parsed.trace.is_none() {
-            let procs = if parsed.command == "stress" {
-                parsed.procs.min(32)
-            } else {
-                parsed.procs
-            };
-            if let Some(plan) = parsed.node_fault_plan(procs) {
-                plan.validate(procs)
+            if let Some(plan) = parsed.node_fault_plan(parsed.procs) {
+                plan.validate(parsed.procs)
                     .map_err(|e| format!("bad node-fault plan: {e}"))?;
             }
         }
@@ -985,12 +980,8 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         "table1" => println!("{}", experiments::table1(args.procs)),
         "stress" => {
             use dirext_sim::NetworkKind;
-            use dirext_workloads::random::{random_workload, RandomParams};
+            use dirext_workloads::random::random_workload;
             use experiments::pool::run_collect;
-            let params = RandomParams {
-                procs: args.procs.min(32),
-                ..RandomParams::default()
-            };
             // The per-seed configuration matrix: every feasible protocol ×
             // consistency on the uniform network, plus P+CW+M on the two
             // contended networks (different delivery timing exposes
@@ -1010,7 +1001,7 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                 combos.push((ProtocolKind::PCwM, Consistency::Rc, net));
             }
             let workloads: Vec<Workload> = (0..args.seeds)
-                .map(|seed| random_workload(seed, params))
+                .map(|seed| random_workload(seed, args.procs))
                 .collect();
             // Fan the whole seed × combo matrix over the worker pool. A
             // failing configuration is recorded and the sweep continues:
@@ -1022,7 +1013,7 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                 let (seed, c) = (i / combos.len(), i % combos.len());
                 let (kind, consistency, net) = combos[c];
                 let cfg = args.harden(
-                    MachineConfig::new(params.procs, kind.config(consistency)).with_network(net),
+                    MachineConfig::new(args.procs, kind.config(consistency)).with_network(net),
                 );
                 let t0 = std::time::Instant::now();
                 let outcome = Machine::new(cfg).run(&workloads[seed]);

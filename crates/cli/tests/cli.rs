@@ -169,6 +169,30 @@ fn stress_sweeps_cleanly() {
 }
 
 #[test]
+fn stress_builds_the_machine_it_is_asked_for() {
+    // Node 40 exists only if the fuzzed machines really have 48 nodes.
+    let out = stdout(&[
+        "stress",
+        "--seeds",
+        "1",
+        "--procs",
+        "48",
+        "--node-fault-schedule",
+        "40@2000-9000",
+    ]);
+    assert!(out.contains("all coherence audits passed"), "{out}");
+    let out = dirext(&["stress", "--seeds", "1", "--procs", "65"]);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "65 nodes is past the fuzzer's limit"
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("at most 64 processors"), "{err}");
+    assert!(out.stdout.is_empty(), "nothing may run");
+}
+
+#[test]
 fn suite_lists_five_apps() {
     let out = stdout(&["suite", "--scale", "tiny"]);
     for app in ["MP3D", "Cholesky", "Water", "LU", "Ocean"] {
@@ -337,6 +361,10 @@ fn flags_the_command_never_reads_are_parse_errors() {
         (
             &["fig2", "--scale", "tiny", "--protocol", "P+CW"][..],
             "--protocol applies to run, trace, not 'fig2'",
+        ),
+        (
+            &["table1", "--fault-drop", "5"][..],
+            "--fault-drop applies to run, trace, stress, fig2",
         ),
     ] {
         let out = dirext(args);

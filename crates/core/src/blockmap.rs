@@ -96,24 +96,6 @@ impl<T> BlockMap<T> {
         }
     }
 
-    /// Creates an empty map with the page table sized for block indices up
-    /// to `max_block` (from the workload layout's known address range), so
-    /// the page vector never reallocates mid-run. Pages themselves are
-    /// still allocated lazily.
-    pub fn with_max_block(max_block: u64) -> Self {
-        let mut m = BlockMap::new();
-        m.reserve_to(max_block);
-        m
-    }
-
-    /// Grows the page table to cover block indices up to `max_block`.
-    pub fn reserve_to(&mut self, max_block: u64) {
-        let pages = max_block as usize / BLOCKS_PER_PAGE + 1;
-        if pages > self.pages.len() {
-            self.pages.resize_with(pages, || None);
-        }
-    }
-
     #[inline]
     fn split(block: BlockAddr) -> (usize, usize) {
         let idx = block.index() as usize;
@@ -328,15 +310,6 @@ mod tests {
         m.insert(b(11), 2);
         m.remove(b(10));
         assert_eq!(m.iter().map(|(k, _)| k.index()).collect::<Vec<_>>(), [11]);
-    }
-
-    #[test]
-    fn reserve_does_not_create_entries() {
-        let mut m: BlockMap<u8> = BlockMap::with_max_block(100_000);
-        assert!(m.is_empty());
-        m.reserve_to(10); // shrinking reserve is a no-op
-        m.insert(b(99_999), 7);
-        assert_eq!(m.len(), 1);
     }
 
     #[test]

@@ -28,21 +28,13 @@ impl fmt::Display for Consistency {
 ///
 /// The ISCA'94 paper fixes the mechanism's budget — "three modulo-16
 /// counters per cache and two extra bits per cache line" — and refers to
-/// the ICPP'93 paper for the adjustment details; the thresholds here are
-/// our reconstruction (see `DESIGN.md` §4.1).
+/// the ICPP'93 paper for the adjustment details. The adaptation thresholds
+/// are our reconstruction and are constants in [`crate::prefetch`] (see
+/// `DESIGN.md` §4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefetchConfig {
     /// Initial degree of prefetching K.
     pub initial_k: u32,
-    /// Maximum degree of prefetching.
-    pub max_k: u32,
-    /// Useful-prefetch count (out of 16) at or above which K is increased.
-    pub high_mark: u8,
-    /// Useful-prefetch count (out of 16) below which K is decreased.
-    pub low_mark: u8,
-    /// Sequential-miss count (out of 16) that re-enables prefetching when
-    /// K has adapted down to zero.
-    pub restart_mark: u8,
     /// If false, K is fixed at `initial_k` (the non-adaptive "fixed
     /// sequential prefetching" baseline from the ICPP'93 comparison, used
     /// by the ablation tests in `tests/paper_shapes.rs`).
@@ -53,14 +45,15 @@ impl Default for PrefetchConfig {
     fn default() -> Self {
         PrefetchConfig {
             initial_k: 1,
-            max_k: 16,
-            high_mark: 12,
-            low_mark: 6,
-            restart_mark: 8,
             adaptive: true,
         }
     }
 }
+
+/// Write-cache capacity in blocks when CW's write cache is attached (the
+/// paper's four-block write cache). Each node's write cache and Table 1's
+/// cost model both read it.
+pub const WRITE_CACHE_BLOCKS: usize = 4;
 
 /// Parameters of the competitive-update extension (CW).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -297,8 +290,7 @@ mod tests {
     fn default_prefetch_is_adaptive() {
         let p = PrefetchConfig::default();
         assert!(p.adaptive);
-        assert_eq!(p.max_k, 16);
-        assert!(p.high_mark > p.low_mark);
+        assert_eq!(p.initial_k, 1);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use crate::config::{Consistency, ProtocolConfig, ProtocolKind};
+use crate::config::{Consistency, ProtocolConfig, ProtocolKind, WRITE_CACHE_BLOCKS};
 
 /// Itemized hardware cost of one protocol configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,7 +22,7 @@ pub struct HardwareCost {
     /// Bits per such counter.
     pub counter_bits: u32,
     /// Write-cache blocks attached to the SLC.
-    pub write_cache_blocks: u32,
+    pub write_cache_blocks: usize,
     /// State bits per memory line (directory state + presence bits +
     /// extension bits/pointers).
     pub mem_bits_per_line: u32,
@@ -76,7 +76,10 @@ impl HardwareCost {
             slc_bits_per_line: state_bits + slc_extra,
             cache_counters: if cfg.prefetch.is_some() { 3 } else { 0 },
             counter_bits: if cfg.prefetch.is_some() { 4 } else { 0 },
-            write_cache_blocks: cfg.competitive.filter(|c| c.write_cache).map_or(0, |_| 4),
+            write_cache_blocks: cfg
+                .competitive
+                .filter(|c| c.write_cache)
+                .map_or(0, |_| WRITE_CACHE_BLOCKS),
             mem_bits_per_line: mem_bits,
             slwb_note: match (
                 cfg.consistency,
@@ -90,16 +93,6 @@ impl HardwareCost {
                 (Consistency::Rc, false, false) => "several entries",
             },
         }
-    }
-
-    /// Overhead of this configuration relative to BASIC under the same
-    /// consistency model: `(extra SLC bits/line, extra memory bits/line)`.
-    pub fn overhead_vs_basic(&self, cfg: &ProtocolConfig, nprocs: usize) -> (u32, u32) {
-        let basic = HardwareCost::of(&ProtocolConfig::basic(cfg.consistency), nprocs);
-        (
-            self.slc_bits_per_line - basic.slc_bits_per_line,
-            self.mem_bits_per_line - basic.mem_bits_per_line,
-        )
     }
 }
 
@@ -204,10 +197,6 @@ mod tests {
         // modified bit.
         assert_eq!(c.slc_bits_per_line, 2 + 2 + 1 + 1);
         assert_eq!(c.mem_bits_per_line, 19 + 5);
-        let (slc_extra, mem_extra) =
-            c.overhead_vs_basic(&ProtocolKind::PCwM.config(Consistency::Rc), 16);
-        assert_eq!(slc_extra, 4);
-        assert_eq!(mem_extra, 5);
     }
 
     #[test]

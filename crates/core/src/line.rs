@@ -20,11 +20,6 @@ pub enum CacheState {
 }
 
 impl CacheState {
-    /// Whether the holder may write without any protocol transaction.
-    pub fn writable_silently(self) -> bool {
-        matches!(self, CacheState::Dirty | CacheState::MigClean)
-    }
-
     /// Whether the holder is the exclusive owner.
     pub fn exclusive(self) -> bool {
         matches!(self, CacheState::Dirty | CacheState::MigClean)
@@ -127,9 +122,7 @@ mod tests {
 
     #[test]
     fn silent_writability() {
-        assert!(!CacheState::Shared.writable_silently());
-        assert!(CacheState::Dirty.writable_silently());
-        assert!(CacheState::MigClean.writable_silently());
+        assert!(CacheState::Dirty.exclusive());
         assert!(CacheState::MigClean.exclusive());
         assert!(!CacheState::Shared.exclusive());
     }

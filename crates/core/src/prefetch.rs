@@ -15,10 +15,23 @@
 //! (prefetches-arrived, useful-prefetches, restart) and two bits per line
 //! (the `prefetched` bit lives in [`crate::line::Line`]; the second bit is
 //! the line's membership in the useful count, folded into the same flag
-//! here). The exact thresholds follow our reconstruction of the ICPP'93
+//! here). The thresholds below follow our reconstruction of the ICPP'93
 //! scheme (see `DESIGN.md` §4.1).
 
 use crate::config::PrefetchConfig;
+
+/// Maximum degree of prefetching K.
+pub const MAX_K: u32 = 16;
+
+/// Useful-prefetch count (out of 16) at or above which K doubles.
+pub const HIGH_MARK: u8 = 12;
+
+/// Useful-prefetch count (out of 16) below which K halves.
+pub const LOW_MARK: u8 = 6;
+
+/// Sequential-miss count (out of 16) that re-enables prefetching once K
+/// has adapted down to zero.
+pub const RESTART_MARK: u8 = 8;
 
 /// Statistics exported by the prefetcher.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -68,9 +81,9 @@ impl Prefetcher {
     ///
     /// # Panics
     ///
-    /// Panics if `initial_k > max_k`.
+    /// Panics if `initial_k` exceeds [`MAX_K`].
     pub fn new(cfg: PrefetchConfig) -> Self {
-        assert!(cfg.initial_k <= cfg.max_k, "initial K exceeds maximum");
+        assert!(cfg.initial_k <= MAX_K, "initial K exceeds maximum");
         Prefetcher {
             k: cfg.initial_k,
             cfg,
@@ -103,7 +116,7 @@ impl Prefetcher {
                 self.restart_sequential = self.restart_sequential.saturating_add(1);
             }
             if self.restart_misses == 0 {
-                if self.restart_sequential >= self.cfg.restart_mark {
+                if self.restart_sequential >= RESTART_MARK {
                     self.k = 1;
                 }
                 self.restart_sequential = 0;
@@ -138,9 +151,9 @@ impl Prefetcher {
         }
         self.arrived = (self.arrived + 1) % 16;
         if self.arrived == 0 {
-            if self.useful >= self.cfg.high_mark {
-                self.k = (self.k * 2).clamp(1, self.cfg.max_k);
-            } else if self.useful < self.cfg.low_mark {
+            if self.useful >= HIGH_MARK {
+                self.k = (self.k * 2).clamp(1, MAX_K);
+            } else if self.useful < LOW_MARK {
                 self.k /= 2;
             }
             self.useful = 0;
@@ -174,7 +187,7 @@ mod tests {
         run_window(&mut p, 16);
         assert_eq!(p.k(), 16);
         run_window(&mut p, 16);
-        assert_eq!(p.k(), 16, "K saturates at max_k");
+        assert_eq!(p.k(), MAX_K, "K saturates at MAX_K");
     }
 
     #[test]
@@ -234,7 +247,6 @@ mod tests {
         let mut p = Prefetcher::new(PrefetchConfig {
             initial_k: 4,
             adaptive: false,
-            ..PrefetchConfig::default()
         });
         run_window(&mut p, 0);
         run_window(&mut p, 16);
@@ -247,7 +259,6 @@ mod tests {
     fn invalid_config_rejected() {
         let _ = Prefetcher::new(PrefetchConfig {
             initial_k: 32,
-            max_k: 16,
             ..PrefetchConfig::default()
         });
     }

@@ -55,11 +55,6 @@ impl Pcg32 {
         xorshifted.rotate_right(rot)
     }
 
-    /// Returns the next 64 uniformly distributed bits.
-    pub fn next_u64(&mut self) -> u64 {
-        (u64::from(self.next_u32()) << 32) | u64::from(self.next_u32())
-    }
-
     /// Returns a uniform value in `0..bound` (unbiased via rejection).
     ///
     /// # Panics
@@ -94,20 +89,6 @@ impl Pcg32 {
     /// Panics if `den` is zero.
     pub fn chance(&mut self, num: u32, den: u32) -> bool {
         self.below(den) < num
-    }
-
-    /// Returns a uniform `f64` in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        // 53 random mantissa bits.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Fisher-Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.below(i as u32 + 1) as usize;
-            slice.swap(i, j);
-        }
     }
 }
 
@@ -146,25 +127,6 @@ mod tests {
             seen[rng.below(6) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn f64_in_unit_interval() {
-        let mut rng = Pcg32::new(3);
-        for _ in 0..1000 {
-            let x = rng.next_f64();
-            assert!((0.0..1.0).contains(&x));
-        }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = Pcg32::new(11);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

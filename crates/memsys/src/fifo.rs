@@ -65,11 +65,6 @@ impl<T> Fifo<T> {
         self.items.front()
     }
 
-    /// Mutable access to the oldest item.
-    pub fn front_mut(&mut self) -> Option<&mut T> {
-        self.items.front_mut()
-    }
-
     /// Current occupancy.
     pub fn len(&self) -> usize {
         self.items.len()
@@ -78,32 +73,6 @@ impl<T> Fifo<T> {
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
-    }
-
-    /// Whether the buffer is at capacity.
-    pub fn is_full(&self) -> bool {
-        self.items.len() == self.capacity
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Iterates oldest-first.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.iter()
-    }
-
-    /// Iterates oldest-first with mutable access.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.items.iter_mut()
-    }
-
-    /// Removes the first item matching `pred`, preserving order of the rest.
-    pub fn remove_first<F: FnMut(&T) -> bool>(&mut self, pred: F) -> Option<T> {
-        let pos = self.items.iter().position(pred)?;
-        self.items.remove(pos)
     }
 }
 
@@ -117,7 +86,6 @@ mod tests {
         f.push('a').unwrap();
         f.push('b').unwrap();
         f.push('c').unwrap();
-        assert!(f.is_full());
         assert_eq!(f.pop(), Some('a'));
         f.push('d').unwrap();
         let rest: Vec<_> = std::iter::from_fn(|| f.pop()).collect();
@@ -139,20 +107,7 @@ mod tests {
         f.push(5).unwrap();
         f.push(6).unwrap();
         assert_eq!(f.front(), Some(&5));
-        *f.front_mut().unwrap() = 50;
-        assert_eq!(f.pop(), Some(50));
-    }
-
-    #[test]
-    fn remove_first_preserves_order() {
-        let mut f = Fifo::new(4);
-        for i in 0..4 {
-            f.push(i).unwrap();
-        }
-        assert_eq!(f.remove_first(|&x| x == 2), Some(2));
-        let rest: Vec<_> = f.iter().copied().collect();
-        assert_eq!(rest, vec![0, 1, 3]);
-        assert_eq!(f.remove_first(|&x| x == 9), None);
+        assert_eq!(f.pop(), Some(5));
     }
 
     #[test]

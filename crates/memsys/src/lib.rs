@@ -16,7 +16,10 @@
 //! * for the CW extension, a small **write cache** that combines writes to
 //!   the same block before they are issued ([`WriteCache`]).
 //!
-//! [`Timing`] collects the paper's latency parameters (Section 4).
+//! [`Timing`] collects the node capacities a run can set; the paper's
+//! latencies (Section 4) and the FLC size are constants beside it
+//! ([`FLC_HIT`], [`FLC_FILL`], [`SLC_ACCESS`], [`MEM_ACCESS`],
+//! [`BUS_TRANSFER`], [`FLC_BYTES`]).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -30,5 +33,5 @@ mod write_cache;
 pub use fifo::Fifo;
 pub use flc::{Flc, FlcArray};
 pub use slc::{Slc, SlcGeometry};
-pub use timing::Timing;
+pub use timing::{Timing, BUS_TRANSFER, FLC_BYTES, FLC_FILL, FLC_HIT, MEM_ACCESS, SLC_ACCESS};
 pub use write_cache::{WcEntry, WriteCache};

@@ -2,76 +2,68 @@
 
 use dirext_kernel::Time;
 
-/// Latency and sizing parameters of one processing node (paper Section 4).
+/// FLC hit latency (paper Section 4; pclocks are 10 ns at 100 MHz).
+pub const FLC_HIT: Time = Time::from_cycles(1);
+
+/// FLC block fill after the SLC returns data.
+pub const FLC_FILL: Time = Time::from_cycles(3);
+
+/// SLC access (30 ns SRAM): hit detection or line read/write occupancy.
+pub const SLC_ACCESS: Time = Time::from_cycles(6);
+
+/// Memory-module access (fully interleaved, so no bank contention). The
+/// directory lookup overlaps it.
+pub const MEM_ACCESS: Time = Time::from_cycles(24);
+
+/// One transfer over the local 256-bit split-transaction bus (a 32-byte
+/// block is one bus width). A local memory access is bus + memory + bus =
+/// 30 pclocks end-to-end.
+pub const BUS_TRANSFER: Time = Time::from_cycles(3);
+
+/// FLC size in bytes (4 KB, direct-mapped). No run varies it;
+/// [`Timing::flc_bytes`] defaults to it.
+pub const FLC_BYTES: u64 = 4 * 1024;
+
+/// The node capacities a run can set: the write-buffer depths and the SLC
+/// size, which sequential consistency and the Section 5.4 sensitivity
+/// study change, and the FLC size. The latencies (paper Section 4) are the
+/// constants beside this type.
 ///
-/// All latencies are in pclocks (10 ns at the paper's 100 MHz):
-///
-/// * FLC access 1 pclock, FLC block fill 3 pclocks;
-/// * SLC access 6 pclocks (30 ns SRAM);
-/// * memory module 24 pclocks, local bus 3 pclocks per transfer — a local
-///   memory access is therefore bus + memory + bus = 30 pclocks end-to-end;
-/// * FLWB of 8 entries and SLWB of 16 entries under release consistency
-///   (single entries under sequential consistency — applied by the machine
-///   builder, not here).
+/// The defaults are an FLWB of 8 entries and an SLWB of 16 entries under
+/// release consistency (single entries under sequential consistency —
+/// applied by the machine builder, not here), a 4-KB FLC and an infinite
+/// SLC.
 ///
 /// # Example
 ///
 /// ```
-/// use dirext_memsys::Timing;
+/// use dirext_memsys::{Timing, BUS_TRANSFER, MEM_ACCESS};
 ///
 /// let t = Timing::paper_default();
-/// assert_eq!(t.local_mem_round_trip().cycles(), 30);
+/// assert_eq!((t.flwb_entries, t.slwb_entries), (8, 16));
+/// assert_eq!((BUS_TRANSFER + MEM_ACCESS + BUS_TRANSFER).cycles(), 30);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Timing {
-    /// FLC hit latency.
-    pub flc_hit: Time,
-    /// FLC block fill after the SLC returns data.
-    pub flc_fill: Time,
-    /// SLC access (hit detection or line read/write occupancy).
-    pub slc_access: Time,
-    /// Memory-module access (fully interleaved, so no bank contention).
-    pub mem_access: Time,
-    /// One transfer over the local 256-bit split-transaction bus
-    /// (a 32-byte block is one bus width).
-    pub bus_transfer: Time,
-    /// Directory state lookup/update at the home node (overlapped with the
-    /// memory access in real designs; kept separate and small).
-    pub dir_access: Time,
     /// FLWB capacity (entries).
     pub flwb_entries: usize,
     /// SLWB capacity (entries).
     pub slwb_entries: usize,
-    /// FLC size in bytes.
+    /// FLC size in bytes ([`FLC_BYTES`]).
     pub flc_bytes: u64,
     /// SLC size in bytes; `None` means infinite (the paper's default).
     pub slc_bytes: Option<u64>,
-    /// Write-cache capacity in blocks (CW extension; 4 in the paper).
-    pub write_cache_blocks: usize,
 }
 
 impl Timing {
     /// The paper's baseline parameters.
     pub fn paper_default() -> Self {
         Timing {
-            flc_hit: Time::from_cycles(1),
-            flc_fill: Time::from_cycles(3),
-            slc_access: Time::from_cycles(6),
-            mem_access: Time::from_cycles(24),
-            bus_transfer: Time::from_cycles(3),
-            dir_access: Time::from_cycles(0),
             flwb_entries: 8,
             slwb_entries: 16,
-            flc_bytes: 4 * 1024,
+            flc_bytes: FLC_BYTES,
             slc_bytes: None,
-            write_cache_blocks: 4,
         }
-    }
-
-    /// End-to-end latency of a local memory access (bus + memory + bus):
-    /// 30 pclocks with the paper's numbers.
-    pub fn local_mem_round_trip(&self) -> Time {
-        self.bus_transfer + self.mem_access + self.bus_transfer
     }
 
     /// The Section 5.4 sensitivity variant: 4-entry FLWB and SLWB.
@@ -101,9 +93,9 @@ mod tests {
     #[test]
     fn paper_numbers() {
         let t = Timing::paper_default();
-        assert_eq!(t.flc_hit.cycles(), 1);
-        assert_eq!(t.slc_access.cycles(), 6);
-        assert_eq!(t.local_mem_round_trip().cycles(), 30);
+        assert_eq!(FLC_HIT.cycles(), 1);
+        assert_eq!(SLC_ACCESS.cycles(), 6);
+        assert_eq!((BUS_TRANSFER + MEM_ACCESS + BUS_TRANSFER).cycles(), 30);
         assert_eq!(t.flwb_entries, 8);
         assert_eq!(t.slwb_entries, 16);
         assert_eq!(t.slc_bytes, None);

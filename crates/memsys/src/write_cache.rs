@@ -11,13 +11,6 @@ pub struct WcEntry {
     pub dirty_mask: u8,
 }
 
-impl WcEntry {
-    /// Number of dirty words in this entry.
-    pub fn dirty_words(&self) -> u32 {
-        self.dirty_mask.count_ones()
-    }
-}
-
 /// A small direct-mapped write cache (4 blocks in the paper) that allocates
 /// on writes only and combines consecutive writes to the same block.
 ///
@@ -38,7 +31,7 @@ impl WcEntry {
 /// assert!(wc.write(Addr::new(4)).is_none()); // combines into same entry
 /// let flushed = wc.flush_all();
 /// assert_eq!(flushed.len(), 1);
-/// assert_eq!(flushed[0].dirty_words(), 2);
+/// assert_eq!(flushed[0].dirty_mask, 0b11); // words 0 and 1
 /// ```
 #[derive(Debug, Clone)]
 pub struct WriteCache {
@@ -140,7 +133,6 @@ mod tests {
         assert!(wc.write(Addr::new(8)).is_none()); // same word again
         let e = wc.probe(BlockAddr::from_index(0)).unwrap();
         assert_eq!(e.dirty_mask, 0b0000_0101);
-        assert_eq!(e.dirty_words(), 2);
         // Three writes leave one entry to flush, carrying both words.
         let flushed = wc.flush_all();
         assert_eq!(

@@ -34,15 +34,15 @@ use crate::{Deliveries, Envelope, Network, TrafficStats};
 use dirext_kernel::{Pcg32, Time};
 use dirext_trace::NodeId;
 
-/// Pair-clock table stride: the machine's presence vector caps it at 64
-/// nodes, so a flat 64×64 table (32 KB) replaces a per-message hash lookup.
-const PAIR_STRIDE: usize = 64;
-
 /// Spread (in cycles) of the random lag between a message and its duplicate.
 const DUP_LAG_SPREAD: u32 = 128;
 
 /// Cap on the exponential-backoff shift so delays stay bounded.
 const MAX_BACKOFF_SHIFT: u32 = 10;
+
+/// Base link-layer backoff in cycles: retransmission attempt *n* waits
+/// `RETRY_BASE << min(n, 10)`.
+pub const RETRY_BASE: u64 = 64;
 
 /// A seeded description of the faults to inject into a network.
 ///
@@ -62,8 +62,6 @@ pub struct FaultPlan {
     /// lost. With the default budget a loss needs `drop_permille/1000` to
     /// come up 17 times in a row — effectively never for realistic rates.
     pub retry_budget: u32,
-    /// Base backoff in cycles; attempt *n* waits `retry_base << min(n, 10)`.
-    pub retry_base: u64,
 }
 
 impl Default for FaultPlan {
@@ -74,7 +72,6 @@ impl Default for FaultPlan {
             dup_permille: 0,
             jitter_cycles: 0,
             retry_budget: 16,
-            retry_base: 64,
         }
     }
 }
@@ -119,47 +116,35 @@ pub struct FaultyNetwork {
     plan: FaultPlan,
     rng: Pcg32,
     /// Monotone last-delivery time per (src, dst) pair, as a dense
-    /// `src * stride + dst` table; enforces pair-FIFO. Fault
+    /// `src * nodes + dst` table; enforces pair-FIFO. Fault
     /// injection perturbs *every* remote message, so this lookup is as hot
     /// as the network model itself under fault runs.
     pair_clock: Vec<Time>,
     /// Row stride of `pair_clock`: the node count this network serves.
-    stride: usize,
+    nodes: usize,
     stats: FaultStats,
     name: String,
 }
 
 impl FaultyNetwork {
-    /// Wraps `inner` with the faults described by `plan`, sized for
-    /// machines of up to `PAIR_STRIDE` (64) nodes. Larger machines must
-    /// use [`FaultyNetwork::with_nodes`].
-    pub fn new(inner: Box<dyn Network>, plan: FaultPlan) -> Self {
-        Self::with_nodes(inner, plan, PAIR_STRIDE)
-    }
-
     /// Wraps `inner` with the faults described by `plan`, sizing the
     /// per-pair FIFO clock table for a machine of `nodes` nodes.
     pub fn with_nodes(inner: Box<dyn Network>, plan: FaultPlan, nodes: usize) -> Self {
         let name = format!("{}+faults", inner.name());
-        let stride = nodes.max(PAIR_STRIDE);
         FaultyNetwork {
             inner,
             rng: Pcg32::with_stream(plan.seed, 0xFA17),
             plan,
-            pair_clock: vec![Time::ZERO; stride * stride],
-            stride,
+            pair_clock: vec![Time::ZERO; nodes * nodes],
+            nodes,
             stats: FaultStats::default(),
             name,
         }
     }
 
-    /// The plan this network was built with.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     fn pair_key(&self, src: NodeId, dst: NodeId) -> usize {
-        src.idx() * self.stride + dst.idx()
+        debug_assert!(src.idx() < self.nodes && dst.idx() < self.nodes);
+        src.idx() * self.nodes + dst.idx()
     }
 }
 
@@ -170,10 +155,9 @@ impl Network for FaultyNetwork {
     /// The simulator always uses [`Network::send_all`], which reports loss
     /// faithfully.
     fn send(&mut self, now: Time, env: Envelope) -> Time {
-        let worst_case = self.plan.retry_base << MAX_BACKOFF_SHIFT;
         match self.send_all(now, env).primary {
             Some(t) => t,
-            None => now + Time::from_cycles(worst_case.max(1)),
+            None => now + Time::from_cycles(RETRY_BASE << MAX_BACKOFF_SHIFT),
         }
     }
 
@@ -204,8 +188,7 @@ impl Network for FaultyNetwork {
                         duplicate: None,
                     };
                 }
-                arrival +=
-                    Time::from_cycles(self.plan.retry_base << attempts.min(MAX_BACKOFF_SHIFT));
+                arrival += Time::from_cycles(RETRY_BASE << attempts.min(MAX_BACKOFF_SHIFT));
                 attempts += 1;
                 self.stats.retransmitted += 1;
             }
@@ -251,7 +234,7 @@ mod tests {
     }
 
     fn faulty(plan: FaultPlan) -> FaultyNetwork {
-        FaultyNetwork::new(Box::new(UniformNetwork::paper_default()), plan)
+        FaultyNetwork::with_nodes(Box::new(UniformNetwork::paper_default()), plan, 4)
     }
 
     #[test]

@@ -168,11 +168,6 @@ impl MeshNetwork {
         Self::new(4, 4, link_bits)
     }
 
-    /// Link width in bits.
-    pub fn link_bits(&self) -> u32 {
-        self.link_bits
-    }
-
     fn coords(&self, n: NodeId) -> (usize, usize) {
         let i = n.idx();
         debug_assert!(i < self.cols * self.rows, "node id off the mesh");
@@ -330,11 +325,6 @@ impl HierMeshNetwork {
             })
         });
         net
-    }
-
-    /// Link width in bits.
-    pub fn link_bits(&self) -> u32 {
-        self.link_bits
     }
 
     fn flits(&self, bytes: u32) -> u64 {

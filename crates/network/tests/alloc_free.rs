@@ -174,7 +174,7 @@ fn fault_layer_sends_never_allocate() {
         jitter_cycles: 40,
         ..FaultPlan::seeded(42)
     };
-    let mut net = FaultyNetwork::new(Box::new(MeshNetwork::paper_mesh(32)), plan);
+    let mut net = FaultyNetwork::with_nodes(Box::new(MeshNetwork::paper_mesh(32)), plan, 16);
     assert_eq!(allocs_during_sends(&mut net, 20), 0);
 }
 

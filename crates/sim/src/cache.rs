@@ -7,7 +7,7 @@ use dirext_core::msg::{Msg, MsgKind};
 use dirext_core::proto::hooks::WriteMode;
 use dirext_core::proto::trace::{CacheTag, StateTag, TraceInput, TransitionRecord};
 use dirext_kernel::Time;
-use dirext_memsys::WriteCache;
+use dirext_memsys::{WriteCache, FLC_FILL, FLC_HIT, SLC_ACCESS};
 use dirext_stats::{InvalReason, StallKind};
 use dirext_trace::{Addr, BlockAddr, MemEvent, NodeId};
 
@@ -93,7 +93,6 @@ impl Machine {
                 }
                 return;
             };
-            let flc_hit_time = self.cfg.timing.flc_hit;
             match event {
                 MemEvent::Compute(c) => {
                     self.nodes.stalls[i].add_busy(u64::from(c));
@@ -111,8 +110,8 @@ impl Machine {
                     let t = if retry {
                         now
                     } else {
-                        self.nodes.stalls[i].add_busy(flc_hit_time.cycles());
-                        now + flc_hit_time
+                        self.nodes.stalls[i].add_busy(FLC_HIT.cycles());
+                        now + FLC_HIT
                     };
                     let hit = if retry {
                         self.nodes.flc.probe(i, block)
@@ -146,8 +145,8 @@ impl Machine {
                     let t = if retry {
                         now
                     } else {
-                        self.nodes.stalls[i].add_busy(flc_hit_time.cycles());
-                        now + flc_hit_time
+                        self.nodes.stalls[i].add_busy(FLC_HIT.cycles());
+                        now + FLC_HIT
                     };
                     // Write-through, no allocation on write miss: the FLC tag
                     // array is unchanged either way.
@@ -177,8 +176,8 @@ impl Machine {
                     let t = if retry {
                         now
                     } else {
-                        self.nodes.stalls[i].add_busy(flc_hit_time.cycles());
-                        now + flc_hit_time
+                        self.nodes.stalls[i].add_busy(FLC_HIT.cycles());
+                        now + FLC_HIT
                     };
                     let _ = self.nodes.flwb[i].push(FlwbEntry::SwPrefetch(addr, exclusive));
                     self.nodes.pc[i] += 1;
@@ -410,8 +409,6 @@ impl Machine {
     fn slc_read(&mut self, nid: NodeId, a: Addr, now: Time) -> Option<Time> {
         let i = nid.idx();
         let block = a.block();
-        let slc_access = self.cfg.timing.slc_access;
-        let flc_fill = self.cfg.timing.flc_fill;
 
         let (hit, wc_hit, read_pend, own_pend) = {
             let hit = self.nodes.slc[i].contains(block);
@@ -431,8 +428,8 @@ impl Machine {
             return None;
         }
 
-        let start = self.nodes.slc_res[i].acquire(now, slc_access);
-        let done = start + slc_access;
+        let start = self.nodes.slc_res[i].acquire(now, SLC_ACCESS);
+        let done = start + SLC_ACCESS;
         self.nodes.counters[i].shared_reads += 1;
 
         if hit {
@@ -443,7 +440,7 @@ impl Machine {
                 .touch_read(preset);
             self.classifier.note_access(nid, block);
             self.nodes.flc.fill(i, block);
-            self.resume(nid, done + flc_fill);
+            self.resume(nid, done + FLC_FILL);
             if useful {
                 let k = self.nodes.exts[i].on_useful_first_reference();
                 if k > 0 {
@@ -455,7 +452,7 @@ impl Machine {
         if wc_hit {
             self.classifier.note_access(nid, block);
             self.nodes.counters[i].wc_read_hits += 1;
-            self.resume(nid, done + flc_fill);
+            self.resume(nid, done + FLC_FILL);
             return Some(done);
         }
 
@@ -576,7 +573,6 @@ impl Machine {
     fn slc_sw_prefetch(&mut self, nid: NodeId, a: Addr, exclusive: bool, now: Time) -> Time {
         let i = nid.idx();
         let block = a.block();
-        let slc_access = self.cfg.timing.slc_access;
         {
             if self.nodes.slc[i].contains(block)
                 || self.nodes.read_pending(i, block)
@@ -586,8 +582,8 @@ impl Machine {
                 return now;
             }
         }
-        let start = self.nodes.slc_res[i].acquire(now, slc_access);
-        let done = start + slc_access;
+        let start = self.nodes.slc_res[i].acquire(now, SLC_ACCESS);
+        let done = start + SLC_ACCESS;
         if exclusive {
             // Read-exclusive prefetch: fetch ownership up front so the
             // later write needs no transaction (Mowry & Gupta's
@@ -619,7 +615,6 @@ impl Machine {
     fn slc_write(&mut self, nid: NodeId, a: Addr, now: Time) -> Option<Time> {
         let i = nid.idx();
         let block = a.block();
-        let slc_access = self.cfg.timing.slc_access;
         let sc = self.sc();
         // The write policy is an extension decision: BASIC invalidates, CW
         // allocates in the write cache (or sends an immediate update in the
@@ -650,8 +645,8 @@ impl Machine {
             return None;
         }
 
-        let start = self.nodes.slc_res[i].acquire(now, slc_access);
-        let done = start + slc_access;
+        let start = self.nodes.slc_res[i].acquire(now, SLC_ACCESS);
+        let done = start + SLC_ACCESS;
         self.nodes.counters[i].shared_writes += 1;
         self.classifier.note_access(nid, block);
         let v = self.bump_wcount(block);
@@ -937,7 +932,6 @@ impl Machine {
         let nid = msg.dst;
         let i = nid.idx();
         let block = msg.block;
-        let slc_access = self.cfg.timing.slc_access;
         let preset = self.nodes.comp_preset;
 
         match msg.kind {
@@ -962,8 +956,8 @@ impl Machine {
                 else {
                     unreachable!()
                 };
-                let start = self.nodes.slc_res[i].acquire(now, slc_access);
-                let done = start + slc_access;
+                let start = self.nodes.slc_res[i].acquire(now, SLC_ACCESS);
+                let done = start + SLC_ACCESS;
 
                 let mut version = msg.version;
                 // A fetched block must absorb any local writes still on
@@ -1041,8 +1035,8 @@ impl Machine {
                 else {
                     unreachable!()
                 };
-                let start = self.nodes.slc_res[i].acquire(now, slc_access);
-                let done = start + slc_access;
+                let start = self.nodes.slc_res[i].acquire(now, SLC_ACCESS);
+                let done = start + SLC_ACCESS;
                 // Like a read fill, an ownership grant must absorb any local
                 // writes still buffered toward memory (an exclusive software
                 // prefetch can race the write cache's flush).
@@ -1112,14 +1106,14 @@ impl Machine {
                 self.after_slwb_free(nid, now);
             }
             MsgKind::Inval => {
-                let start = self.nodes.slc_res[i].acquire(now, slc_access);
-                let done = start + slc_access;
+                let start = self.nodes.slc_res[i].acquire(now, SLC_ACCESS);
+                let done = start + SLC_ACCESS;
                 self.drop_copy(nid, block);
                 self.send(done, nid, msg.src, block, MsgKind::InvalAck, 0);
             }
             MsgKind::Fetch => {
-                let start = self.nodes.slc_res[i].acquire(now, slc_access);
-                let done = start + slc_access;
+                let start = self.nodes.slc_res[i].acquire(now, SLC_ACCESS);
+                let done = start + SLC_ACCESS;
                 let reply = {
                     match self.nodes.slc[i].get_mut(block) {
                         // DIRTY, or an exclusive-clean (E) copy under the
@@ -1147,8 +1141,8 @@ impl Machine {
                 }
             }
             MsgKind::FetchInval => {
-                let start = self.nodes.slc_res[i].acquire(now, slc_access);
-                let done = start + slc_access;
+                let start = self.nodes.slc_res[i].acquire(now, SLC_ACCESS);
+                let done = start + SLC_ACCESS;
                 // Only an exclusive copy answers: a Shared copy here means
                 // this FetchInval is a duplicate and the node re-acquired
                 // the block after the original invalidated it — taking the
@@ -1167,8 +1161,8 @@ impl Machine {
                 }
             }
             MsgKind::Update { .. } => {
-                let start = self.nodes.slc_res[i].acquire(now, slc_access);
-                let done = start + slc_access;
+                let start = self.nodes.slc_res[i].acquire(now, SLC_ACCESS);
+                let done = start + SLC_ACCESS;
                 // An exclusive copy cannot be an update target: the fan-out
                 // targeted a Shared copy, so this is a duplicate that
                 // arrived after we gained ownership. The home already
@@ -1202,8 +1196,8 @@ impl Machine {
                 self.send(done, nid, msg.src, block, ack, 0);
             }
             MsgKind::Interrogate => {
-                let start = self.nodes.slc_res[i].acquire(now, slc_access);
-                let done = start + slc_access;
+                let start = self.nodes.slc_res[i].acquire(now, SLC_ACCESS);
+                let done = start + SLC_ACCESS;
                 // Interrogations target Shared copies; an exclusive copy
                 // means a duplicate arrived after the migratory transfer
                 // already went through. The home is not waiting for us.
@@ -1275,7 +1269,7 @@ impl Machine {
     fn fill_demand(&mut self, nid: NodeId, block: BlockAddr, since: Time, done: Time) {
         let i = nid.idx();
         self.nodes.flc.fill(i, block);
-        let resume_at = done + self.cfg.timing.flc_fill;
+        let resume_at = done + FLC_FILL;
         let latency = resume_at.saturating_sub(since).cycles();
         self.nodes.counters[i].read_miss_cycles += latency;
         self.nodes.read_miss_hist[i].record(latency);

@@ -2,7 +2,6 @@
 
 use dirext_core::config::{Consistency, ProtocolConfig};
 use dirext_core::sharer::DirOrg;
-use dirext_kernel::Time;
 use dirext_memsys::Timing;
 use dirext_network::{
     FaultPlan, HierMeshNetwork, MeshNetwork, Network, RingNetwork, UniformNetwork,
@@ -41,14 +40,47 @@ pub enum NetworkKind {
 const FLAT_MESH_MAX_NODES: usize = 256;
 
 impl NetworkKind {
+    /// The networks the CLI offers: uniform, and the flat mesh, the ring
+    /// and the two-level mesh with 64-, 32- and 16-bit links.
+    const ALL: [NetworkKind; 10] = [
+        NetworkKind::Uniform,
+        NetworkKind::Mesh { link_bits: 64 },
+        NetworkKind::Mesh { link_bits: 32 },
+        NetworkKind::Mesh { link_bits: 16 },
+        NetworkKind::Ring { link_bits: 64 },
+        NetworkKind::Ring { link_bits: 32 },
+        NetworkKind::Ring { link_bits: 16 },
+        NetworkKind::HierMesh { link_bits: 64 },
+        NetworkKind::HierMesh { link_bits: 32 },
+        NetworkKind::HierMesh { link_bits: 16 },
+    ];
+
+    /// Parses a CLI network name: `uniform`, or `mesh`, `ring` or `hmesh`
+    /// followed by a link width of 64, 32 or 16 (e.g. `mesh32`).
+    pub fn parse(s: &str) -> Option<NetworkKind> {
+        NetworkKind::ALL.into_iter().find(|n| n.cli_name() == s)
+    }
+
+    /// The CLI name of this network (inverse of [`NetworkKind::parse`]),
+    /// also its segment of a journal cell key.
+    pub fn cli_name(self) -> String {
+        match self {
+            NetworkKind::Uniform => "uniform".to_owned(),
+            NetworkKind::Mesh { link_bits } => format!("mesh{link_bits}"),
+            NetworkKind::HierMesh { link_bits } => format!("hmesh{link_bits}"),
+            NetworkKind::Ring { link_bits } => format!("ring{link_bits}"),
+        }
+    }
+
     /// Checks that this network can be built for `procs` nodes, returning
     /// an actionable message on failure.
     pub(crate) fn validate(self, procs: usize) -> Result<(), String> {
         match self {
             NetworkKind::Mesh { link_bits } if procs > FLAT_MESH_MAX_NODES => Err(format!(
-                "network `mesh{link_bits}` cannot serve a {procs}-node machine: the flat mesh \
-                 supports at most {FLAT_MESH_MAX_NODES} nodes; use `hmesh{link_bits}`, the \
-                 two-level mesh"
+                "network `{}` cannot serve a {procs}-node machine: the flat mesh supports at \
+                 most {FLAT_MESH_MAX_NODES} nodes; use `{}`, the two-level mesh",
+                self.cli_name(),
+                NetworkKind::HierMesh { link_bits }.cli_name()
             )),
             _ => Ok(()),
         }
@@ -139,16 +171,7 @@ impl MachineConfig {
             dirext_core::sharer::MAX_NODES
         );
         assert!(protocol.is_feasible(), "CW requires relaxed consistency");
-        let mut timing = Timing::paper_default();
-        // "We implement sequential consistency by stalling the processor
-        // for each issued shared memory reference until it is globally
-        // performed. Therefore, a single entry suffices in the FLWB...
-        // Under BASIC and M, a single entry is needed in the SLWB whereas,
-        // in P, the SLWB must keep track of pending prefetch requests."
-        if protocol.consistency == Consistency::Sc {
-            timing.flwb_entries = 1;
-            timing.slwb_entries = if protocol.prefetch.is_some() { 16 } else { 1 };
-        }
+        let timing = sc_buffers(&protocol, Timing::paper_default());
         MachineConfig {
             procs,
             protocol,
@@ -217,22 +240,27 @@ impl MachineConfig {
     /// Replaces the timing/capacity parameters (preserving the SC buffer
     /// sizing rule).
     pub fn with_timing(mut self, timing: Timing) -> Self {
-        let slwb = timing.slwb_entries;
-        self.timing = timing;
-        if self.protocol.consistency == Consistency::Sc {
-            self.timing.flwb_entries = 1;
-            self.timing.slwb_entries = if self.protocol.prefetch.is_some() {
-                slwb.max(1)
-            } else {
-                1
-            };
-        }
+        self.timing = sc_buffers(&self.protocol, timing);
         self
     }
+}
 
-    pub(crate) fn bus_time(&self) -> Time {
-        self.timing.bus_transfer
+/// `timing` with the write buffers `protocol` runs with: unchanged under
+/// RC, single entries under SC. "We implement sequential consistency by
+/// stalling the processor for each issued shared memory reference until it
+/// is globally performed. Therefore, a single entry suffices in the
+/// FLWB... Under BASIC and M, a single entry is needed in the SLWB whereas,
+/// in P, the SLWB must keep track of pending prefetch requests."
+fn sc_buffers(protocol: &ProtocolConfig, mut timing: Timing) -> Timing {
+    if protocol.consistency == Consistency::Sc {
+        timing.flwb_entries = 1;
+        timing.slwb_entries = if protocol.prefetch.is_some() {
+            timing.slwb_entries.max(1)
+        } else {
+            1
+        };
     }
+    timing
 }
 
 #[cfg(test)]
@@ -260,6 +288,23 @@ mod tests {
     #[should_panic(expected = "relaxed consistency")]
     fn cw_under_sc_rejected() {
         let _ = MachineConfig::new(16, ProtocolKind::Cw.config(Consistency::Sc));
+    }
+
+    #[test]
+    fn network_names_round_trip() {
+        let names = NetworkKind::ALL.map(NetworkKind::cli_name);
+        assert_eq!(
+            names,
+            [
+                "uniform", "mesh64", "mesh32", "mesh16", "ring64", "ring32", "ring16", "hmesh64",
+                "hmesh32", "hmesh16"
+            ]
+        );
+        for (network, name) in NetworkKind::ALL.into_iter().zip(&names) {
+            assert_eq!(NetworkKind::parse(name), Some(network));
+        }
+        assert_eq!(NetworkKind::parse("mesh8"), None);
+        assert_eq!(NetworkKind::parse("Uniform"), None);
     }
 
     #[test]

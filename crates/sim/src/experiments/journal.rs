@@ -63,7 +63,7 @@ use std::sync::Mutex;
 
 use dirext_core::sharer::DirOrg;
 use dirext_core::{Consistency, ProtocolKind};
-use dirext_network::FaultPlan;
+use dirext_network::{FaultPlan, RETRY_BASE};
 use dirext_stats::Metrics;
 use dirext_trace::Workload;
 use serde::{Deserialize, Serialize};
@@ -530,20 +530,10 @@ pub fn cell_key(
     variant: &str,
     fault: Option<&FaultPlan>,
 ) -> String {
-    let net = match network {
-        NetworkKind::Uniform => "uniform".to_owned(),
-        NetworkKind::Mesh { link_bits } => format!("mesh{link_bits}"),
-        NetworkKind::HierMesh { link_bits } => format!("hmesh{link_bits}"),
-        NetworkKind::Ring { link_bits } => format!("ring{link_bits}"),
-    };
-    let cons = match consistency {
-        Consistency::Rc => "RC",
-        Consistency::Sc => "SC",
-    };
     let fault = match fault {
         Some(f) if f.is_active() => format!(
-            "f=s{}.d{}.u{}.j{}.r{}.b{}",
-            f.seed, f.drop_permille, f.dup_permille, f.jitter_cycles, f.retry_budget, f.retry_base
+            "f=s{}.d{}.u{}.j{}.r{}.b{RETRY_BASE}",
+            f.seed, f.drop_permille, f.dup_permille, f.jitter_cycles, f.retry_budget
         ),
         _ => "f=none".to_owned(),
     };
@@ -554,12 +544,13 @@ pub fn cell_key(
         other => format!("/dir={}", other.cli_name()),
     };
     format!(
-        "{driver}/{}@{}.{}.{}/{}/{cons}/{net}/{variant}/{fault}{dir}",
+        "{driver}/{}@{}.{}.{}/{}/{consistency}/{}/{variant}/{fault}{dir}",
         workload.name(),
         workload.procs(),
         workload.total_events(),
         workload.total_data_refs(),
         kind.name(),
+        network.cli_name(),
     )
 }
 
@@ -953,6 +944,90 @@ mod tests {
         assert!(
             scaled.ends_with("/f=none/dir=coarse8"),
             "non-default organizations tag the key: {scaled}"
+        );
+    }
+
+    /// Every journal on disk resolves through these exact strings: a key
+    /// that changes shape strands the records filed under the old one.
+    #[test]
+    fn keys_are_pinned() {
+        use dirext_trace::{MemEvent, Program};
+        let read = || Program::from_events(vec![MemEvent::Read(dirext_trace::Addr::new(0))]);
+        let w = Workload::new("W", vec![read(), read()]);
+        let key = |network, consistency, variant, fault: Option<&FaultPlan>| {
+            cell_key(
+                "sens",
+                &w,
+                ProtocolKind::PCw,
+                consistency,
+                network,
+                DirOrg::FullMap,
+                variant,
+                fault,
+            )
+        };
+        let networks = [
+            (
+                NetworkKind::Uniform,
+                "sens/W@2.2.2/P+CW/RC/uniform/base/f=none",
+            ),
+            (
+                NetworkKind::Mesh { link_bits: 64 },
+                "sens/W@2.2.2/P+CW/RC/mesh64/base/f=none",
+            ),
+            (
+                NetworkKind::Mesh { link_bits: 32 },
+                "sens/W@2.2.2/P+CW/RC/mesh32/base/f=none",
+            ),
+            (
+                NetworkKind::Mesh { link_bits: 16 },
+                "sens/W@2.2.2/P+CW/RC/mesh16/base/f=none",
+            ),
+            (
+                NetworkKind::Ring { link_bits: 64 },
+                "sens/W@2.2.2/P+CW/RC/ring64/base/f=none",
+            ),
+            (
+                NetworkKind::Ring { link_bits: 32 },
+                "sens/W@2.2.2/P+CW/RC/ring32/base/f=none",
+            ),
+            (
+                NetworkKind::Ring { link_bits: 16 },
+                "sens/W@2.2.2/P+CW/RC/ring16/base/f=none",
+            ),
+            (
+                NetworkKind::HierMesh { link_bits: 64 },
+                "sens/W@2.2.2/P+CW/RC/hmesh64/base/f=none",
+            ),
+            (
+                NetworkKind::HierMesh { link_bits: 32 },
+                "sens/W@2.2.2/P+CW/RC/hmesh32/base/f=none",
+            ),
+            (
+                NetworkKind::HierMesh { link_bits: 16 },
+                "sens/W@2.2.2/P+CW/RC/hmesh16/base/f=none",
+            ),
+        ];
+        for (network, pinned) in networks {
+            assert_eq!(key(network, Consistency::Rc, "base", None), pinned);
+        }
+        assert_eq!(
+            key(NetworkKind::Uniform, Consistency::Sc, "base", None),
+            "sens/W@2.2.2/P+CW/SC/uniform/base/f=none"
+        );
+        assert_eq!(
+            key(NetworkKind::Uniform, Consistency::Rc, "flwb4-slwb4", None),
+            "sens/W@2.2.2/P+CW/RC/uniform/flwb4-slwb4/f=none"
+        );
+        let lossy = FaultPlan {
+            drop_permille: 20,
+            dup_permille: 10,
+            jitter_cycles: 5,
+            ..FaultPlan::seeded(1)
+        };
+        assert_eq!(
+            key(NetworkKind::Uniform, Consistency::Rc, "base", Some(&lossy)),
+            "sens/W@2.2.2/P+CW/RC/uniform/base/f=s1.d20.u10.j5.r16.b64"
         );
     }
 }

@@ -15,7 +15,7 @@
 //!   of tearing down the whole sweep.
 //! * **Retry with fault-seed rotation** — transiently-failing cells
 //!   ([`SimError::is_transient`] under an active fault plan) are retried
-//!   up to [`SweepOpts::retries`] times with the fault seed rotated by the
+//!   up to [`TRANSIENT_RETRIES`] times with the fault seed rotated by the
 //!   attempt number. The rotation is deterministic, so interrupted and
 //!   uninterrupted runs agree on every outcome.
 //! * **Quarantine** — with [`SweepOpts::keep_going`], failing cells are
@@ -33,14 +33,18 @@ use std::sync::Arc;
 use dirext_core::config::Consistency;
 use dirext_core::sharer::DirOrg;
 use dirext_core::ProtocolKind;
-use dirext_memsys::Timing;
 use dirext_network::FaultPlan;
 use dirext_stats::Metrics;
 use dirext_trace::Workload;
 
 use super::journal::{cell_key, Journal};
 use super::pool;
+use super::sens::Constraint;
 use crate::{Machine, MachineConfig, NetworkKind, NodeFaultPlan, SimError};
+
+/// Extra attempts for a transiently-failing cell under an active fault
+/// plan, each with the fault seed rotated by the attempt number.
+pub const TRANSIENT_RETRIES: u32 = 2;
 
 /// Options shared by every sweep driver.
 ///
@@ -48,7 +52,7 @@ use crate::{Machine, MachineConfig, NetworkKind, NodeFaultPlan, SimError};
 /// inline); `fault` optionally overlays a fault-injection plan on every
 /// run. The remaining fields configure the crash-safety layer — see the
 /// module docs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SweepOpts {
     /// Worker threads for the sweep (0 or 1 = serial inline).
     pub jobs: usize,
@@ -60,29 +64,12 @@ pub struct SweepOpts {
     /// Collect failing cells into a [`Quarantine`] report instead of
     /// stopping at the first failure.
     pub keep_going: bool,
-    /// Extra attempts for transiently-failing cells under an active fault
-    /// plan (0 disables retry).
-    pub retries: u32,
     /// Cooperative cancellation flag (e.g. armed by a SIGINT handler):
     /// checked between cells, drains in-flight work when set.
     pub cancel: Option<Arc<AtomicBool>>,
     /// Chaos hook: panic inside any cell whose key contains this substring
     /// (exercises the panic-isolation path in tests and CI smoke).
     pub chaos_panic: Option<String>,
-}
-
-impl Default for SweepOpts {
-    fn default() -> Self {
-        SweepOpts {
-            jobs: 0,
-            fault: None,
-            journal: None,
-            keep_going: false,
-            retries: 2,
-            cancel: None,
-            chaos_panic: None,
-        }
-    }
 }
 
 impl SweepOpts {
@@ -112,12 +99,6 @@ impl SweepOpts {
         self
     }
 
-    /// Returns these options with the transient-retry budget set.
-    pub fn retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
     /// Returns these options draining when `cancel` becomes true.
     pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> Self {
         self.cancel = Some(cancel);
@@ -144,13 +125,11 @@ pub struct Cell<'a> {
     pub consistency: Consistency,
     /// Interconnect model.
     pub network: NetworkKind,
-    /// Optional timing override (§5.4 sensitivity runs).
-    pub timing: Option<Timing>,
+    /// The §5.4 constraint this cell runs under, if any: it sets both the
+    /// machine's timing and the journal key's variant tag.
+    pub constraint: Option<Constraint>,
     /// Directory organization (full-map unless the sweep says otherwise).
     pub dir: DirOrg,
-    /// Tag distinguishing otherwise-identical configurations (e.g. which
-    /// timing override applies); part of the journal cell key.
-    pub variant: &'static str,
     /// Whole-node crash/recovery schedule for this cell (the `degrade`
     /// sweep varies it per cell; `None` or an inactive plan is the
     /// fault-free path). An active plan is encoded into the journal cell
@@ -176,17 +155,15 @@ impl<'a> Cell<'a> {
             kind,
             consistency,
             network,
-            timing: None,
+            constraint: None,
             dir: DirOrg::FullMap,
-            variant: "base",
             node_fault: None,
         }
     }
 
-    /// Returns this cell with a timing override, tagged `variant`.
-    pub fn timed(mut self, timing: Timing, variant: &'static str) -> Self {
-        self.timing = Some(timing);
-        self.variant = variant;
+    /// Returns this cell under a §5.4 constraint.
+    pub fn constrained(mut self, constraint: Constraint) -> Self {
+        self.constraint = Some(constraint);
         self
     }
 
@@ -390,7 +367,7 @@ pub fn run_cells(
                 c.consistency,
                 c.network,
                 c.dir,
-                c.variant,
+                c.constraint.map_or("base", Constraint::tag),
                 opts.fault.as_ref(),
             );
             key.push_str(&c.node_fault_key());
@@ -504,7 +481,7 @@ fn run_one(key: &str, cell: &Cell<'_>, opts: &SweepOpts) -> Outcome {
         }
     }
     let retryable = opts.fault.is_some_and(|f| f.is_active());
-    let max_attempts = if retryable { 1 + opts.retries } else { 1 };
+    let max_attempts = if retryable { 1 + TRANSIENT_RETRIES } else { 1 };
     let mut attempt = 0u32;
     loop {
         attempt += 1;
@@ -526,8 +503,8 @@ fn run_one(key: &str, cell: &Cell<'_>, opts: &SweepOpts) -> Outcome {
                 MachineConfig::new(cell.workload.procs(), cell.kind.config(cell.consistency))
                     .with_network(cell.network)
                     .with_dir_org(cell.dir);
-            if let Some(t) = cell.timing.clone() {
-                cfg = cfg.with_timing(t);
+            if let Some(c) = cell.constraint {
+                cfg = cfg.with_timing(c.timing());
             }
             if let Some(p) = fault {
                 cfg = cfg.with_faults(p);

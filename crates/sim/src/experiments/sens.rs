@@ -62,6 +62,32 @@ pub enum Constraint {
     SmallSlc,
 }
 
+impl Constraint {
+    /// The node parameters this constraint runs with.
+    pub fn timing(self) -> Timing {
+        match self {
+            Constraint::SmallBuffers => Timing::paper_default().with_small_buffers(),
+            Constraint::SmallSlc => Timing::paper_default().with_limited_slc(),
+        }
+    }
+
+    /// The variant tag of this constraint's journal cell keys.
+    pub fn tag(self) -> &'static str {
+        match self {
+            Constraint::SmallBuffers => "flwb4-slwb4",
+            Constraint::SmallSlc => "slc16k",
+        }
+    }
+
+    /// How the sweep's heading names this constraint.
+    fn label(self) -> &'static str {
+        match self {
+            Constraint::SmallBuffers => "FLWB4/SLWB4",
+            Constraint::SmallSlc => "16-KB SLC",
+        }
+    }
+}
+
 /// Runs a §5.4 sensitivity sweep under RC on the uniform network.
 ///
 /// # Errors
@@ -72,18 +98,6 @@ pub fn sensitivity(
     constraint: Constraint,
     opts: &SweepOpts,
 ) -> Result<Sensitivity, SweepError> {
-    let (variant, tag, timing) = match constraint {
-        Constraint::SmallBuffers => (
-            "FLWB4/SLWB4",
-            "flwb4-slwb4",
-            Timing::paper_default().with_small_buffers(),
-        ),
-        Constraint::SmallSlc => (
-            "16-KB SLC",
-            "slc16k",
-            Timing::paper_default().with_limited_slc(),
-        ),
-    };
     // Per app: each protocol at default parameters, then constrained. The
     // default-timing cells share journal keys across the two constraint
     // sweeps on purpose: they are the same configuration, so a resumed
@@ -97,7 +111,7 @@ pub fn sensitivity(
                 .flat_map(|&kind| {
                     [
                         Cell::new(w, kind, Consistency::Rc),
-                        Cell::new(w, kind, Consistency::Rc).timed(timing.clone(), tag),
+                        Cell::new(w, kind, Consistency::Rc).constrained(constraint),
                     ]
                 })
                 .collect()
@@ -117,7 +131,10 @@ pub fn sensitivity(
         }
     })
     .collect();
-    Ok(Sensitivity { variant, rows })
+    Ok(Sensitivity {
+        variant: constraint.label(),
+        rows,
+    })
 }
 
 impl fmt::Display for Sensitivity {

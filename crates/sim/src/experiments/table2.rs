@@ -41,14 +41,6 @@ impl Table2Row {
             .map(|m| (m.cold_rate_pct(), m.coh_rate_pct()))
             .collect()
     }
-
-    /// The paper's additivity observation: cold(P+CW) ≈ cold(P) and
-    /// coh(P+CW) ≈ coh(CW). Returns the two absolute differences in
-    /// percentage points.
-    pub fn additivity_error(&self) -> (f64, f64) {
-        let c = self.components();
-        ((c[3].0 - c[1].0).abs(), (c[3].1 - c[2].1).abs())
-    }
 }
 
 /// Runs the Table-2 sweep (RC, uniform network).

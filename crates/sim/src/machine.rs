@@ -12,6 +12,7 @@ use dirext_core::proto::trace::TraceInput;
 use dirext_core::proto::{ExtSet, Exts, TraceRing, TransitionRecord};
 use dirext_core::ProtocolError;
 use dirext_kernel::{EventQueue, Time};
+use dirext_memsys::{BUS_TRANSFER, MEM_ACCESS};
 use dirext_network::{FaultyNetwork, Network, TrafficClass};
 use dirext_stats::{Metrics, MissClassifier, StallKind};
 use dirext_trace::{BlockAddr, NodeId, Workload, WorkloadError};
@@ -230,8 +231,6 @@ pub struct Machine {
     /// Completion time of each barrier episode, in completion order.
     barrier_log: Vec<Time>,
     events: u64,
-    /// `DIREXT_TRACE` event logging, read once at construction.
-    trace_events: bool,
     /// A fatal error raised inside an event handler; checked by the run
     /// loop after every event (handlers cannot return `Result` because
     /// they are re-entered through the event queue).
@@ -329,13 +328,13 @@ impl Machine {
             classifier: MissClassifier::new(cfg.procs),
             now: Time::ZERO,
             queue: EventQueue::with_capacity(256),
-            nodes: Nodes::placeholder(),
+            // Replaced when a workload is run.
+            nodes: Nodes::new(Vec::new(), &cfg.protocol, &cfg.timing),
             homes,
             net,
             wcount: BlockMap::new(),
             barrier_log: Vec::new(),
             events: 0,
-            trace_events: std::env::var_os("DIREXT_TRACE").is_some(),
             fatal: None,
             stale_drops: 0,
             nack_retries: 0,
@@ -409,9 +408,8 @@ impl Machine {
             version,
             epoch: self.epoch[fenced_endpoint(src, dst, kind).idx()],
         };
-        let bus = self.cfg.bus_time();
-        let start = self.nodes.bus_res[src.idx()].acquire(t, bus);
-        let deliveries = self.net.send_all(start + bus, msg.envelope());
+        let start = self.nodes.bus_res[src.idx()].acquire(t, BUS_TRANSFER);
+        let deliveries = self.net.send_all(start + BUS_TRANSFER, msg.envelope());
         if let Some(arrival) = deliveries.primary {
             self.queue.push(arrival, Ev::Deliver(msg));
         }
@@ -578,9 +576,6 @@ impl Machine {
             if self.events > MAX_EVENTS {
                 return Err(SimError::EventBudgetExceeded);
             }
-            if self.trace_events {
-                eprintln!("[{t}] {ev:?}");
-            }
             match ev {
                 Ev::ProcStep(n, e) => {
                     let i = n.idx();
@@ -652,8 +647,7 @@ impl Machine {
 
     fn home_deliver(&mut self, msg: Msg, now: Time) {
         let h = msg.dst.idx();
-        let mem = self.cfg.timing.mem_access + self.cfg.timing.dir_access;
-        let t = now + mem;
+        let t = now + MEM_ACCESS;
         match msg.kind {
             MsgKind::AcqReq => {
                 if self.homes[h].locks.acquire(msg.src, msg.block, msg.version) {
@@ -814,7 +808,7 @@ impl Machine {
     /// and the lock controller hands the node's locks to their next
     /// waiters.
     fn purge_home(&mut self, h: usize, n: NodeId, now: Time) {
-        let t = now + self.cfg.timing.mem_access + self.cfg.timing.dir_access;
+        let t = now + MEM_ACCESS;
         let home = NodeId(h as u16);
         self.homes[h].dir.set_trace_now(now.cycles());
         self.homes[h].dir.set_node_dead(n, true);
@@ -861,18 +855,12 @@ impl Machine {
             }
         }
         self.node_crashes += 1;
-        if self.trace_events {
-            eprintln!("[{t}] NodeCrash({n})");
-        }
     }
 
     /// The bounded-timeout detection fires: every home purges the dead
     /// node, in home order, sending each home's synthesized completions
     /// and lock hand-offs through the normal send path.
     fn apply_reconstruct(&mut self, t: Time, n: NodeId) -> Result<(), SimError> {
-        if self.trace_events {
-            eprintln!("[{t}] NodeReconstruct({n})");
-        }
         for h in 0..self.cfg.procs {
             self.purge_home(h, n, t);
             if let Some(e) = self.fatal.take() {
@@ -961,9 +949,6 @@ impl Machine {
             }
         }
         self.node_recoveries += 1;
-        if self.trace_events {
-            eprintln!("[{t}] NodeRecover({n})");
-        }
     }
 
     // ------------------------------------------------------------ watchdog

@@ -11,7 +11,7 @@
 use std::collections::VecDeque;
 
 use dirext_core::blockmap::BlockMap;
-use dirext_core::config::ProtocolConfig;
+use dirext_core::config::{ProtocolConfig, WRITE_CACHE_BLOCKS};
 use dirext_core::line::Line;
 use dirext_core::proto::Exts;
 use dirext_kernel::{Resource, Time};
@@ -238,7 +238,7 @@ impl Nodes {
                     protocol
                         .competitive
                         .filter(|c| c.write_cache)
-                        .map(|_| WriteCache::new(timing.write_cache_blocks))
+                        .map(|_| WriteCache::new(WRITE_CACHE_BLOCKS))
                 })
                 .collect(),
             wc_version: (0..n).map(|_| BlockMap::new()).collect(),
@@ -254,39 +254,6 @@ impl Nodes {
             read_miss_hist: (0..n).map(|_| Histogram::new()).collect(),
             slwb_cap: timing.slwb_entries,
             comp_preset,
-        }
-    }
-
-    /// An empty placeholder (no nodes); replaced when a workload is run.
-    pub(crate) fn placeholder() -> Self {
-        Nodes {
-            pc: Vec::new(),
-            pstate: Vec::new(),
-            retry_no_charge: Vec::new(),
-            finish: Vec::new(),
-            program: Vec::new(),
-            stalls: Vec::new(),
-            flc: FlcArray::new(0, dirext_trace::BLOCK_BYTES),
-            flwb: Vec::new(),
-            flwb_active: Vec::new(),
-            slc: Vec::new(),
-            slwb: Vec::new(),
-            slc_res: Vec::new(),
-            bus_res: Vec::new(),
-            wc: Vec::new(),
-            wc_version: Vec::new(),
-            update_backlog: Vec::new(),
-            wb_backlog: Vec::new(),
-            exts: Vec::new(),
-            pending_writes: Vec::new(),
-            sync_waiting: Vec::new(),
-            waiting_grant: Vec::new(),
-            next_lock_seq: Vec::new(),
-            held_locks: Vec::new(),
-            counters: Vec::new(),
-            read_miss_hist: Vec::new(),
-            slwb_cap: 0,
-            comp_preset: 1,
         }
     }
 

@@ -69,15 +69,6 @@ impl Histogram {
         self.count
     }
 
-    /// Mean of recorded values (0.0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Largest recorded value.
     pub fn max(&self) -> u64 {
         self.max
@@ -143,7 +134,6 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.count(), 100);
-        assert!((h.mean() - 50.5).abs() < 1e-9);
         assert_eq!(h.max(), 100);
     }
 

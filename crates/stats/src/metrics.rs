@@ -286,26 +286,6 @@ impl Metrics {
         }
         self.net_bytes as f64 / baseline.net_bytes as f64
     }
-
-    /// Per-processor average stall breakdown scaled so that its components
-    /// sum to this run's execution time — the construction of the paper's
-    /// stacked bars.
-    pub fn scaled_breakdown(&self) -> StallBreakdown {
-        let total = self.stalls.total();
-        if total == 0 || self.procs == 0 {
-            return StallBreakdown::default();
-        }
-        let scale = self.exec_cycles as f64 / (total as f64 / self.procs as f64);
-        let s = |v: u64| ((v as f64 / self.procs as f64) * scale) as u64;
-        StallBreakdown {
-            busy: s(self.stalls.busy),
-            read: s(self.stalls.read),
-            write: s(self.stalls.write),
-            acquire: s(self.stalls.acquire),
-            release: s(self.stalls.release),
-            buffer: s(self.stalls.buffer),
-        }
-    }
 }
 
 fn is_zero(v: &u64) -> bool {
@@ -475,24 +455,6 @@ mod tests {
         assert_eq!(m.avg_read_miss_latency(), 0.0);
         assert_eq!(m.prefetch_efficiency(), 0.0);
         assert_eq!(m.relative_traffic(&Metrics::default()), 1.0);
-    }
-
-    #[test]
-    fn scaled_breakdown_sums_to_exec_time() {
-        let mut m = sample();
-        m.stalls = StallBreakdown {
-            busy: 8000,
-            read: 4000,
-            write: 0,
-            acquire: 4000,
-            release: 0,
-            buffer: 0,
-        };
-        let sb = m.scaled_breakdown();
-        let total = sb.total();
-        // Integer rounding may lose a few cycles.
-        assert!((total as i64 - m.exec_cycles as i64).abs() <= 3, "{total}");
-        assert_eq!(sb.busy, 500);
     }
 
     #[test]

@@ -127,16 +127,6 @@ impl BlockAddr {
         self.0 as u64
     }
 
-    /// The first byte address of this block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block lies past the 4 GiB shared address space.
-    #[inline]
-    pub const fn base_addr(self) -> Addr {
-        Addr::new(self.0 as u64 * BLOCK_BYTES)
-    }
-
     /// The block `n` blocks after this one (used by sequential prefetching).
     #[inline]
     pub const fn plus(self, n: u64) -> BlockAddr {
@@ -233,7 +223,6 @@ mod tests {
         let a = Addr::new(3 * BLOCK_BYTES + 17);
         assert_eq!(a.block(), BlockAddr::from_index(3));
         assert_eq!(a.word_in_block(), 17 / WORD_BYTES);
-        assert_eq!(a.block().base_addr(), Addr::new(96));
     }
 
     #[test]

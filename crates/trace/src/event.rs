@@ -48,14 +48,6 @@ impl MemEvent {
     pub fn is_data_ref(&self) -> bool {
         matches!(self, MemEvent::Read(_) | MemEvent::Write(_))
     }
-
-    /// Whether this event is a synchronization operation.
-    pub fn is_sync(&self) -> bool {
-        matches!(
-            self,
-            MemEvent::Acquire(_) | MemEvent::Release(_) | MemEvent::Barrier(_)
-        )
-    }
 }
 
 /// The sequence of events one processor executes.
@@ -159,9 +151,6 @@ mod tests {
         assert!(MemEvent::Read(Addr::new(0)).is_data_ref());
         assert!(MemEvent::Write(Addr::new(0)).is_data_ref());
         assert!(!MemEvent::Compute(1).is_data_ref());
-        assert!(MemEvent::Acquire(Addr::new(0)).is_sync());
-        assert!(MemEvent::Barrier(BarrierId(0)).is_sync());
-        assert!(!MemEvent::Read(Addr::new(0)).is_sync());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::{Addr, BLOCK_BYTES, PAGE_BYTES};
 /// use dirext_trace::Layout;
 ///
 /// let mut layout = Layout::new();
-/// let matrix = layout.alloc_elems("A", 100, 8); // 100 doubles
+/// let matrix = layout.alloc("A", 100 * 8); // 100 doubles
 /// let a_3 = matrix.elem(3, 8);
 /// assert_eq!(a_3.byte() - matrix.base().byte(), 24);
 /// ```
@@ -64,25 +64,6 @@ impl Region {
         );
         self.base.offset(off)
     }
-
-    /// Splits the region into consecutive sub-regions of `n` equal parts
-    /// (block-aligned chunks except possibly the last).
-    pub fn chunks(&self, n: u64) -> Vec<Region> {
-        let per = self.bytes.div_ceil(n);
-        // Round each chunk up to a block boundary so chunks never share blocks
-        // (the generators rely on this to control false sharing explicitly).
-        let per = per.div_ceil(BLOCK_BYTES) * BLOCK_BYTES;
-        (0..n)
-            .map(|i| {
-                let start = (i * per).min(self.bytes);
-                let end = ((i + 1) * per).min(self.bytes);
-                Region {
-                    base: self.base.offset(start),
-                    bytes: end - start,
-                }
-            })
-            .collect()
-    }
 }
 
 /// Bump allocator carving a shared address space into regions.
@@ -107,11 +88,6 @@ impl Layout {
     /// Allocates `bytes` bytes, aligned to a cache block.
     pub fn alloc(&mut self, name: &str, bytes: u64) -> Region {
         self.alloc_aligned(name, bytes, BLOCK_BYTES)
-    }
-
-    /// Allocates room for `n` elements of `elem_bytes` each.
-    pub fn alloc_elems(&mut self, name: &str, n: u64, elem_bytes: u64) -> Region {
-        self.alloc(name, n * elem_bytes)
     }
 
     /// Allocates `bytes` bytes aligned to a 4-KB page boundary.
@@ -140,11 +116,6 @@ impl Layout {
         };
         self.regions.push((name.to_owned(), region));
         region
-    }
-
-    /// Total bytes allocated (address-space high-water mark).
-    pub fn total_bytes(&self) -> u64 {
-        self.next
     }
 
     /// Iterates over `(name, region)` pairs in allocation order.
@@ -188,7 +159,7 @@ mod tests {
     #[test]
     fn elem_addressing() {
         let mut l = Layout::new();
-        let arr = l.alloc_elems("arr", 10, 8);
+        let arr = l.alloc("arr", 10 * 8);
         assert_eq!(arr.elem(0, 8), arr.base());
         assert_eq!(arr.elem(9, 8).byte(), arr.base().byte() + 72);
     }
@@ -197,7 +168,7 @@ mod tests {
     #[should_panic(expected = "out of region")]
     fn elem_out_of_bounds_panics() {
         let mut l = Layout::new();
-        let arr = l.alloc_elems("arr", 10, 8);
+        let arr = l.alloc("arr", 10 * 8);
         let _ = arr.elem(10, 8);
     }
 
@@ -210,29 +181,11 @@ mod tests {
     }
 
     #[test]
-    fn chunks_are_block_disjoint_and_cover() {
-        let mut l = Layout::new();
-        let arr = l.alloc("arr", 1000);
-        let chunks = arr.chunks(4);
-        assert_eq!(chunks.len(), 4);
-        let covered: u64 = chunks.iter().map(|c| c.bytes()).sum();
-        assert_eq!(covered, 1000);
-        for w in chunks.windows(2) {
-            if w[0].bytes() > 0 && w[1].bytes() > 0 {
-                let last0 = w[0].base().offset(w[0].bytes() - 1).block();
-                let first1 = w[1].base().block();
-                assert!(last0 < first1, "chunks share a block");
-            }
-        }
-    }
-
-    #[test]
     fn layout_reports_regions() {
         let mut l = Layout::new();
         l.alloc("x", 32);
         l.alloc("y", 64);
         let names: Vec<_> = l.iter().map(|(n, _)| n.to_owned()).collect();
         assert_eq!(names, vec!["x", "y"]);
-        assert!(l.total_bytes() >= 96);
     }
 }

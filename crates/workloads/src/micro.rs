@@ -2,9 +2,9 @@
 //!
 //! These drive the integration tests and the examples; each isolates one
 //! behaviour (sequential streaming, migratory ping-pong, producer-consumer,
-//! false sharing, lock contention).
+//! lock contention).
 
-use dirext_trace::{Addr, BarrierId, Layout, Program, ProgramBuilder, Workload, BLOCK_BYTES};
+use dirext_trace::{BarrierId, Layout, Program, ProgramBuilder, Workload, BLOCK_BYTES};
 
 /// One processor streams sequentially over `blocks` cache blocks; the rest
 /// idle. Pure cold misses with maximal spatial locality — adaptive
@@ -78,26 +78,6 @@ pub fn producer_consumer(procs: usize, blocks: u64, rounds: u32) -> Workload {
     Workload::new("producer-consumer", programs)
 }
 
-/// Every processor updates its own word of the *same* cache block each
-/// round: false sharing. Larger block sizes and naive prefetching make
-/// this worse; the per-word dirty bits of the write cache make it cheap.
-pub fn false_sharing(procs: usize, rounds: u32) -> Workload {
-    assert!(procs <= 8, "one word per processor in a 32-byte block");
-    let mut layout = Layout::new();
-    let block = layout.alloc("contended", BLOCK_BYTES);
-    let programs = (0..procs)
-        .map(|i| {
-            let mut b = ProgramBuilder::new();
-            for _ in 0..rounds {
-                b.compute(8);
-                b.rmw(Addr::new(block.base().byte() + i as u64 * 4));
-            }
-            b.build()
-        })
-        .collect();
-    Workload::new("false-sharing", programs)
-}
-
 /// All processors hammer one lock with a tiny critical section: exposes
 /// the queue-based lock hand-off and acquire-stall accounting.
 pub fn lock_contention(procs: usize, rounds: usize) -> Workload {
@@ -114,34 +94,9 @@ mod tests {
             stream(4, 32, true),
             migratory_pingpong(4, 2, 5),
             producer_consumer(4, 2, 3),
-            false_sharing(4, 5),
             lock_contention(3, 4),
         ] {
             w.validate().unwrap_or_else(|e| panic!("{}: {e}", w.name()));
         }
-    }
-
-    #[test]
-    fn false_sharing_uses_distinct_words_of_one_block() {
-        let w = false_sharing(8, 1);
-        let addrs: Vec<Addr> = (0..8)
-            .filter_map(|p| {
-                w.program(p).events().iter().find_map(|e| match e {
-                    dirext_trace::MemEvent::Read(a) => Some(*a),
-                    _ => None,
-                })
-            })
-            .collect();
-        assert_eq!(addrs.len(), 8);
-        let blocks: std::collections::HashSet<_> = addrs.iter().map(|a| a.block()).collect();
-        assert_eq!(blocks.len(), 1, "all words in one block");
-        let words: std::collections::HashSet<_> = addrs.iter().map(|a| a.word_in_block()).collect();
-        assert_eq!(words.len(), 8, "each proc its own word");
-    }
-
-    #[test]
-    #[should_panic(expected = "one word per processor")]
-    fn false_sharing_caps_procs() {
-        let _ = false_sharing(9, 1);
     }
 }

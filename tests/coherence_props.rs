@@ -88,7 +88,6 @@ fn all_configs() -> Vec<ProtocolConfig> {
         prefetch: Some(PrefetchConfig {
             initial_k: 4,
             adaptive: false,
-            ..Default::default()
         }),
         migratory: false,
         migratory_revert: true,

@@ -316,7 +316,6 @@ fn adaptive_prefetch_degree_beats_fixed_degrees() {
         let prefetch = PrefetchConfig {
             initial_k,
             adaptive,
-            ..PrefetchConfig::default()
         };
         let protocol = ProtocolConfig {
             prefetch: Some(prefetch),

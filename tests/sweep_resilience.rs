@@ -13,7 +13,9 @@ use std::sync::Arc;
 
 use dirext_core::config::Consistency;
 use dirext_core::ProtocolKind;
-use dirext_sim::experiments::{fig2, journal::Journal, miss_latency, SweepError, SweepOpts};
+use dirext_sim::experiments::{
+    fig2, journal::Journal, miss_latency, SweepError, SweepOpts, TRANSIENT_RETRIES,
+};
 use dirext_sim::stats::Metrics;
 use dirext_sim::{FaultPlan, Machine, MachineConfig, SimError};
 use dirext_trace::Workload;
@@ -197,26 +199,16 @@ fn transient_failure_is_retried_with_rotated_seed() {
     let (seed, retry_clears) =
         find_transient_seed(&w).expect("a lossy seed that wedges the run must exist in 0..120");
 
-    let one_app = vec![w.clone()];
-    let no_retry = miss_latency(
-        &one_app,
-        &SweepOpts::jobs(1).with_fault(lossy(seed)).retries(0),
-    );
-    assert!(
-        no_retry.is_err(),
-        "without retry the transient failure surfaces"
-    );
+    let one_app = vec![w];
 
     if retry_clears {
         // With the retry budget the rotated seed completes the cell.
-        let retried = miss_latency(
-            &one_app,
-            &SweepOpts::jobs(1).with_fault(lossy(seed)).retries(2),
-        );
+        let retried = miss_latency(&one_app, &SweepOpts::jobs(1).with_fault(lossy(seed)));
         assert!(
             retried.is_ok(),
             "retry with rotated fault seed must clear the transient failure: {retried:?}"
         );
+        return;
     }
 
     // Exhausted retries land in quarantine with the attempt count, and the
@@ -224,16 +216,16 @@ fn transient_failure_is_retried_with_rotated_seed() {
     // silently skipped).
     let quarantined = miss_latency(
         &one_app,
-        &SweepOpts::jobs(1)
-            .with_fault(lossy(seed))
-            .retries(0)
-            .keep_going(),
+        &SweepOpts::jobs(1).with_fault(lossy(seed)).keep_going(),
     );
     match quarantined {
         Err(SweepError::Quarantined(q)) => {
             assert_eq!(q.completed + q.failures.len(), q.total, "no cell skipped");
             assert!(q.failures.iter().all(|f| !f.panicked));
-            assert!(q.failures.iter().all(|f| f.attempts == 1));
+            assert!(q
+                .failures
+                .iter()
+                .all(|f| f.attempts == 1 + TRANSIENT_RETRIES));
             assert!(q
                 .failures
                 .iter()
@@ -246,35 +238,35 @@ fn transient_failure_is_retried_with_rotated_seed() {
 #[test]
 fn retry_attempts_are_recorded_in_the_quarantine() {
     let w = App::Mp3d.workload(4, Scale::Tiny);
-    // Find a seed where the first attempt *and* its rotation fail, so a
-    // retries(1) sweep demonstrably retried before quarantining.
+    // Find a seed where the first attempt *and* every rotation fail, so
+    // the sweep demonstrably retried before quarantining.
     let mut found = None;
     for seed in 0..200u64 {
-        let both_fail = [seed, seed + 1]
-            .iter()
-            .all(|&s| matches!(run_lossy(&w, s), Err(e) if e.is_transient()));
-        if both_fail {
+        let all_fail = (seed..=seed + u64::from(TRANSIENT_RETRIES))
+            .all(|s| matches!(run_lossy(&w, s), Err(e) if e.is_transient()));
+        if all_fail {
             found = Some(seed);
             break;
         }
     }
-    let seed = found.expect("two consecutive wedging seeds must exist in 0..200");
+    let seed = found.expect("three consecutive wedging seeds must exist in 0..200");
     let one_app = vec![w];
     let err = miss_latency(
         &one_app,
-        &SweepOpts::jobs(1)
-            .with_fault(lossy(seed))
-            .retries(1)
-            .keep_going(),
+        &SweepOpts::jobs(1).with_fault(lossy(seed)).keep_going(),
     )
-    .expect_err("both attempts wedge");
+    .expect_err("every attempt wedges");
     let q = err.quarantine().expect("quarantine report");
     let basic = q
         .failures
         .iter()
         .find(|f| f.key.contains("/BASIC/"))
         .expect("the BASIC cell is quarantined");
-    assert_eq!(basic.attempts, 2, "first attempt plus one rotated retry");
+    assert_eq!(
+        basic.attempts,
+        1 + TRANSIENT_RETRIES,
+        "first attempt plus every rotated retry"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -332,7 +324,6 @@ fn retries_account_attempts_in_the_journal() {
         &[w],
         &SweepOpts::jobs(1)
             .with_fault(lossy(seed))
-            .retries(2)
             .keep_going()
             .with_journal(Arc::clone(&journal)),
     );
