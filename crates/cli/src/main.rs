@@ -6,8 +6,9 @@
 
 mod svg;
 
+use std::fmt::Display;
 use std::process::ExitCode;
-
+use std::str::FromStr;
 use std::sync::Arc;
 
 use dirext_core::config::Consistency;
@@ -16,10 +17,10 @@ use dirext_core::ProtocolKind;
 use dirext_sim::experiments::fig2::FIG2_PROTOCOLS;
 use dirext_sim::experiments::fig3::FIG3_PROTOCOLS;
 use dirext_sim::experiments::fig4::FIG4_PROTOCOLS;
-use dirext_sim::experiments::{self, Constraint, Journal, SweepError, SweepOpts};
-use dirext_sim::Machine;
-use dirext_sim::MachineConfig;
-use dirext_sim::{FaultPlan, NodeFaultEvent, NodeFaultPlan};
+use dirext_sim::experiments::{
+    self, Constraint, DegradeParams, Journal, Quarantine, SweepError, SweepOpts,
+};
+use dirext_sim::{FaultPlan, Machine, MachineConfig, NetworkKind, NodeFaultEvent, NodeFaultPlan};
 use dirext_trace::{Workload, MAX_NODES};
 use dirext_workloads::random::MAX_RANDOM_PROCS;
 use dirext_workloads::{App, Scale};
@@ -193,42 +194,74 @@ fn paper_sweep(command: &str) -> Option<&'static PaperSweep> {
     PAPER_SWEEPS.iter().find(|p| p.command == command)
 }
 
-/// The sweep commands: every command that runs through `sweep_opts`.
-fn sweeps() -> Vec<&'static str> {
-    PAPER_SWEEPS
-        .iter()
-        .map(|p| p.command)
-        .chain(["scaling", "dirscale", "degrade", "run-all", "report"])
-        .collect()
+/// The flags that take no value.
+const SWITCHES: [&str; 4] = ["--json", "--csv", "--resume", "--keep-going"];
+
+/// Every flag `dirext` knows, in rows of space-separated flags that the
+/// same commands read, each with the commands whose `dispatch` arm reads
+/// them. `parse_args` rejects a flag given to any other command instead of
+/// silently ignoring it.
+fn flag_table() -> Vec<(&'static str, Vec<&'static str>)> {
+    let with = |a: &[&'static str], b: &[&'static str]| [a, b].concat();
+    let paper: Vec<&str> = PAPER_SWEEPS.iter().map(|p| p.command).collect();
+    // The sweep commands: every command that runs through `sweep_opts`.
+    let sweeps = with(
+        &paper,
+        &["scaling", "dirscale", "degrade", "run-all", "report"],
+    );
+    let workload = with(&["run", "trace", "dump-trace", "suite"], &sweeps);
+    // `scaling` and `dirscale` sweep their own node counts.
+    let procs = with(&workload, &["table1", "stress"])
+        .into_iter()
+        .filter(|c| !["scaling", "dirscale"].contains(c))
+        .collect();
+    let run_trace_stress = ["run", "trace", "stress"];
+    vec![
+        ("--scale --app", workload),
+        ("--procs", procs),
+        (
+            "--protocol --consistency --json --network",
+            vec!["run", "trace"],
+        ),
+        ("--dir --watchdog --audit-every", run_trace_stress.to_vec()),
+        ("--trace", vec!["run", "trace", "validate"]),
+        ("--last --ring", vec!["trace"]),
+        ("--seeds", vec!["stress"]),
+        ("--csv", vec!["fig2", "table2", "fig3", "table3", "fig4"]),
+        ("--svg", vec!["fig2", "fig3", "fig4"]),
+        ("--out", vec!["report"]),
+        ("--journal --resume --keep-going", sweeps.clone()),
+        ("--jobs", with(&sweeps, &["stress"])),
+        (
+            "--fault-drop --fault-dup --fault-jitter --fault-seed --fault-retries",
+            with(&run_trace_stress, &sweeps),
+        ),
+        // Every command parses these; `parse_args` then checks them against
+        // the command and against each other.
+        (
+            "--node-fault-crashes --node-fault-seed --node-fault-detect --node-fault-schedule",
+            with(COMMANDS, &paper),
+        ),
+    ]
 }
 
-/// The commands whose `dispatch` arm reads a command-specific flag
-/// (`None` for the flags every command accepts). `parse_args` rejects a
-/// flag given to any other command instead of silently ignoring it.
-fn flag_commands(flag: &str) -> Option<Vec<&'static str>> {
-    Some(match flag {
-        "--protocol" | "--consistency" | "--json" | "--network" => vec!["run", "trace"],
-        "--dir" | "--watchdog" | "--audit-every" => vec!["run", "trace", "stress"],
-        "--trace" => vec!["run", "trace", "validate"],
-        "--last" | "--ring" => vec!["trace"],
-        "--seeds" => vec!["stress"],
-        "--csv" => vec!["fig2", "table2", "fig3", "table3", "fig4"],
-        "--svg" => vec!["fig2", "fig3", "fig4"],
-        "--out" => vec!["report"],
-        "--journal" | "--resume" | "--keep-going" => sweeps(),
-        "--jobs" => [sweeps(), vec!["stress"]].concat(),
-        "--fault-drop" | "--fault-dup" | "--fault-jitter" | "--fault-seed" | "--fault-retries" => {
-            [vec!["run", "trace", "stress"], sweeps()].concat()
-        }
-        _ => return None,
-    })
+/// The commands that read `flag`, or `None` for a flag `dirext` does not
+/// know.
+fn readers(flag: &str) -> Option<Vec<&'static str>> {
+    flag_table()
+        .into_iter()
+        .find(|(flags, _)| flags.split(' ').any(|f| f == flag))
+        .map(|(_, commands)| commands)
 }
 
 const USAGE: &str = "\
 dirext — reproduce 'Combined Performance Gains of Simple Cache Protocol Extensions' (ISCA 1994)
 
 USAGE:
-    dirext <COMMAND> [--scale paper|small|tiny] [--procs N] [--app NAME] [--json]
+    dirext <COMMAND> [OPTIONS]
+
+    Each option applies only to the commands it names; any other command
+    rejects it.
 
 COMMANDS:
     fig2           Figure 2: relative execution times under RC
@@ -267,13 +300,19 @@ COMMANDS:
     help           This message
 
 OPTIONS:
-    --scale     Problem scale (default: paper)
-    --procs     Processor count (default: 16; up to 1024 with a scalable
-                --dir organization, 64 with the full-map directory and
-                for `stress`)
+    --scale     For the sweep commands (listed under --jobs), run, trace,
+                dump-trace and suite: problem scale (default: paper)
+    --procs     For the sweep commands except scaling and dirscale (which
+                sweep their own node counts), run, trace, dump-trace,
+                suite, table1 and stress: processor count (default: 16; up
+                to 1024 with a scalable --dir organization, 64 with the
+                full-map directory and for `stress`)
     --dir       Directory organization for run/trace/stress: full (default),
                 ptr4b, ptr4nb, coarse8, none (any ptrNb/ptrNnb/coarseN)
-    --app       Restrict to one application (MP3D, Cholesky, Water, LU, Ocean)
+    --app       For the sweep commands, run, trace, dump-trace and suite:
+                restrict to one application (MP3D, Cholesky, Water, LU,
+                Ocean). run and trace take --trace FILE instead of --app,
+                --scale and --procs: the file fixes the workload
     --protocol  For run/trace: BASIC, P, M, CW, P+CW, P+M, CW+M, P+CW+M
     --consistency  For run/trace: rc (default) or sc
     --json      For run/trace: emit the metrics as JSON
@@ -358,14 +397,14 @@ struct Args {
     csv: bool,
     trace: Option<String>,
     seeds: u64,
-    network: dirext_sim::NetworkKind,
+    network: NetworkKind,
     dir: DirOrg,
     out: Option<String>,
     svg: Option<String>,
     fault: FaultPlan,
     node_fault_crashes: Option<usize>,
-    node_fault_seed: Option<u64>,
-    node_fault_detect: Option<u64>,
+    /// `--node-fault-seed` and `--node-fault-detect`, or their defaults.
+    crash_shape: DegradeParams,
     node_fault_schedule: Option<Vec<NodeFaultEvent>>,
     watchdog: Option<u64>,
     audit_every: u64,
@@ -402,7 +441,7 @@ impl Args {
     /// asked for). The explicit schedule wins; otherwise the seed draws
     /// the requested number of crash windows.
     fn node_fault_plan(&self, procs: usize) -> Option<NodeFaultPlan> {
-        let detect_delay = self.node_fault_detect.unwrap_or(500);
+        let detect_delay = self.crash_shape.detect_delay;
         if let Some(events) = &self.node_fault_schedule {
             return Some(NodeFaultPlan {
                 events: events.clone(),
@@ -410,7 +449,7 @@ impl Args {
             });
         }
         let crashes = self.node_fault_crashes?;
-        let mut plan = NodeFaultPlan::seeded(self.node_fault_seed.unwrap_or(1), procs, crashes);
+        let mut plan = NodeFaultPlan::seeded(self.crash_shape.seed, procs, crashes);
         plan.detect_delay = detect_delay;
         Some(plan)
     }
@@ -542,20 +581,6 @@ mod sigint {
     }
 }
 
-fn parse_app(s: &str) -> Option<App> {
-    App::ALL
-        .iter()
-        .copied()
-        .find(|a| a.name().eq_ignore_ascii_case(s))
-}
-
-fn parse_protocol(s: &str) -> Option<ProtocolKind> {
-    ProtocolKind::ALL
-        .iter()
-        .copied()
-        .find(|k| k.name().eq_ignore_ascii_case(s))
-}
-
 /// Parses a `--node-fault-schedule` value: comma-separated
 /// `NODE@CRASH-RECOVER` windows (e.g. `3@2000-9000,5@15000-22000`).
 fn parse_node_fault_schedule(s: &str) -> Result<Vec<NodeFaultEvent>, String> {
@@ -600,211 +625,184 @@ fn parse_node_fault_schedule(s: &str) -> Result<Vec<NodeFaultEvent>, String> {
         .collect()
 }
 
+/// The flags of one command line, in order, each with its value (empty
+/// for a switch).
+struct Flags(Vec<(String, String)>);
+
+impl Flags {
+    fn has(&self, flag: &str) -> bool {
+        self.0.iter().any(|(f, _)| f == flag)
+    }
+
+    /// Reads every value given for `flag` through `parse(flag, value)`, so
+    /// a bad value fails even when a later one overrides it, and returns
+    /// the last one (`None` when the flag is absent).
+    fn get<T>(
+        &self,
+        flag: &str,
+        parse: impl Fn(&str, &str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        let mut last = None;
+        for (_, value) in self.0.iter().filter(|(f, _)| f == flag) {
+            last = Some(parse(flag, value)?);
+        }
+        Ok(last)
+    }
+
+    /// [`Flags::get`], or `default` when the flag is absent.
+    fn or<T>(
+        &self,
+        flag: &str,
+        default: T,
+        parse: impl Fn(&str, &str) -> Result<T, String>,
+    ) -> Result<T, String> {
+        Ok(self.get(flag, parse)?.unwrap_or(default))
+    }
+}
+
+/// A flag's value as given.
+fn verbatim(_: &str, value: &str) -> Result<String, String> {
+    Ok(value.to_owned())
+}
+
+/// A flag's value as a number.
+fn number<T: FromStr>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    value.parse().map_err(|e| format!("bad {flag}: {e}"))
+}
+
+/// A flag's value as a count of at least one.
+fn count<T: FromStr + Default + PartialEq>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let n = number(flag, value)?;
+    if n == T::default() {
+        return Err(format!("{flag} must be at least 1"));
+    }
+    Ok(n)
+}
+
+/// A flag's value as a probability in permille.
+fn permille(flag: &str, value: &str) -> Result<u32, String> {
+    match number(flag, value)? {
+        p @ 0..=1000 => Ok(p),
+        p => Err(format!("{flag} is permille (0-1000), got {p}")),
+    }
+}
+
 fn parse_args() -> Result<Args, String> {
-    let mut args = std::env::args().skip(1);
-    let command = args.next().unwrap_or_else(|| "help".to_owned());
+    let mut argv = std::env::args().skip(1);
+    let command = argv.next().unwrap_or_else(|| "help".to_owned());
     if !COMMANDS.contains(&command.as_str()) && paper_sweep(&command).is_none() {
         return Err(format!("unknown command '{command}'"));
     }
-    let mut parsed = Args {
-        command,
-        scale: Scale::Paper,
-        procs: 16,
-        app: None,
-        protocol: ProtocolKind::Basic,
-        consistency: Consistency::Rc,
-        json: false,
-        csv: false,
-        trace: None,
-        seeds: 50,
-        network: dirext_sim::NetworkKind::Uniform,
-        dir: DirOrg::FullMap,
-        out: None,
-        svg: None,
-        fault: FaultPlan::default(),
-        node_fault_crashes: None,
-        node_fault_seed: None,
-        node_fault_detect: None,
-        node_fault_schedule: None,
-        watchdog: None,
-        audit_every: 0,
-        jobs: 1,
-        last: 32,
-        ring: 65536,
-        journal: None,
-        resume: false,
-        keep_going: false,
-    };
-    let mut given = Vec::new();
-    while let Some(flag) = args.next() {
-        given.push(flag.clone());
-        let mut value = |name: &str| {
-            args.next()
-                .ok_or_else(|| format!("missing value for {name}"))
+    let mut flags = Flags(Vec::new());
+    while let Some(flag) = argv.next() {
+        let readers = readers(&flag).ok_or_else(|| format!("unknown option '{flag}'"))?;
+        if !readers.contains(&command.as_str()) {
+            return Err(format!(
+                "{flag} applies to {}, not '{command}'",
+                readers.join(", ")
+            ));
+        }
+        let value = if SWITCHES.contains(&flag.as_str()) {
+            String::new()
+        } else {
+            argv.next()
+                .ok_or_else(|| format!("missing value for {flag}"))?
         };
-        match flag.as_str() {
-            "--scale" => {
-                parsed.scale = match value("--scale")?.as_str() {
-                    "paper" => Scale::Paper,
-                    "small" => Scale::Small,
-                    "tiny" => Scale::Tiny,
-                    other => return Err(format!("unknown scale '{other}'")),
-                }
+        flags.0.push((flag, value));
+    }
+    if flags.has("--trace") {
+        for flag in ["--app", "--scale", "--procs"] {
+            if flags.has(flag) {
+                return Err(format!(
+                    "{flag} conflicts with --trace: the trace file already fixes the workload"
+                ));
             }
-            "--procs" => {
-                parsed.procs = value("--procs")?
-                    .parse()
-                    .map_err(|e| format!("bad --procs: {e}"))?;
-                if parsed.procs == 0 || parsed.procs > MAX_NODES {
-                    return Err(format!(
-                        "--procs must be between 1 and {MAX_NODES}, got {}",
-                        parsed.procs
-                    ));
-                }
-            }
-            "--app" => {
-                let v = value("--app")?;
-                parsed.app = Some(parse_app(&v).ok_or_else(|| format!("unknown app '{v}'"))?);
-            }
-            "--protocol" => {
-                let v = value("--protocol")?;
-                parsed.protocol =
-                    parse_protocol(&v).ok_or_else(|| format!("unknown protocol '{v}'"))?;
-            }
-            "--consistency" => {
-                parsed.consistency = match value("--consistency")?.as_str() {
-                    "rc" => Consistency::Rc,
-                    "sc" => Consistency::Sc,
-                    other => return Err(format!("unknown consistency '{other}'")),
-                }
-            }
-            "--json" => parsed.json = true,
-            "--csv" => parsed.csv = true,
-            "--trace" => parsed.trace = Some(value("--trace")?),
-            "--seeds" => {
-                parsed.seeds = value("--seeds")?
-                    .parse()
-                    .map_err(|e| format!("bad --seeds: {e}"))?;
-                if parsed.seeds == 0 {
-                    return Err("--seeds must be at least 1".to_owned());
-                }
-            }
-            "--fault-drop" => {
-                let v: u32 = value("--fault-drop")?
-                    .parse()
-                    .map_err(|e| format!("bad --fault-drop: {e}"))?;
-                if v > 1000 {
-                    return Err(format!("--fault-drop is permille (0-1000), got {v}"));
-                }
-                parsed.fault.drop_permille = v;
-            }
-            "--fault-dup" => {
-                let v: u32 = value("--fault-dup")?
-                    .parse()
-                    .map_err(|e| format!("bad --fault-dup: {e}"))?;
-                if v > 1000 {
-                    return Err(format!("--fault-dup is permille (0-1000), got {v}"));
-                }
-                parsed.fault.dup_permille = v;
-            }
-            "--fault-jitter" => {
-                parsed.fault.jitter_cycles = value("--fault-jitter")?
-                    .parse()
-                    .map_err(|e| format!("bad --fault-jitter: {e}"))?;
-            }
-            "--fault-seed" => {
-                parsed.fault.seed = value("--fault-seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --fault-seed: {e}"))?;
-            }
-            "--fault-retries" => {
-                parsed.fault.retry_budget = value("--fault-retries")?
-                    .parse()
-                    .map_err(|e| format!("bad --fault-retries: {e}"))?;
-            }
-            "--node-fault-crashes" => {
-                let v: usize = value("--node-fault-crashes")?
-                    .parse()
-                    .map_err(|e| format!("bad --node-fault-crashes: {e}"))?;
-                if v == 0 {
-                    return Err(
-                        "--node-fault-crashes must be at least 1 (omit the flag for a \
-                         fault-free run)"
-                            .to_owned(),
-                    );
-                }
-                parsed.node_fault_crashes = Some(v);
-            }
-            "--node-fault-seed" => {
-                parsed.node_fault_seed = Some(
-                    value("--node-fault-seed")?
-                        .parse()
-                        .map_err(|e| format!("bad --node-fault-seed: {e}"))?,
-                );
-            }
-            "--node-fault-detect" => {
-                parsed.node_fault_detect = Some(
-                    value("--node-fault-detect")?
-                        .parse()
-                        .map_err(|e| format!("bad --node-fault-detect: {e}"))?,
-                );
-            }
-            "--node-fault-schedule" => {
-                parsed.node_fault_schedule =
-                    Some(parse_node_fault_schedule(&value("--node-fault-schedule")?)?);
-            }
-            "--watchdog" => {
-                parsed.watchdog = Some(
-                    value("--watchdog")?
-                        .parse()
-                        .map_err(|e| format!("bad --watchdog: {e}"))?,
-                );
-            }
-            "--audit-every" => {
-                parsed.audit_every = value("--audit-every")?
-                    .parse()
-                    .map_err(|e| format!("bad --audit-every: {e}"))?;
-            }
-            "--jobs" => {
-                parsed.jobs = value("--jobs")?
-                    .parse()
-                    .map_err(|e| format!("bad --jobs: {e}"))?;
-            }
-            "--last" => {
-                parsed.last = value("--last")?
-                    .parse()
-                    .map_err(|e| format!("bad --last: {e}"))?;
-            }
-            "--ring" => {
-                parsed.ring = value("--ring")?
-                    .parse()
-                    .map_err(|e| format!("bad --ring: {e}"))?;
-                if parsed.ring == 0 {
-                    return Err("--ring must be at least 1".to_owned());
-                }
-            }
-            "--dir" => {
-                let v = value("--dir")?;
-                parsed.dir = DirOrg::parse(&v).ok_or_else(|| {
-                    format!(
-                        "unknown directory organization '{v}' (expected full, none, \
-                         ptrNb, ptrNnb or coarseN — e.g. ptr4b, coarse8)"
-                    )
-                })?;
-            }
-            "--journal" => parsed.journal = Some(value("--journal")?),
-            "--resume" => parsed.resume = true,
-            "--keep-going" => parsed.keep_going = true,
-            "--out" => parsed.out = Some(value("--out")?),
-            "--svg" => parsed.svg = Some(value("--svg")?),
-            "--network" => {
-                let v = value("--network")?;
-                parsed.network = dirext_sim::NetworkKind::parse(&v)
-                    .ok_or_else(|| format!("unknown network '{v}'"))?;
-            }
-            other => return Err(format!("unknown option '{other}'")),
         }
     }
+    let fault = FaultPlan::default();
+    let crash_shape = DegradeParams::default();
+    let parsed = Args {
+        scale: flags.or("--scale", Scale::Paper, |_, v| match v {
+            "paper" => Ok(Scale::Paper),
+            "small" => Ok(Scale::Small),
+            "tiny" => Ok(Scale::Tiny),
+            other => Err(format!("unknown scale '{other}'")),
+        })?,
+        procs: flags.or("--procs", 16, |f, v| match number(f, v)? {
+            p @ 1..=MAX_NODES => Ok(p),
+            p => Err(format!(
+                "--procs must be between 1 and {MAX_NODES}, got {p}"
+            )),
+        })?,
+        app: flags.get("--app", |_, v| {
+            App::ALL
+                .into_iter()
+                .find(|a| a.name().eq_ignore_ascii_case(v))
+                .ok_or_else(|| format!("unknown app '{v}'"))
+        })?,
+        protocol: flags.or("--protocol", ProtocolKind::Basic, |_, v| {
+            ProtocolKind::ALL
+                .into_iter()
+                .find(|k| k.name().eq_ignore_ascii_case(v))
+                .ok_or_else(|| format!("unknown protocol '{v}'"))
+        })?,
+        consistency: flags.or("--consistency", Consistency::Rc, |_, v| match v {
+            "rc" => Ok(Consistency::Rc),
+            "sc" => Ok(Consistency::Sc),
+            other => Err(format!("unknown consistency '{other}'")),
+        })?,
+        json: flags.has("--json"),
+        csv: flags.has("--csv"),
+        trace: flags.get("--trace", verbatim)?,
+        seeds: flags.or("--seeds", 50, count)?,
+        network: flags.or("--network", NetworkKind::Uniform, |_, v| {
+            NetworkKind::parse(v).ok_or_else(|| format!("unknown network '{v}'"))
+        })?,
+        dir: flags.or("--dir", DirOrg::FullMap, |_, v| {
+            DirOrg::parse(v).ok_or_else(|| {
+                format!(
+                    "unknown directory organization '{v}' (expected full, none, \
+                     ptrNb, ptrNnb or coarseN — e.g. ptr4b, coarse8)"
+                )
+            })
+        })?,
+        out: flags.get("--out", verbatim)?,
+        svg: flags.get("--svg", verbatim)?,
+        fault: FaultPlan {
+            drop_permille: flags.or("--fault-drop", fault.drop_permille, permille)?,
+            dup_permille: flags.or("--fault-dup", fault.dup_permille, permille)?,
+            jitter_cycles: flags.or("--fault-jitter", fault.jitter_cycles, number)?,
+            seed: flags.or("--fault-seed", fault.seed, number)?,
+            retry_budget: flags.or("--fault-retries", fault.retry_budget, number)?,
+        },
+        node_fault_crashes: flags.get("--node-fault-crashes", |f, v| match number(f, v)? {
+            0 => Err(format!(
+                "{f} must be at least 1 (omit the flag for a fault-free run)"
+            )),
+            n => Ok(n),
+        })?,
+        crash_shape: DegradeParams {
+            seed: flags.or("--node-fault-seed", crash_shape.seed, number)?,
+            detect_delay: flags.or("--node-fault-detect", crash_shape.detect_delay, number)?,
+        },
+        node_fault_schedule: flags
+            .get("--node-fault-schedule", |_, v| parse_node_fault_schedule(v))?,
+        watchdog: flags.get("--watchdog", number)?,
+        audit_every: flags.or("--audit-every", 0, number)?,
+        jobs: flags.or("--jobs", 1, number)?,
+        last: flags.or("--last", 32, number)?,
+        ring: flags.or("--ring", 65536, count)?,
+        journal: flags.get("--journal", verbatim)?,
+        resume: flags.has("--resume"),
+        keep_going: flags.has("--keep-going"),
+        command,
+    };
     if parsed.command == "stress" && parsed.procs > MAX_RANDOM_PROCS {
         return Err(format!(
             "stress fuzzes machines of at most {MAX_RANDOM_PROCS} processors, got --procs {}",
@@ -851,28 +849,13 @@ fn parse_args() -> Result<Args, String> {
             }
         }
     } else if parsed.command != "degrade" {
-        for (flag, given) in [
-            ("--node-fault-seed", parsed.node_fault_seed.is_some()),
-            ("--node-fault-detect", parsed.node_fault_detect.is_some()),
-        ] {
-            if given {
+        for flag in ["--node-fault-seed", "--node-fault-detect"] {
+            if flags.has(flag) {
                 return Err(format!(
                     "{flag} only applies with --node-fault-crashes N, \
                      --node-fault-schedule SPEC, or the degrade command"
                 ));
             }
-        }
-    }
-    for flag in &given {
-        let Some(commands) = flag_commands(flag) else {
-            continue;
-        };
-        if !commands.contains(&parsed.command.as_str()) {
-            return Err(format!(
-                "{flag} applies to {}, not '{}'",
-                commands.join(", "),
-                parsed.command
-            ));
         }
     }
     Ok(parsed)
@@ -918,21 +901,12 @@ fn main() -> ExitCode {
     }
 }
 
-/// Starts an empty quarantine accumulator for a multi-sweep command.
-fn quarantine_acc() -> experiments::Quarantine {
-    experiments::Quarantine {
-        failures: Vec::new(),
-        completed: 0,
-        total: 0,
-    }
-}
-
 /// Runs one step of a multi-sweep command (`run-all`, `report`): under
 /// `--keep-going`, a quarantined sweep is reported and accumulated so the
 /// remaining sweeps still run; every other failure aborts.
 fn quarantine_step<T>(
     r: Result<T, SweepError>,
-    acc: &mut experiments::Quarantine,
+    acc: &mut Quarantine,
 ) -> Result<Option<T>, Box<dyn std::error::Error>> {
     match r {
         Ok(v) => Ok(Some(v)),
@@ -949,12 +923,37 @@ fn quarantine_step<T>(
 
 /// Folds the quarantines accumulated across a multi-sweep command into
 /// the single exit-code-2 error, or succeeds if every sweep was clean.
-fn quarantine_verdict(acc: experiments::Quarantine) -> Result<(), Box<dyn std::error::Error>> {
+fn quarantine_verdict(acc: Quarantine) -> Result<(), Box<dyn std::error::Error>> {
     if acc.failures.is_empty() {
         Ok(())
     } else {
         Err(SweepError::Quarantined(acc).into())
     }
+}
+
+/// Runs the [`PAPER_SWEEPS`] in order for `run-all` and `report`, handing
+/// `each` every sweep's rendering or, when `--keep-going` quarantined some
+/// of its cells, how many. Returns the quarantines accumulated.
+fn run_paper_sweeps(
+    args: &Args,
+    opts: &SweepOpts,
+    mut each: impl FnMut(&PaperSweep, Result<Rendered, usize>),
+) -> Result<Quarantine, Box<dyn std::error::Error>> {
+    let suite = suite(args);
+    let mut acc = Quarantine::default();
+    for sweep in &PAPER_SWEEPS {
+        eprintln!("{}: {}...", args.command, sweep.command);
+        let failed_before = acc.failures.len();
+        let rendered = quarantine_step((sweep.run)(&suite, opts), &mut acc)?;
+        each(sweep, rendered.ok_or(acc.failures.len() - failed_before));
+    }
+    Ok(acc)
+}
+
+/// Loads a text trace file; a failure to open it names the path.
+fn read_trace(path: &str) -> Result<Workload, Box<dyn std::error::Error>> {
+    let file = std::fs::File::open(path).map_err(|e| format!("cannot open trace '{path}': {e}"))?;
+    Ok(dirext_trace::io::read_text(std::io::BufReader::new(file))?)
 }
 
 /// Writes an SVG figure to `path`; a failure names the path.
@@ -979,7 +978,6 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     match args.command.as_str() {
         "table1" => println!("{}", experiments::table1(args.procs)),
         "stress" => {
-            use dirext_sim::NetworkKind;
             use dirext_workloads::random::random_workload;
             use experiments::pool::run_collect;
             // The per-seed configuration matrix: every feasible protocol ×
@@ -1071,16 +1069,13 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         }
         "run-all" => {
             let t0 = std::time::Instant::now();
-            let s = suite(args);
             let opts = args.sweep_opts()?;
-            let mut acc = quarantine_acc();
             println!("{}", experiments::table1(args.procs));
-            for sweep in &PAPER_SWEEPS {
-                eprintln!("run-all: {}...", sweep.command);
-                if let Some(r) = quarantine_step((sweep.run)(&s, &opts), &mut acc)? {
+            let mut acc = run_paper_sweeps(args, &opts, |_, r| {
+                if let Ok(r) = r {
                     println!("{}", r.text);
                 }
-            }
+            })?;
             eprintln!("run-all: scaling...");
             let app = args.app.unwrap_or(App::Mp3d);
             if let Some(r) = quarantine_step(
@@ -1117,20 +1112,13 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         "degrade" => {
             let app = args.app.unwrap_or(App::Mp3d);
             let w = app.workload(args.procs, args.scale);
-            let params = dirext_sim::experiments::DegradeParams {
-                seed: args.node_fault_seed.unwrap_or(1),
-                detect_delay: args.node_fault_detect.unwrap_or(500),
-            };
-            let result = experiments::degrade(app.name(), &w, params, &args.sweep_opts()?)?;
+            let result =
+                experiments::degrade(app.name(), &w, args.crash_shape, &args.sweep_opts()?)?;
             println!("{result}");
         }
-        "run" => {
+        "run" | "trace" => {
             let w = match &args.trace {
-                Some(path) => {
-                    let file = std::fs::File::open(path)
-                        .map_err(|e| format!("cannot open trace '{path}': {e}"))?;
-                    dirext_trace::io::read_text(std::io::BufReader::new(file))?
-                }
+                Some(path) => read_trace(path)?,
                 None => args
                     .app
                     .unwrap_or(App::Mp3d)
@@ -1146,69 +1134,47 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                 .into());
             }
             let cfg = args.harden(MachineConfig::new(w.procs(), proto).with_network(args.network));
-            let m = Machine::new(cfg).run(&w)?;
-            if args.json {
-                println!("{}", serde_json::to_string_pretty(&m)?);
+            let m = if args.command == "run" {
+                Machine::new(cfg).run(&w)?
             } else {
-                println!("{m}");
-            }
-        }
-        "trace" => {
-            let w = match &args.trace {
-                Some(path) => {
-                    let file = std::fs::File::open(path)
-                        .map_err(|e| format!("cannot open trace '{path}': {e}"))?;
-                    dirext_trace::io::read_text(std::io::BufReader::new(file))?
+                // A conformance violation surfaces as a run error (the
+                // machine replays its own trace at quiescence), so reaching
+                // this point means every retained record is derivable from
+                // the tables.
+                let mut machine = Machine::new(cfg.with_trace(args.ring));
+                let (m, records, layers) = machine.run_traced(&w)?;
+                let names: Vec<&str> = layers
+                    .kinds()
+                    .iter()
+                    .map(|k| k.label())
+                    .filter(|l| *l != "BASIC")
+                    .collect();
+                let tail = records.len().saturating_sub(args.last);
+                for r in &records[tail..] {
+                    println!("{}", r.render());
                 }
-                None => args
-                    .app
-                    .unwrap_or(App::Mp3d)
-                    .workload(args.procs, args.scale),
+                if tail > 0 && args.last > 0 {
+                    println!("  ... ({tail} earlier records not shown; --last to adjust)");
+                }
+                let tables = if names.is_empty() {
+                    "BASIC".to_owned()
+                } else {
+                    format!("BASIC+[{}]", names.join(", "))
+                };
+                let checked = records.len();
+                match machine.trace_overwritten() {
+                    0 => {
+                        println!("conformance: ok — {checked} transitions checked against {tables}")
+                    }
+                    lost => println!(
+                        "conformance: ok — {checked} of {} transitions recorded checked \
+                         against {tables}; {lost} overwritten unchecked (raise --ring to \
+                         check them)",
+                        checked as u64 + lost
+                    ),
+                }
+                m
             };
-            let proto = args.protocol.config(args.consistency);
-            if !proto.is_feasible() {
-                return Err(format!(
-                    "{} is not implementable under {}: the competitive-update \
-                     mechanism needs relaxed consistency",
-                    args.protocol, args.consistency
-                )
-                .into());
-            }
-            let cfg = args
-                .harden(MachineConfig::new(w.procs(), proto).with_network(args.network))
-                .with_trace(args.ring);
-            // A conformance violation surfaces as a run error (the machine
-            // replays its own trace at quiescence), so reaching this point
-            // means every retained record is derivable from the tables.
-            let mut machine = Machine::new(cfg);
-            let (m, records, layers) = machine.run_traced(&w)?;
-            let names: Vec<&str> = layers
-                .kinds()
-                .iter()
-                .map(|k| k.label())
-                .filter(|l| *l != "BASIC")
-                .collect();
-            let tail = records.len().saturating_sub(args.last);
-            for r in &records[tail..] {
-                println!("{}", r.render());
-            }
-            if tail > 0 && args.last > 0 {
-                println!("  ... ({tail} earlier records not shown; --last to adjust)");
-            }
-            let tables = if names.is_empty() {
-                "BASIC".to_owned()
-            } else {
-                format!("BASIC+[{}]", names.join(", "))
-            };
-            let checked = records.len();
-            match machine.trace_overwritten() {
-                0 => println!("conformance: ok — {checked} transitions checked against {tables}"),
-                lost => println!(
-                    "conformance: ok — {checked} of {} transitions recorded checked against \
-                     {tables}; {lost} overwritten unchecked (raise --ring to check them)",
-                    checked as u64 + lost
-                ),
-            }
             if args.json {
                 println!("{}", serde_json::to_string_pretty(&m)?);
             } else {
@@ -1219,9 +1185,7 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             let Some(path) = &args.trace else {
                 return Err("validate needs --trace FILE".into());
             };
-            let file = std::fs::File::open(path)
-                .map_err(|e| format!("cannot open trace '{path}': {e}"))?;
-            let w = dirext_trace::io::read_text(std::io::BufReader::new(file))?;
+            let w = read_trace(path)?;
             w.validate()?;
             println!(
                 "{path}: ok — workload '{}', {} processors, {} events, {} shared references",
@@ -1238,33 +1202,27 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             dirext_trace::io::write_text(&w, &mut stdout.lock())?;
         }
         "report" => {
-            let s = suite(args);
             let opts = args.sweep_opts()?;
-            let mut acc = quarantine_acc();
-            let mut doc = String::new();
-            doc.push_str(&format!(
+            let mut doc = format!(
                 "# dirext experiment report\n\nScale: {}, {} processors.\n\n",
                 args.scale, args.procs
-            ));
+            );
             let mut section = |title: &str, body: String| {
                 doc.push_str(&format!("## {title}\n\n```text\n{body}\n```\n\n"));
             };
             section("Table 1 — hardware cost", experiments::table1(args.procs));
-            for sweep in &PAPER_SWEEPS {
-                eprintln!("report: {}...", sweep.command);
+            let acc = run_paper_sweeps(args, &opts, |sweep, r| {
                 // Under --keep-going a quarantined sweep still gets a
                 // section, with the failure report as its body, so the
                 // document shape is stable for downstream tooling.
-                let failed_at = acc.failures.len();
-                let body = match quarantine_step((sweep.run)(&s, &opts), &mut acc)? {
-                    Some(r) => r.text,
-                    None => format!(
-                        "QUARANTINED — {} cell(s) failed; see the failure report",
-                        acc.failures.len() - failed_at
-                    ),
-                };
+                let body = r.map_or_else(
+                    |failed| {
+                        format!("QUARANTINED — {failed} cell(s) failed; see the failure report")
+                    },
+                    |r| r.text,
+                );
                 section(sweep.heading, body);
-            }
+            })?;
             match &args.out {
                 Some(path) => {
                     std::fs::write(path, &doc)
@@ -1290,4 +1248,32 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         other => unreachable!("parse_args admits only COMMANDS, not '{other}'"),
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    #[test]
+    fn flag_table_matches_usage_and_names_real_commands() {
+        let documented: BTreeSet<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|word| word.starts_with("--"))
+            .collect();
+        let known: BTreeSet<&str> = flag_table()
+            .into_iter()
+            .flat_map(|(flags, _)| flags.split(' '))
+            .collect();
+        assert_eq!(documented, known);
+        assert!(SWITCHES.iter().all(|s| known.contains(s)));
+        for (flags, commands) in flag_table() {
+            for c in commands {
+                assert!(
+                    COMMANDS.contains(&c) || paper_sweep(c).is_some(),
+                    "{flags}: {c}"
+                );
+            }
+        }
+    }
 }

@@ -141,6 +141,12 @@ fn trace_round_trip_through_the_binary() {
     std::fs::write(&path, &trace).unwrap();
     let out = stdout(&["run", "--trace", path.to_str().unwrap(), "--protocol", "M"]);
     assert!(out.contains("Water / M"));
+    // The trace file fixes the workload, processor count included.
+    let out = dirext(&["run", "--trace", path.to_str().unwrap(), "--procs", "16"]);
+    assert_eq!(out.status.code(), Some(1), "--procs with --trace must fail");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--procs conflicts with --trace"), "{err}");
+    assert!(out.stdout.is_empty(), "nothing may run");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -365,6 +371,30 @@ fn flags_the_command_never_reads_are_parse_errors() {
         (
             &["table1", "--fault-drop", "5"][..],
             "--fault-drop applies to run, trace, stress, fig2",
+        ),
+        (
+            &["dirscale", "--procs", "64"][..],
+            "--procs applies to run, trace, dump-trace, suite, fig2, table2, fig3, table3, \
+             fig4, sens-buffers, sens-cache, miss-latency, topology, degrade, run-all, report, \
+             table1, stress, not 'dirscale'",
+        ),
+        (
+            &["scaling", "--procs", "32"][..],
+            "--procs applies to run, trace, dump-trace, suite, fig2, table2, fig3, table3, \
+             fig4, sens-buffers, sens-cache, miss-latency, topology, degrade, run-all, report, \
+             table1, stress, not 'scaling'",
+        ),
+        (
+            &["table1", "--scale", "tiny"][..],
+            "--scale applies to run, trace, dump-trace, suite, fig2, table2, fig3, table3, \
+             fig4, sens-buffers, sens-cache, miss-latency, topology, scaling, dirscale, degrade, \
+             run-all, report, not 'table1'",
+        ),
+        (
+            &["stress", "--app", "lu"][..],
+            "--app applies to run, trace, dump-trace, suite, fig2, table2, fig3, table3, \
+             fig4, sens-buffers, sens-cache, miss-latency, topology, scaling, dirscale, degrade, \
+             run-all, report, not 'stress'",
         ),
     ] {
         let out = dirext(args);

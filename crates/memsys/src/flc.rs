@@ -117,8 +117,8 @@ impl Flc {
 /// All nodes' first-level caches as one structure-of-arrays.
 ///
 /// Semantically `N` independent [`Flc`]s, laid out as flat node-major
-/// parallel arrays: one contiguous tag column plus per-node hit/miss
-/// counter columns. The simulator's dispatch loop probes a tag on every
+/// parallel arrays: one contiguous tag column plus a per-node hit counter
+/// column. The simulator's dispatch loop probes a tag on every
 /// FLC-hit read, so the column layout keeps the whole machine's tags in a
 /// few cache lines per node and replaces the scalar version's `%` set
 /// indexing with a mask when the line count is a power of two (it always
@@ -129,7 +129,6 @@ pub struct FlcArray {
     /// Node-major tags: `tags[node * lines + set]`.
     tags: Vec<Option<BlockAddr>>,
     hits: Vec<u64>,
-    misses: Vec<u64>,
     lines: usize,
     /// `lines - 1` when `lines` is a power of two, else 0 (modulo path).
     mask: u64,
@@ -150,7 +149,6 @@ impl FlcArray {
         FlcArray {
             tags: vec![None; nodes * lines],
             hits: vec![0; nodes],
-            misses: vec![0; nodes],
             lines,
             mask: if lines.is_power_of_two() {
                 lines as u64 - 1
@@ -170,14 +168,12 @@ impl FlcArray {
         node * self.lines + set
     }
 
-    /// Looks up `block` in `node`'s FLC, recording a hit or miss.
+    /// Looks up `block` in `node`'s FLC, recording a hit.
     #[inline]
     pub fn access(&mut self, node: usize, block: BlockAddr) -> bool {
         let hit = self.probe(node, block);
         if hit {
             self.hits[node] += 1;
-        } else {
-            self.misses[node] += 1;
         }
         hit
     }
@@ -214,16 +210,6 @@ impl FlcArray {
     /// Hits recorded by [`FlcArray::access`] for `node`.
     pub fn hits(&self, node: usize) -> u64 {
         self.hits[node]
-    }
-
-    /// Misses recorded by [`FlcArray::access`] for `node`.
-    pub fn misses(&self, node: usize) -> u64 {
-        self.misses[node]
-    }
-
-    /// Lines per node.
-    pub fn lines(&self) -> usize {
-        self.lines
     }
 
     /// Iterates over `node`'s resident blocks (for the machine's inclusion
@@ -338,7 +324,6 @@ mod tests {
             ) {
                 let mut array = FlcArray::new(nodes, bytes);
                 let mut oracle: Vec<Flc> = (0..nodes).map(|_| Flc::new(bytes)).collect();
-                prop_assert_eq!(array.lines(), oracle[0].lines());
                 for (n, op) in ops {
                     let n = n % nodes;
                     match op {
@@ -362,7 +347,6 @@ mod tests {
                 }
                 for (n, node_oracle) in oracle.iter().enumerate() {
                     prop_assert_eq!(array.hits(n), node_oracle.hits());
-                    prop_assert_eq!(array.misses(n), node_oracle.misses());
                     let mut a: Vec<_> = array.resident(n).collect();
                     let mut o: Vec<_> = node_oracle.resident().collect();
                     a.sort_unstable();

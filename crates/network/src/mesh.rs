@@ -37,8 +37,6 @@ use crate::{Envelope, Network, TrafficStats};
 /// ```
 #[derive(Debug)]
 pub struct MeshNetwork {
-    cols: usize,
-    rows: usize,
     link_bits: u32,
     router_delay: u64,
     /// One `Resource` per unidirectional link. Links are indexed by
@@ -132,6 +130,38 @@ impl Dir {
     }
 }
 
+/// Appends the X-Y (dimension-order) route `from -> to` on a `cols`-wide
+/// grid of routers to `path`, mapping each hop through
+/// `link_of(router, dir)`.
+fn grid_route(
+    cols: usize,
+    from: usize,
+    to: usize,
+    path: &mut Vec<usize>,
+    link_of: impl Fn(usize, Dir) -> usize,
+) {
+    let (mut x, mut y) = (from % cols, from / cols);
+    let (dx, dy) = (to % cols, to / cols);
+    while x != dx {
+        let dir = if dx > x { Dir::East } else { Dir::West };
+        path.push(link_of(y * cols + x, dir));
+        if dx > x {
+            x += 1;
+        } else {
+            x -= 1;
+        }
+    }
+    while y != dy {
+        let dir = if dy > y { Dir::South } else { Dir::North };
+        path.push(link_of(y * cols + x, dir));
+        if dy > y {
+            y += 1;
+        } else {
+            y -= 1;
+        }
+    }
+}
+
 impl MeshNetwork {
     /// Creates a `cols × rows` mesh with the given link width in bits.
     ///
@@ -146,20 +176,16 @@ impl MeshNetwork {
             "the flat mesh precomputes all-pairs routes and stops at 256 nodes; \
              use HierMeshNetwork for larger machines"
         );
-        let mut mesh = MeshNetwork {
-            cols,
-            rows,
+        MeshNetwork {
             link_bits,
             router_delay: 2,
             links: vec![Resource::new(); cols * rows * 4],
-            routes: RouteTable::new(0, |_, _, _| {}),
+            routes: RouteTable::new(cols * rows, |src, dst, path| {
+                grid_route(cols, src, dst, path, |router, dir| router * 4 + dir.idx())
+            }),
             traffic: TrafficStats::new(),
             name: format!("mesh{cols}x{rows}-{link_bits}bit"),
-        };
-        mesh.routes = RouteTable::new(cols * rows, |src, dst, path| {
-            mesh.route_into(NodeId(src as u16), NodeId(dst as u16), path)
-        });
-        mesh
+        }
     }
 
     /// The paper's 16-node mesh (4×4) with the given link width (64, 32 or
@@ -168,44 +194,9 @@ impl MeshNetwork {
         Self::new(4, 4, link_bits)
     }
 
-    fn coords(&self, n: NodeId) -> (usize, usize) {
-        let i = n.idx();
-        debug_assert!(i < self.cols * self.rows, "node id off the mesh");
-        (i % self.cols, i / self.cols)
-    }
-
     /// Body occupancy of a message in link cycles (flits).
     fn flits(&self, bytes: u32) -> u64 {
         Envelope::flits_on(bytes, self.link_bits)
-    }
-
-    fn link_index(&self, x: usize, y: usize, dir: Dir) -> usize {
-        (y * self.cols + x) * 4 + dir.idx()
-    }
-
-    /// The sequence of link indices a message traverses under X-Y routing,
-    /// appended to `path`.
-    fn route_into(&self, src: NodeId, dst: NodeId, path: &mut Vec<usize>) {
-        let (mut x, mut y) = self.coords(src);
-        let (dx, dy) = self.coords(dst);
-        while x != dx {
-            let dir = if dx > x { Dir::East } else { Dir::West };
-            path.push(self.link_index(x, y, dir));
-            if dx > x {
-                x += 1;
-            } else {
-                x -= 1;
-            }
-        }
-        while y != dy {
-            let dir = if dy > y { Dir::South } else { Dir::North };
-            path.push(self.link_index(x, y, dir));
-            if dy > y {
-                y += 1;
-            } else {
-                y -= 1;
-            }
-        }
     }
 
     /// The arena-stored route for a pair (reads what `send` will walk).
@@ -315,12 +306,12 @@ impl HierMeshNetwork {
             name: format!("hmesh{gcols}x{grows}x{cluster_size}-{link_bits}bit"),
         };
         net.intra = RouteTable::new(cluster_size, |from, to, path| {
-            Self::grid_route(net.ccols, from, to, path, |router, dir| {
+            grid_route(net.ccols, from, to, path, |router, dir| {
                 router * 4 + dir.idx()
             })
         });
         net.express = RouteTable::new(clusters, |from, to, path| {
-            Self::grid_route(net.gcols, from, to, path, |router, dir| {
+            grid_route(net.gcols, from, to, path, |router, dir| {
                 net.express_base + router * 4 + dir.idx()
             })
         });
@@ -336,37 +327,6 @@ impl HierMeshNetwork {
         (n.idx() / self.cluster_size, n.idx() % self.cluster_size)
     }
 
-    /// Appends the X-Y route `from -> to` on a `cols`-wide grid to `path`,
-    /// mapping each hop through `link_of(router, dir)`.
-    fn grid_route(
-        cols: usize,
-        from: usize,
-        to: usize,
-        path: &mut Vec<usize>,
-        link_of: impl Fn(usize, Dir) -> usize,
-    ) {
-        let (mut x, mut y) = (from % cols, from / cols);
-        let (dx, dy) = (to % cols, to / cols);
-        while x != dx {
-            let dir = if dx > x { Dir::East } else { Dir::West };
-            path.push(link_of(y * cols + x, dir));
-            if dx > x {
-                x += 1;
-            } else {
-                x -= 1;
-            }
-        }
-        while y != dy {
-            let dir = if dy > y { Dir::South } else { Dir::North };
-            path.push(link_of(y * cols + x, dir));
-            if dy > y {
-                y += 1;
-            } else {
-                y -= 1;
-            }
-        }
-    }
-
     /// Derives the full route directly: intra-cluster ascent to the
     /// gateway, express traversal of the cluster grid, intra-cluster
     /// descent. Same-cluster traffic never touches an express link. The
@@ -378,16 +338,16 @@ impl HierMeshNetwork {
             move |router: usize, dir: Dir| (cluster * self.cluster_size + router) * 4 + dir.idx()
         };
         if sc == dc {
-            Self::grid_route(self.ccols, sl, dl, path, intra(sc));
+            grid_route(self.ccols, sl, dl, path, intra(sc));
             return;
         }
-        Self::grid_route(self.ccols, sl, 0, path, intra(sc));
+        grid_route(self.ccols, sl, 0, path, intra(sc));
         let express_start = path.len();
-        Self::grid_route(self.gcols, sc, dc, path, |router, dir| {
+        grid_route(self.gcols, sc, dc, path, |router, dir| {
             self.express_base + router * 4 + dir.idx()
         });
         debug_assert!(path.len() > express_start, "distinct clusters need hops");
-        Self::grid_route(self.ccols, 0, dl, path, intra(dc));
+        grid_route(self.ccols, 0, dl, path, intra(dc));
     }
 
     /// The route `send` walks for a pair, read from the tables the same
@@ -469,10 +429,12 @@ mod tests {
             let mesh = MeshNetwork::new(dims.0, dims.1, 32);
             for src in 0..dims.0 * dims.1 {
                 for dst in 0..dims.0 * dims.1 {
-                    let (s, d) = (NodeId(src as u16), NodeId(dst as u16));
                     let mut fresh = Vec::new();
-                    mesh.route_into(s, d, &mut fresh);
-                    assert_eq!(mesh.route(s, d), fresh, "{dims:?} {src}->{dst}");
+                    grid_route(dims.0, src, dst, &mut fresh, |router, dir| {
+                        router * 4 + dir.idx()
+                    });
+                    let route = mesh.route(NodeId(src as u16), NodeId(dst as u16));
+                    assert_eq!(route, fresh, "{dims:?} {src}->{dst}");
                 }
             }
         }

@@ -30,6 +30,7 @@ use dirext_trace::Workload;
 
 use super::dirscale::DIRSCALE_NETWORK;
 use super::runner::{run_rows, Cell, SweepError, SweepOpts};
+use crate::nodefault::DEFAULT_DETECT_DELAY;
 use crate::NodeFaultPlan;
 
 /// The crash-count axis: 0 is the crash-free baseline row the inflation
@@ -56,7 +57,7 @@ impl Default for DegradeParams {
     fn default() -> Self {
         DegradeParams {
             seed: 1,
-            detect_delay: 500,
+            detect_delay: DEFAULT_DETECT_DELAY,
         }
     }
 }

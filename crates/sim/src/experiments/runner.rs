@@ -214,7 +214,7 @@ pub struct CellFailure {
 
 /// The failure report of a `--keep-going` sweep: every cell that failed
 /// after retries, while its siblings ran to completion.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Quarantine {
     /// Failed cells, in sweep (index) order.
     pub failures: Vec<CellFailure>,

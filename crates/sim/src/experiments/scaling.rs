@@ -1,7 +1,7 @@
 //! Extension experiment (not in the paper): processor-count scaling.
 //!
 //! The paper's conclusions are drawn at 16 processors. This sweep reruns
-//! the key combinations at 4, 8, 16 and 32 nodes to show how the gains
+//! the key combinations at 4, 8, 16, 32 and 64 nodes to show how the gains
 //! move with scale: invalidation fan-outs and lock contention grow with
 //! the machine, so the migratory optimization's ownership elimination and
 //! CW's coherence-miss elimination both matter *more* at larger N, while

@@ -33,6 +33,9 @@ pub struct NodeFaultEvent {
     pub recover_at: u64,
 }
 
+/// The detection delay of a [`NodeFaultPlan::seeded`] plan, in cycles.
+pub(crate) const DEFAULT_DETECT_DELAY: u64 = 500;
+
 /// A deterministic schedule of whole-node crash/recovery windows.
 ///
 /// The default plan is empty and [inactive](NodeFaultPlan::is_active): a
@@ -160,7 +163,7 @@ impl NodeFaultPlan {
         }
         NodeFaultPlan {
             events,
-            detect_delay: 500,
+            detect_delay: DEFAULT_DETECT_DELAY,
         }
     }
 

@@ -70,13 +70,11 @@ impl Region {
 ///
 /// Every allocation is block-aligned; `alloc_page_aligned` additionally
 /// aligns to a page so a structure's home-node distribution is predictable.
-/// Region names are recorded for debugging/pretty-printing only, and to
-/// name the region in the panic when an allocation would end past the
-/// 4 GiB that an [`Addr`] reaches.
+/// A region's name is used only to name it in the panic when an
+/// allocation would end past the 4 GiB that an [`Addr`] reaches.
 #[derive(Debug, Default)]
 pub struct Layout {
     next: u64,
-    regions: Vec<(String, Region)>,
 }
 
 impl Layout {
@@ -110,17 +108,10 @@ impl Layout {
             "region '{name}' ({bytes} B at {base:#x}) overflows the 4 GiB shared address space"
         );
         self.next = base + bytes;
-        let region = Region {
+        Region {
             base: Addr::new(base),
             bytes,
-        };
-        self.regions.push((name.to_owned(), region));
-        region
-    }
-
-    /// Iterates over `(name, region)` pairs in allocation order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, Region)> + '_ {
-        self.regions.iter().map(|(n, r)| (n.as_str(), *r))
+        }
     }
 }
 
@@ -178,14 +169,5 @@ mod tests {
         let mut l = Layout::new();
         l.alloc("all", 1 << 32); // ends exactly at the top
         l.alloc("past", 1);
-    }
-
-    #[test]
-    fn layout_reports_regions() {
-        let mut l = Layout::new();
-        l.alloc("x", 32);
-        l.alloc("y", 64);
-        let names: Vec<_> = l.iter().map(|(n, _)| n.to_owned()).collect();
-        assert_eq!(names, vec!["x", "y"]);
     }
 }
